@@ -13,21 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from core3 import arith, lambert, series
-
-CLOSED = {"a3": arith.core_count, "A3": arith.pair_count, "B3": arith.triple_count}
-TUPLE_SIZE = {"a3": 1, "A3": 2, "B3": 3}
-
-
-def values_for(kind: str, n_max: int, method: str) -> list[int]:
-    k = TUPLE_SIZE[kind]
-    if method == "formula":
-        return [CLOSED[kind](n) for n in range(n_max)]
-    if method == "series":
-        return list(series.core_tuple_series(3, k, n_max).coeffs)
-    if method == "lambert":
-        return list(lambert.tuple_series(k, n_max).coeffs)
-    raise ValueError(f"unknown method {method!r}")
+from core3.cli import KINDS, Config, table_values
 
 
 def main() -> int:
@@ -39,13 +25,12 @@ def main() -> int:
     args = parser.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
-    for kind in ("a3", "A3", "B3"):
-        values = values_for(kind, args.nmax, args.method)
-        closed = CLOSED[kind]
-        for n, value in enumerate(values):
-            if value != closed(n):
-                print(f"mismatch: {kind}({n}) {value} != {closed(n)}",
-                      file=sys.stderr)
+    for kind in KINDS:
+        values = table_values(kind, args.method, args.nmax, Config(order=args.nmax))
+        closed = table_values(kind, "formula", args.nmax)
+        for n, (value, expected) in enumerate(zip(values, closed)):
+            if value != expected:
+                print(f"mismatch: {kind}({n}) {value} != {expected}", file=sys.stderr)
                 return 1
         path = args.out / f"{kind}.csv"
         with path.open("w") as handle:

@@ -10,30 +10,27 @@ import argparse
 import sys
 import time
 
-from core3 import identities
-from core3.identities import XiaParams
+from core3.cli import run_family
 
 
-def battery(k_max: int, n_max: int):
-    yield lambda: [identities.cross_validate(2000)]
-    for p in (2, 5, 11):
-        yield lambda p=p: [identities.check_a3_even_power(p, 2 * k_max, n_max)]
-    yield lambda: identities.check_baruah_nath(k_max + 1, n_max)
-    yield lambda: [identities.check_lin(500)]
-    for p in (2, 5, 7, 11, 13):
-        yield lambda p=p: [identities.check_A3_relations(p, k_max, n_max, False),
-                           identities.check_A3_relations(p, k_max, n_max, True),
-                           identities.check_B3_relations(p, k_max, n_max, False),
-                           identities.check_B3_relations(p, k_max, n_max, True)]
-    yield lambda: [identities.check_B3_relations(3, k_max, n_max, True)]
-    yield lambda: identities.check_A3_residue_families(k_max, n_max)
-    yield lambda: identities.check_b3_power_families(k_max + 1, n_max)
-    yield lambda: identities.check_B3_residue_families(k_max, n_max)
-    yield lambda: [identities.check_xia_congruences(1000)]
-    for p in (3, 5, 7):
-        for j in (1, 2):
-            yield lambda p=p, j=j: [identities.check_xia_conjecture(
-                XiaParams(p, j), 1, 50)]
+def battery(k_max: int, n_max: int) -> list[tuple[str, dict]]:
+    """(family, options) in run order, every family a registered verify name."""
+    wide = {"kmax": k_max, "nmax": n_max}
+    return [
+        ("cross-validate", {"nmax": 2000}),
+        *(("a3-even-power", {"p": p, "kmax": 2 * k_max, "nmax": n_max}) for p in (2, 5, 11)),
+        ("BN", {"kmax": k_max + 1, "nmax": n_max}),
+        ("lin", {"nmax": 500}),
+        *((f"{counter}relation-{variant}", {"p": p, **wide}) for p in (2, 5, 7, 11, 13)
+          for counter in ("", "B3-") for variant in ("general", "coprime")),
+        ("B3-relation-coprime", {"p": 3, **wide}),
+        ("A3-residues", wide),
+        ("B3-ids", {"kmax": k_max + 1, "nmax": n_max}),
+        ("B3-residues", wide),
+        ("xia-congruence", {"nmax": 1000}),
+        *(("xia-conjecture", {"p": p, "j": j, "alphamax": 1, "nmax": 50})
+          for p in (3, 5, 7) for j in (1, 2)),
+    ]
 
 
 def main() -> int:
@@ -45,15 +42,12 @@ def main() -> int:
     failed = 0
     total = 0
     grand_start = time.perf_counter()
-    for run in battery(args.kmax, args.nmax):
-        started = time.perf_counter()
-        reports = run()
-        elapsed = time.perf_counter() - started
-        for report in reports:
+    for family, options in battery(args.kmax, args.nmax):
+        for report in run_family(family, options):
             total += 1
             status = "ok" if report.passed else "FAIL"
             print(f"{report.family:<32} {report.checked:>8} instances "
-                  f"{elapsed:>7.2f}s  {status}")
+                  f"{report.seconds:>7.2f}s  {status}")
             if not report.passed:
                 failed += 1
                 for failure in report.failures[:5]:

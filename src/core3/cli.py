@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import __version__, arith, identities, lambert, partitions, series
@@ -43,6 +44,98 @@ class Config:
     sieve_limit: int = arith.DEFAULT_SIEVE_LIMIT
 
 
+# --- the route and family registries, shared with scripts/ ----------------
+# Both look functions up when called, never at import, so rebinding a module
+# attribute (as a tracer does) reaches every caller.
+
+def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
+    """Refuse a request whose largest n, ``top``, is past the method's budget."""
+    if method in ("series", "lambert") and top >= cfg.order:
+        raise UsageError(
+            f"{what} exceeds the series order budget {cfg.order}; raise --order")
+    if method == "brute" and top > cfg.brute_cap:
+        raise UsageError(
+            f"{what} exceeds the brute-force cap {cfg.brute_cap}; raise --brute-cap")
+
+
+def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
+    """The counts of ``kind`` for 0 <= n < n_max by ``method``."""
+    if n_max <= 0:
+        return []
+    _check_budget(method, n_max - 1, f"--nmax {n_max}", cfg)
+    k = TUPLE_SIZE[kind]
+    if method == "formula":
+        count = getattr(arith, arith.COUNTERS[kind])
+        return [count(n) for n in range(n_max)]
+    if method == "series":
+        return list(series.core_tuple_series(3, k, n_max).coeffs)
+    if method == "lambert":
+        return list(lambert.tuple_series(k, n_max).coeffs)
+    if method == "brute":
+        return [partitions.brute_tuple_count(n, 3, k, cap=cfg.brute_cap)
+                for n in range(n_max)]
+    raise UsageError(f"unknown method {method!r}")
+
+
+def point_value(kind: str, method: str, n: int, cfg: Config = Config()) -> int:
+    """The count of ``kind`` at n by ``method``; only the series routes build a table."""
+    if n < 0:
+        raise UsageError("n must be >= 0")
+    if method == "formula":
+        return getattr(arith, arith.COUNTERS[kind])(n)
+    _check_budget(method, n, f"n={n}", cfg)
+    if method == "brute":
+        return partitions.brute_tuple_count(n, 3, TUPLE_SIZE[kind], cap=cfg.brute_cap)
+    return table_values(kind, method, n + 1, cfg)[n]
+
+
+@dataclass(frozen=True)
+class Family:
+    """A ``verify`` family: the name of the ``identities`` function it runs,
+    its arguments' option names and defaults in order, and, where they
+    differ from its arguments, a ``pack`` turning the option values into them."""
+
+    check: str
+    defaults: dict
+    pack: Callable | None = None
+
+
+def _relation(check: str, coprime: bool) -> Family:
+    return Family(check, {"p": 5, "kmax": 4, "nmax": 200, "coprime_variant": coprime})
+
+
+FAMILIES = {
+    "a3-even-power": Family("check_a3_even_power", {"p": 2, "kmax": 4, "nmax": 200}),
+    "BN": Family("check_baruah_nath", {"kmax": 5, "nmax": 200}),
+    "lin": Family("check_lin", {"nmax": 500}),
+    "relation-general": _relation("check_A3_relations", False),
+    "relation-coprime": _relation("check_A3_relations", True),
+    "A3-residues": Family("check_A3_residue_families", {"kmax": 4, "nmax": 200}),
+    "B3-ids": Family("check_b3_power_families", {"kmax": 5, "nmax": 200}),
+    "B3-relation-general": _relation("check_B3_relations", False),
+    "B3-relation-coprime": _relation("check_B3_relations", True),
+    "B3-residues": Family("check_B3_residue_families", {"kmax": 4, "nmax": 200}),
+    "xia-congruence": Family("check_xia_congruences", {"nmax": 1000}),
+    "xia-conjecture": Family(
+        "check_xia_conjecture", {"p": 3, "j": 1, "alphamax": 1, "nmax": 50},
+        lambda p, j, alphamax, nmax: (identities.XiaParams(p, j), alphamax, nmax)),
+    "cross-validate": Family("cross_validate",
+                             {"nmax": 200, "brute_cap": DEFAULT_BRUTE_CAP}),
+}
+
+
+def run_family(name: str, options: dict) -> list[identities.IdentityReport]:
+    """The reports of family ``name``; ``options`` that the family takes and
+    that are not None replace its defaults, and the rest are ignored."""
+    family = FAMILIES[name]
+    args = [default if options.get(option) is None else options[option]
+            for option, default in family.defaults.items()]
+    if family.pack is not None:
+        args = family.pack(*args)
+    reports = getattr(identities, family.check)(*args)
+    return reports if isinstance(reports, list) else [reports]
+
+
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -57,14 +150,11 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _make_config(args) -> Config:
-    order = getattr(args, "order", None)
-    if order is None:
-        order = DEFAULT_ORDER
+    # every subcommand has --order and --brute-cap
+    order = DEFAULT_ORDER if args.order is None else args.order
     if order < 1:
         raise UsageError("--order must be >= 1")
-    cap = getattr(args, "brute_cap", None)
-    if cap is None:
-        cap = _env_int(ENV_BRUTE_CAP, DEFAULT_BRUTE_CAP)
+    cap = _env_int(ENV_BRUTE_CAP, DEFAULT_BRUTE_CAP) if args.brute_cap is None else args.brute_cap
     if cap < 0:
         raise UsageError("--brute-cap must be >= 0")
     sieve_limit = _env_int(ENV_SIEVE_LIMIT, arith.DEFAULT_SIEVE_LIMIT)
@@ -75,72 +165,16 @@ def _record(kind: str, n: int, value: int, method: str) -> dict:
     return {"kind": kind, "n": n, "value": str(value), "method": method}
 
 
-def _closed_form(kind: str):
-    return {"a3": arith.core_count, "A3": arith.pair_count,
-            "B3": arith.triple_count}[kind]
-
-
-def _evaluate(kind: str, n: int, method: str, cfg: Config) -> int:
-    if n < 0:
-        raise UsageError("n must be >= 0")
-    k = TUPLE_SIZE[kind]
-    if method == "formula":
-        return _closed_form(kind)(n)
-    if method == "series":
-        if n >= cfg.order:
-            raise UsageError(
-                f"n={n} exceeds the series order budget {cfg.order}; raise --order")
-        return series.core_tuple_series(3, k, n + 1)[n]
-    if method == "lambert":
-        if n >= cfg.order:
-            raise UsageError(
-                f"n={n} exceeds the series order budget {cfg.order}; raise --order")
-        return lambert.tuple_series(k, n + 1)[n]
-    if method == "brute":
-        if n > cfg.brute_cap:
-            raise UsageError(
-                f"n={n} exceeds the brute-force cap {cfg.brute_cap}; raise --brute-cap")
-        return partitions.brute_tuple_count(n, 3, k, cap=cfg.brute_cap)
-    raise UsageError(f"unknown method {method!r}")
-
-
 def _cmd_compute(args, cfg: Config) -> int:
-    value = _evaluate(args.kind, args.n, args.method, cfg)
+    value = point_value(args.kind, args.method, args.n, cfg)
     print(json.dumps(_record(args.kind, args.n, value, args.method)))
     return 0
-
-
-def _table_values(kind: str, n_max: int, method: str, cfg: Config) -> list[int]:
-    k = TUPLE_SIZE[kind]
-    if n_max == 0:
-        return []
-    if method == "formula":
-        fn = _closed_form(kind)
-        return [fn(n) for n in range(n_max)]
-    if method == "series":
-        if n_max > cfg.order:
-            raise UsageError(
-                f"--nmax {n_max} exceeds the series order budget {cfg.order}")
-        s = series.core_tuple_series(3, k, n_max)
-        return list(s.coeffs)
-    if method == "lambert":
-        if n_max > cfg.order:
-            raise UsageError(
-                f"--nmax {n_max} exceeds the series order budget {cfg.order}")
-        return list(lambert.tuple_series(k, n_max).coeffs)
-    if method == "brute":
-        if n_max - 1 > cfg.brute_cap:
-            raise UsageError(
-                f"--nmax {n_max} exceeds the brute-force cap {cfg.brute_cap}")
-        return [partitions.brute_tuple_count(n, 3, k, cap=cfg.brute_cap)
-                for n in range(n_max)]
-    raise UsageError(f"unknown method {method!r}")
 
 
 def _cmd_table(args, cfg: Config) -> int:
     if args.nmax < 0:
         raise UsageError("--nmax must be >= 0")
-    values = _table_values(args.kind, args.nmax, args.method, cfg)
+    values = table_values(args.kind, args.method, args.nmax, cfg)
     out = sys.stdout
     if args.format == "csv":
         out.write("kind,n,value,method\n")
@@ -153,98 +187,6 @@ def _cmd_table(args, cfg: Config) -> int:
     return 0
 
 
-def _or(value, fallback):
-    return fallback if value is None else value
-
-
-def _as_list(reports) -> list:
-    return reports if isinstance(reports, list) else [reports]
-
-
-def _fam_a3_even_power(args, cfg):
-    return _as_list(identities.check_a3_even_power(
-        _or(args.p, 2), _or(args.kmax, 4), _or(args.nmax, 200)))
-
-
-def _fam_bn(args, cfg):
-    return identities.check_baruah_nath(_or(args.kmax, 5), _or(args.nmax, 200))
-
-
-def _fam_lin(args, cfg):
-    return _as_list(identities.check_lin(_or(args.nmax, 500)))
-
-
-def _fam_relation_general(args, cfg):
-    return _as_list(identities.check_A3_relations(
-        _or(args.p, 5), _or(args.kmax, 4), _or(args.nmax, 200),
-        coprime_variant=False))
-
-
-def _fam_relation_coprime(args, cfg):
-    return _as_list(identities.check_A3_relations(
-        _or(args.p, 5), _or(args.kmax, 4), _or(args.nmax, 200),
-        coprime_variant=True))
-
-
-def _fam_a3_residues(args, cfg):
-    return identities.check_A3_residue_families(
-        _or(args.kmax, 4), _or(args.nmax, 200))
-
-
-def _fam_b3_ids(args, cfg):
-    return identities.check_b3_power_families(
-        _or(args.kmax, 5), _or(args.nmax, 200))
-
-
-def _fam_b3_relation_general(args, cfg):
-    return _as_list(identities.check_B3_relations(
-        _or(args.p, 5), _or(args.kmax, 4), _or(args.nmax, 200),
-        coprime_variant=False))
-
-
-def _fam_b3_relation_coprime(args, cfg):
-    return _as_list(identities.check_B3_relations(
-        _or(args.p, 5), _or(args.kmax, 4), _or(args.nmax, 200),
-        coprime_variant=True))
-
-
-def _fam_b3_residues(args, cfg):
-    return identities.check_B3_residue_families(
-        _or(args.kmax, 4), _or(args.nmax, 200))
-
-
-def _fam_xia_congruence(args, cfg):
-    return _as_list(identities.check_xia_congruences(_or(args.nmax, 1000)))
-
-
-def _fam_xia_conjecture(args, cfg):
-    xp = identities.XiaParams(_or(args.p, 3), _or(args.j, 1))
-    return _as_list(identities.check_xia_conjecture(
-        xp, _or(args.alphamax, 1), _or(args.nmax, 50)))
-
-
-def _fam_cross_validate(args, cfg):
-    return _as_list(identities.cross_validate(
-        _or(args.nmax, 200), brute_cap=cfg.brute_cap))
-
-
-FAMILIES = {
-    "a3-even-power": _fam_a3_even_power,
-    "BN": _fam_bn,
-    "lin": _fam_lin,
-    "relation-general": _fam_relation_general,
-    "relation-coprime": _fam_relation_coprime,
-    "A3-residues": _fam_a3_residues,
-    "B3-ids": _fam_b3_ids,
-    "B3-relation-general": _fam_b3_relation_general,
-    "B3-relation-coprime": _fam_b3_relation_coprime,
-    "B3-residues": _fam_b3_residues,
-    "xia-congruence": _fam_xia_congruence,
-    "xia-conjecture": _fam_xia_conjecture,
-    "cross-validate": _fam_cross_validate,
-}
-
-
 def _summary_line(report) -> str:
     status = "PASS" if report.passed else "FAIL"
     return (f"{report.family}: checked={report.checked} "
@@ -252,79 +194,67 @@ def _summary_line(report) -> str:
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    runner = FAMILIES.get(args.family)
-    if runner is None:
+    if args.family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise UsageError(f"unknown family {args.family!r}; known families: {known}")
-    reports = runner(args, cfg)
+    reports = run_family(args.family, {**vars(args), "brute_cap": cfg.brute_cap})
     for report in reports:
         print(_summary_line(report))
     print(json.dumps({"reports": [r.as_dict() for r in reports]}))
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _structural_reports(n_max: int) -> list:
+def _structural_reports(n_max: int):
     order = max(2, min(n_max, 500))
-    q_split_ok = series.verify_q_split(order)
-    kernel_ok = lambert.square_kernel_check(100)
-    cross_zero = all(c == 0 for c in lambert.pair_fold_cross_term(order).coeffs)
-    reports = []
-    for family, ok, params in (
-            ("q-split", q_split_ok, {"order": order}),
-            ("square-kernel", kernel_ok, {"order": 100}),
-            ("pair-fold-cross-term", cross_zero, {"order": order})):
-        failures = [] if ok else [identities.Failure(params, 0, 1)]
-        reports.append(identities.IdentityReport(family, params, 1, failures))
-    return reports
+    for family, params, check in (
+            ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
+            ("square-kernel", {"order": 100}, lambda: lambert.square_kernel_check(100)),
+            ("pair-fold-cross-term", {"order": order}, lambda: all(
+                c == 0 for c in lambert.pair_fold_cross_term(order).coeffs))):
+        started = time.perf_counter()
+        failures = [] if check() else [identities.Failure(params, 0, 1)]
+        yield identities.IdentityReport(family, params, 1, failures,
+                                        time.perf_counter() - started)
 
 
-def _selfcheck_battery(n_max: int, cfg: Config):
-    n_fam = min(n_max, 200)
-    yield "cross-validate", lambda: [identities.cross_validate(
-        n_max, brute_cap=cfg.brute_cap)]
-    yield "structural", lambda: _structural_reports(n_max)
-    for p in (2, 5):
-        yield f"a3-even-power-p{p}", (
-            lambda p=p: [identities.check_a3_even_power(p, 4, n_fam)])
-    yield "BN", lambda: identities.check_baruah_nath(3, n_fam)
-    yield "lin", lambda: [identities.check_lin(500)]
-    for p in (2, 5, 7):
-        yield f"A3-relations-p{p}", (
-            lambda p=p: [identities.check_A3_relations(p, 3, n_fam, False),
-                         identities.check_A3_relations(p, 3, n_fam, True)])
-    yield "A3-residues", lambda: identities.check_A3_residue_families(2, n_fam)
-    yield "B3-ids", lambda: identities.check_b3_power_families(3, n_fam)
-    for p in (2, 5, 7):
-        yield f"B3-relations-p{p}", (
-            lambda p=p: [identities.check_B3_relations(p, 3, n_fam, False),
-                         identities.check_B3_relations(p, 3, n_fam, True)])
-    yield "B3-relations-p3", (
-        lambda: [identities.check_B3_relations(3, 3, n_fam, True)])
-    yield "B3-residues", lambda: identities.check_B3_residue_families(2, n_fam)
-    yield "xia-congruence", lambda: [identities.check_xia_congruences(1000)]
-    for p in (3, 5):
-        yield f"xia-conjecture-p{p}", (
-            lambda p=p: [identities.check_xia_conjecture(
-                identities.XiaParams(p, 1), 1, 50)])
+def _selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
+    """(family, options) in run order; "structural" is not a verify family."""
+    n = min(n_max, 200)
+    return [
+        ("cross-validate", {"nmax": n_max, "brute_cap": brute_cap}),
+        ("structural", {}),
+        *(("a3-even-power", {"p": p, "kmax": 4, "nmax": n}) for p in (2, 5)),
+        ("BN", {"kmax": 3, "nmax": n}),
+        ("lin", {"nmax": 500}),
+        *((f"relation-{variant}", {"p": p, "kmax": 3, "nmax": n})
+          for p in (2, 5, 7) for variant in ("general", "coprime")),
+        ("A3-residues", {"kmax": 2, "nmax": n}),
+        ("B3-ids", {"kmax": 3, "nmax": n}),
+        *((f"B3-relation-{variant}", {"p": p, "kmax": 3, "nmax": n})
+          for p in (2, 5, 7) for variant in ("general", "coprime")),
+        ("B3-relation-coprime", {"p": 3, "kmax": 3, "nmax": n}),
+        ("B3-residues", {"kmax": 2, "nmax": n}),
+        ("xia-congruence", {"nmax": 1000}),
+        *(("xia-conjecture", {"p": p, "j": 1, "alphamax": 1, "nmax": 50}) for p in (3, 5)),
+    ]
 
 
 def _cmd_selfcheck(args, cfg: Config) -> int:
-    n_max = _or(args.nmax, 200)
+    n_max = 200 if args.nmax is None else args.nmax
     if n_max < 1:
         raise UsageError("--nmax must be >= 1")
     total = 0
     failed = 0
-    for label, run in _selfcheck_battery(n_max, cfg):
-        started = time.perf_counter()
-        reports = run()
-        elapsed = time.perf_counter() - started
+    for family, options in _selfcheck_battery(n_max, cfg.brute_cap):
+        reports = (_structural_reports(n_max) if family == "structural"
+                   else run_family(family, options))
         for report in reports:
             total += 1
             if not report.passed:
                 failed += 1
             status = "PASS" if report.passed else "FAIL"
             print(f"{report.family:<32} checked={report.checked:<8} "
-                  f"{status}  [{elapsed:.2f}s]")
+                  f"{status}  [{report.seconds:.2f}s]")
     print(f"selfcheck: {total - failed}/{total} families passed")
     return 1 if failed else 0
 
@@ -363,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="verify one identity family")
-    p_verify.add_argument("family")
+    p_verify.add_argument("family", help="one of: " + ", ".join(FAMILIES))
     p_verify.add_argument("--p", type=int, default=None)
     p_verify.add_argument("--j", type=int, default=None)
     p_verify.add_argument("--kmax", type=int, default=None)
@@ -388,10 +318,7 @@ def main(argv=None) -> int:
         cfg = _make_config(args)
         arith.set_default_sieve_limit(cfg.sieve_limit)
         return args.handler(args, cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         # precondition violations from the library are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

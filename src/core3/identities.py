@@ -6,12 +6,16 @@ parameter box and returns an IdentityReport; a nonempty failure list means
 an implementation bug, never a false identity.  Degenerate parameters
 (k = 0, and k = 1 where a relation telescopes to a tautology) are swept on
 purpose rather than skipped.
+
+All families but Xia's conjecture and the route cross-validation are data:
+a Relation per identity, run by one evaluator.
 """
 
+import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from . import lambert, partitions, series
-from .arith import core_count, is_prime, pair_count, sigma, triple_count
+from . import arith, lambert, partitions, series
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,7 @@ class IdentityReport:
     params: dict
     checked: int
     failures: list[Failure] = field(default_factory=list)
+    seconds: float = field(default=0.0, compare=False)  # wall time; not in as_dict()
 
     @property
     def passed(self) -> bool:
@@ -47,14 +52,73 @@ class IdentityReport:
         }
 
 
+@dataclass(frozen=True)
+class Relation:
+    """F(a*m + b) == sum of c * F(a_i*m + b_i), F the counter of ``kind``.
+
+    For k in ``ks`` and r in ``residues``, ``terms(k, r)`` gives ``(a, b)``
+    and ``((c, a_i, b_i), ...)``; m = base*n + r for n = 0..n_max, less the
+    m where ``skip(m)`` holds.  A ``modulus`` compares both sides modulo it.
+    A None index is unused: r counts as 0, and a failure's inputs (``labels``
+    first) leave it out.
+    """
+
+    family: str
+    kind: str
+    terms: Callable[[int | None, int | None], tuple]
+    ks: Sequence[int | None] = (None,)
+    residues: Sequence[int | None] = (None,)
+    base: int = 1
+    skip: Callable[[int], bool] | None = None
+    modulus: int | None = None
+    labels: dict = field(default_factory=dict)
+
+
+def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
+    """One timed report over every instance of the relations, in order.
+
+    Private, so a tracer wrapping public functions charges the counter
+    calls to the check_* function that asked for them."""
+    started = time.perf_counter()
+    checked = 0
+    failures = []
+    for rel in relations:
+        count = getattr(arith, arith.COUNTERS[rel.kind])
+        base, skip, modulus = rel.base, rel.skip, rel.modulus
+        for k in rel.ks:
+            for r in rel.residues:
+                (a, b), rhs_terms = rel.terms(k, r)
+                for n in range(n_max + 1):
+                    m = base * n + (r or 0)
+                    if skip is not None and skip(m):
+                        continue
+                    lhs = count(a * m + b)
+                    rhs = 0
+                    for c, ai, bi in rhs_terms:
+                        rhs += c * count(ai * m + bi)
+                    if modulus is not None:
+                        lhs %= modulus
+                        rhs %= modulus
+                    checked += 1
+                    if lhs != rhs:
+                        index = {"k": k, "r": r, "n": n}
+                        inputs = {key: v for key, v in index.items() if v is not None}
+                        failures.append(Failure({**rel.labels, **inputs}, lhs, rhs))
+    return IdentityReport(relations[0].family, params, checked, failures,
+                          time.perf_counter() - started)
+
+
 def _collect(family: str, params: dict, instances) -> IdentityReport:
+    """A timed report over lazily computed (inputs, lhs, rhs) instances."""
+    started = time.perf_counter()
     checked = 0
     failures = []
     for inputs, lhs, rhs in instances:
         checked += 1
         if lhs != rhs:
             failures.append(Failure(inputs, lhs, rhs))
-    return IdentityReport(family, params, checked, failures)
+    return IdentityReport(family, params, checked, failures,
+                          time.perf_counter() - started)
 
 
 def _exact(numerator: int, denominator: int) -> int:
@@ -64,75 +128,107 @@ def _exact(numerator: int, denominator: int) -> int:
     return q
 
 
+def _A3_terms(p: int, coprime: bool):
+    """``Relation.terms`` of check_A3_relations at p (r is unused)."""
+    one_mod_3 = p % 3 == 1
+    base = p if one_mod_3 else p * p
+
+    def terms(k, r):
+        e = k if one_mod_3 else 2 * k
+        step = p**e
+        lhs = (step, _exact(2 * step - 2, 3))
+        if coprime:
+            return lhs, ((_exact(p ** (e + 1) - 1, p - 1), 1, 0),)
+        return lhs, ((_exact(step - 1, base - 1), base, _exact(2 * base - 2, 3)),
+                     (-_exact(step - base, base - 1), 1, 0))
+    return terms
+
+
+def _B3_terms(p: int, coprime: bool):
+    """``Relation.terms`` of check_B3_relations at p (r is unused)."""
+    p2 = p * p
+
+    def terms(k, r):
+        step = p**k
+        sign = (-1) ** k
+        lhs = (step, step - 1)
+        if coprime:
+            if p == 3:
+                c = 9**k
+            elif p % 3 == 1:
+                c = _exact(p ** (2 * (k + 1)) - 1, p2 - 1)
+            else:
+                c = _exact(p ** (2 * k + 2) + sign, p2 + 1)
+            return lhs, ((c, 1, 0),)
+        if p % 3 == 1:
+            return lhs, ((_exact(p ** (2 * k) - 1, p2 - 1), p, p - 1),
+                         (-_exact(p ** (2 * k) - p2, p2 - 1), 1, 0))
+        return lhs, ((_exact(p ** (2 * k) - sign, p2 + 1), p, p - 1),
+                     (_exact(p ** (2 * k) + sign * p2, p2 + 1), 1, 0))
+    return terms
+
+
+def _relation(kind: str, terms, p: int, k_max: int, n_max: int, coprime: bool,
+              skip) -> IdentityReport:
+    """One variant of a relation theorem; ``skip`` applies to the coprime one."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    variant = "coprime" if coprime else "general"
+    return _sweep({"p": p, "k_max": k_max, "n_max": n_max, "variant": variant}, n_max,
+                  Relation(f"{kind}-relation-{variant}-p{p}", kind, terms(p, coprime),
+                           range(k_max + 1), skip=skip if coprime else None,
+                           labels={"p": p}))
+
+
+def _residues(kind: str, terms, classes, k_max: int, n_max: int) -> list[IdentityReport]:
+    """The coprime relation at each p, swept over m = p*n + r for r in its classes."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    params = {"k_max": k_max, "n_max": n_max}
+    return [_sweep(params, n_max, Relation(f"{kind}-residues-{p}", kind, terms(p, True),
+                                           range(k_max + 1), residues=residues, base=p))
+            for p, residues in classes]
+
+
 def check_a3_even_power(p: int, k_max: int, n_max: int) -> IdentityReport:
     """a3(p^k*n + (p^k-1)/3) == a3(n) for p prime, p = 2 mod 3, k even."""
-    if not is_prime(p) or p % 3 != 2:
+    if not arith.is_prime(p) or p % 3 != 2:
         raise ValueError(f"p must be a prime congruent to 2 mod 3, got {p}")
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
-
-    def instances():
-        for k in range(2, k_max + 1, 2):
-            pk = p**k
-            offset = _exact(pk - 1, 3)
-            for n in range(n_max + 1):
-                yield ({"p": p, "k": k, "n": n},
-                       core_count(pk * n + offset), core_count(n))
-
-    return _collect(f"a3-even-power-p{p}",
-                    {"p": p, "k_max": k_max, "n_max": n_max}, instances())
+    return _sweep({"p": p, "k_max": k_max, "n_max": n_max}, n_max, Relation(
+        f"a3-even-power-p{p}", "a3",
+        lambda k, r: ((p**k, _exact(p**k - 1, 3)), ((1, 1, 0),)),
+        ks=range(2, k_max + 1, 2), labels={"p": p}))
 
 
 def check_baruah_nath(k_max: int, n_max: int) -> list[IdentityReport]:
-    """The three pair-count families with power-of-two arguments, k >= 1."""
+    """The three pair-count families with power-of-two arguments, k >= 1.
+
+    BN-1: A3(2^(2k+2)*n + 2(2^(2k)-1)/3) == (2^(2k+2)-1)/3 * A3(4n).
+    BN-2: A3(2^(2k+2)*n + 2(2^(2k+2)-1)/3)
+            == (2^(2k+2)-1)/3 * A3(4n+2) - (2^(2k+2)-4)/3 * A3(n).
+    BN-3: A3(2^(2k+1)*n + (5*2^(2k)-2)/3) == (2^(2k+1)-1) * A3(2n+1).
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     params = {"k_max": k_max, "n_max": n_max}
-
-    def family_1():
-        # A3(2^(2k+2)*n + 2(2^(2k)-1)/3) == (2^(2k+2)-1)/3 * A3(4n)
-        for k in range(1, k_max + 1):
-            step = 2 ** (2 * k + 2)
-            offset = _exact(2 * (2 ** (2 * k) - 1), 3)
-            c = _exact(step - 1, 3)
-            for n in range(n_max + 1):
-                yield ({"k": k, "n": n},
-                       pair_count(step * n + offset), c * pair_count(4 * n))
-
-    def family_2():
-        # A3(2^(2k+2)*n + 2(2^(2k+2)-1)/3)
-        #   == (2^(2k+2)-1)/3 * A3(4n+2) - (2^(2k+2)-4)/3 * A3(n)
-        for k in range(1, k_max + 1):
-            step = 2 ** (2 * k + 2)
-            offset = _exact(2 * (step - 1), 3)
-            c1 = _exact(step - 1, 3)
-            c2 = _exact(step - 4, 3)
-            for n in range(n_max + 1):
-                yield ({"k": k, "n": n}, pair_count(step * n + offset),
-                       c1 * pair_count(4 * n + 2) - c2 * pair_count(n))
-
-    def family_3():
-        # A3(2^(2k+1)*n + (5*2^(2k)-2)/3) == (2^(2k+1)-1) * A3(2n+1)
-        for k in range(1, k_max + 1):
-            step = 2 ** (2 * k + 1)
-            offset = _exact(5 * 2 ** (2 * k) - 2, 3)
-            c = step - 1
-            for n in range(n_max + 1):
-                yield ({"k": k, "n": n},
-                       pair_count(step * n + offset), c * pair_count(2 * n + 1))
-
-    return [_collect("BN-1", params, family_1()),
-            _collect("BN-2", params, family_2()),
-            _collect("BN-3", params, family_3())]
+    families = (
+        lambda k, r: ((4 ** (k + 1), _exact(2 * (4**k - 1), 3)),
+                      ((_exact(4 ** (k + 1) - 1, 3), 4, 0),)),
+        lambda k, r: ((4 ** (k + 1), _exact(2 * (4 ** (k + 1) - 1), 3)),
+                      ((_exact(4 ** (k + 1) - 1, 3), 4, 2),
+                       (-_exact(4 ** (k + 1) - 4, 3), 1, 0))),
+        lambda k, r: ((2 * 4**k, _exact(5 * 4**k - 2, 3)), ((2 * 4**k - 1, 2, 1),)),
+    )
+    return [_sweep(params, n_max, Relation(f"BN-{i}", "A3", terms, range(1, k_max + 1)))
+            for i, terms in enumerate(families, 1)]
 
 
 def check_lin(n_max: int) -> IdentityReport:
     """A3(8n+6) == 7 * A3(2n+1)."""
-    def instances():
-        for n in range(n_max + 1):
-            yield ({"n": n}, pair_count(8 * n + 6), 7 * pair_count(2 * n + 1))
-
-    return _collect("lin", {"n_max": n_max}, instances())
+    return _sweep({"n_max": n_max}, n_max,
+                  Relation("lin", "A3", lambda k, r: ((8, 6), ((7, 2, 1),))))
 
 
 def check_A3_relations(p: int, k_max: int, n_max: int,
@@ -144,40 +240,10 @@ def check_A3_relations(p: int, k_max: int, n_max: int,
     dividing 3n+2): the relation collapses to a single multiplier
     (p^(e+1)-1)/(p-1).
     """
-    if not is_prime(p) or p == 3:
+    if not arith.is_prime(p) or p == 3:
         raise ValueError(f"p must be a prime other than 3, got {p}")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    one_mod_3 = p % 3 == 1
-    variant = "coprime" if coprime_variant else "general"
-    family = f"A3-relation-{variant}-p{p}"
-
-    def instances():
-        for k in range(k_max + 1):
-            e = k if one_mod_3 else 2 * k
-            step = p**e
-            offset = _exact(2 * step - 2, 3)
-            if coprime_variant:
-                c = _exact(p ** (e + 1) - 1, p - 1)
-                for n in range(n_max + 1):
-                    if (3 * n + 2) % p == 0:
-                        continue
-                    yield ({"p": p, "k": k, "n": n},
-                           pair_count(step * n + offset), c * pair_count(n))
-            else:
-                base = p if one_mod_3 else p * p
-                c1 = _exact(step - 1, base - 1)
-                c2 = _exact(step - base, base - 1)
-                inner_offset = _exact(2 * base - 2, 3)
-                for n in range(n_max + 1):
-                    lhs = pair_count(step * n + offset)
-                    rhs = (c1 * pair_count(base * n + inner_offset)
-                           - c2 * pair_count(n))
-                    yield ({"p": p, "k": k, "n": n}, lhs, rhs)
-
-    return _collect(family,
-                    {"p": p, "k_max": k_max, "n_max": n_max,
-                     "variant": variant}, instances())
+    return _relation("A3", _A3_terms, p, k_max, n_max, coprime_variant,
+                     lambda m: (3 * m + 2) % p == 0)
 
 
 def check_A3_residue_families(k_max: int, n_max: int) -> list[IdentityReport]:
@@ -186,75 +252,31 @@ def check_A3_residue_families(k_max: int, n_max: int) -> list[IdentityReport]:
     For p = 5 the argument 5n+r must keep 3(5n+r)+2 prime to 5, which
     excludes r = 1; for p = 7 it excludes r = 4.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    params = {"k_max": k_max, "n_max": n_max}
-
-    def family_5():
-        for k in range(k_max + 1):
-            step = 5 ** (2 * k)
-            offset = _exact(2 * step - 2, 3)
-            c = _exact(5 ** (2 * k + 1) - 1, 4)
-            for r in (0, 2, 3, 4):
-                for n in range(n_max + 1):
-                    m = 5 * n + r
-                    yield ({"k": k, "r": r, "n": n},
-                           pair_count(step * m + offset), c * pair_count(m))
-
-    def family_7():
-        for k in range(k_max + 1):
-            step = 7**k
-            offset = _exact(2 * step - 2, 3)
-            c = _exact(7 ** (k + 1) - 1, 6)
-            for r in (0, 1, 2, 3, 5, 6):
-                for n in range(n_max + 1):
-                    m = 7 * n + r
-                    yield ({"k": k, "r": r, "n": n},
-                           pair_count(step * m + offset), c * pair_count(m))
-
-    return [_collect("A3-residues-5", params, family_5()),
-            _collect("A3-residues-7", params, family_7())]
+    return _residues("A3", _A3_terms, ((5, (0, 2, 3, 4)), (7, (0, 1, 2, 3, 5, 6))),
+                     k_max, n_max)
 
 
 def check_b3_power_families(k_max: int, n_max: int) -> list[IdentityReport]:
-    """The three printed triple-count families at moduli 3^k and 2^(k+1), k >= 1."""
+    """The three printed triple-count families at moduli 3^k and 2^(k+1), k >= 1.
+
+    B3-1: B3(3^k*n + 3^k - 1) == 3^(2k) * B3(n), the coprime relation at p = 3.
+    B3-2: B3(2^(k+1)*n + 2^k - 1) == (2^(2k+2)+(-1)^k)/5 * B3(2n).
+    B3-3: B3(2^(k+1)*n + 2^(k+1) - 1)
+            == (2^(2k+2)+(-1)^k)/5 * B3(2n+1) + (2^(2k+2)-4(-1)^k)/5 * B3(n),
+          the general relation at p = 2, taken at k+1.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     params = {"k_max": k_max, "n_max": n_max}
-
-    def family_1():
-        # B3(3^k*n + 3^k - 1) == 3^(2k) * B3(n)
-        for k in range(1, k_max + 1):
-            step = 3**k
-            c = step * step
-            for n in range(n_max + 1):
-                yield ({"k": k, "n": n},
-                       triple_count(step * n + step - 1), c * triple_count(n))
-
-    def family_2():
-        # B3(2^(k+1)*n + 2^k - 1) == (2^(2k+2)+(-1)^k)/5 * B3(2n)
-        for k in range(1, k_max + 1):
-            c = _exact(2 ** (2 * k + 2) + (-1) ** k, 5)
-            step = 2 ** (k + 1)
-            offset = 2**k - 1
-            for n in range(n_max + 1):
-                yield ({"k": k, "n": n},
-                       triple_count(step * n + offset), c * triple_count(2 * n))
-
-    def family_3():
-        # B3(2^(k+1)*n + 2^(k+1) - 1)
-        #   == (2^(2k+2)+(-1)^k)/5 * B3(2n+1) + (2^(2k+2)-4(-1)^k)/5 * B3(n)
-        for k in range(1, k_max + 1):
-            c1 = _exact(2 ** (2 * k + 2) + (-1) ** k, 5)
-            c2 = _exact(2 ** (2 * k + 2) - 4 * (-1) ** k, 5)
-            step = 2 ** (k + 1)
-            for n in range(n_max + 1):
-                yield ({"k": k, "n": n}, triple_count(step * n + step - 1),
-                       c1 * triple_count(2 * n + 1) + c2 * triple_count(n))
-
-    return [_collect("B3-1", params, family_1()),
-            _collect("B3-2", params, family_2()),
-            _collect("B3-3", params, family_3())]
+    general_2 = _B3_terms(2, coprime=False)
+    families = (
+        _B3_terms(3, coprime=True),
+        lambda k, r: ((2 ** (k + 1), 2**k - 1),
+                      ((_exact(2 ** (2 * k + 2) + (-1) ** k, 5), 2, 0),)),
+        lambda k, r: general_2(k + 1, r),
+    )
+    return [_sweep(params, n_max, Relation(f"B3-{i}", "B3", terms, range(1, k_max + 1)))
+            for i, terms in enumerate(families, 1)]
 
 
 def check_B3_relations(p: int, k_max: int, n_max: int,
@@ -265,59 +287,12 @@ def check_B3_relations(p: int, k_max: int, n_max: int,
     on the residue of p mod 3.  Coprime variant (p not dividing n+1, plus
     the unconditional p = 3 branch): a single multiplier.
     """
-    if not is_prime(p):
+    if not arith.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if not coprime_variant and p == 3:
         raise ValueError("the general three-term relation excludes p = 3")
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    p2 = p * p
-    variant = "coprime" if coprime_variant else "general"
-    family = f"B3-relation-{variant}-p{p}"
-
-    def instances():
-        for k in range(k_max + 1):
-            step = p**k
-            sign = (-1) ** k
-            if coprime_variant:
-                if p == 3:
-                    c = 9**k
-                    for n in range(n_max + 1):
-                        yield ({"p": p, "k": k, "n": n},
-                               triple_count(step * n + step - 1),
-                               c * triple_count(n))
-                    continue
-                if p % 3 == 1:
-                    c = _exact(p ** (2 * (k + 1)) - 1, p2 - 1)
-                else:
-                    c = _exact(p ** (2 * k + 2) + sign, p2 + 1)
-                for n in range(n_max + 1):
-                    if (n + 1) % p == 0:
-                        continue
-                    yield ({"p": p, "k": k, "n": n},
-                           triple_count(step * n + step - 1),
-                           c * triple_count(n))
-            else:
-                if p % 3 == 1:
-                    c1 = _exact(p ** (2 * k) - 1, p2 - 1)
-                    c2 = _exact(p ** (2 * k) - p2, p2 - 1)
-                    for n in range(n_max + 1):
-                        lhs = triple_count(step * n + step - 1)
-                        rhs = (c1 * triple_count(p * n + p - 1)
-                               - c2 * triple_count(n))
-                        yield ({"p": p, "k": k, "n": n}, lhs, rhs)
-                else:
-                    c1 = _exact(p ** (2 * k) - sign, p2 + 1)
-                    c2 = _exact(p ** (2 * k) + sign * p2, p2 + 1)
-                    for n in range(n_max + 1):
-                        lhs = triple_count(step * n + step - 1)
-                        rhs = (c1 * triple_count(p * n + p - 1)
-                               + c2 * triple_count(n))
-                        yield ({"p": p, "k": k, "n": n}, lhs, rhs)
-
-    return _collect(family,
-                    {"p": p, "k_max": k_max, "n_max": n_max,
-                     "variant": variant}, instances())
+    return _relation("B3", _B3_terms, p, k_max, n_max, coprime_variant,
+                     None if p == 3 else lambda m: (m + 1) % p == 0)
 
 
 def check_B3_residue_families(k_max: int, n_max: int) -> list[IdentityReport]:
@@ -326,46 +301,16 @@ def check_B3_residue_families(k_max: int, n_max: int) -> list[IdentityReport]:
     The substitution n -> 5n+r (resp. 7n+r) needs p not dividing n+1, which
     excludes r = 4 for p = 5 and r = 6 for p = 7.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    params = {"k_max": k_max, "n_max": n_max}
-
-    def family_5():
-        # B3(5^(k+1)*n + 5^k*(r+1) - 1) == (5^(2k+2)+(-1)^k)/26 * B3(5n+r)
-        for k in range(k_max + 1):
-            c = _exact(5 ** (2 * k + 2) + (-1) ** k, 26)
-            step = 5 ** (k + 1)
-            for r in (0, 1, 2, 3):
-                offset = 5**k * (r + 1) - 1
-                for n in range(n_max + 1):
-                    yield ({"k": k, "r": r, "n": n},
-                           triple_count(step * n + offset),
-                           c * triple_count(5 * n + r))
-
-    def family_7():
-        # B3(7^(k+1)*n + 7^k*(r+1) - 1) == (7^(2k+2)-1)/48 * B3(7n+r)
-        for k in range(k_max + 1):
-            c = _exact(7 ** (2 * k + 2) - 1, 48)
-            step = 7 ** (k + 1)
-            for r in (0, 1, 2, 3, 4, 5):
-                offset = 7**k * (r + 1) - 1
-                for n in range(n_max + 1):
-                    yield ({"k": k, "r": r, "n": n},
-                           triple_count(step * n + offset),
-                           c * triple_count(7 * n + r))
-
-    return [_collect("B3-residues-5", params, family_5()),
-            _collect("B3-residues-7", params, family_7())]
+    return _residues("B3", _B3_terms, ((5, (0, 1, 2, 3)), (7, (0, 1, 2, 3, 4, 5))),
+                     k_max, n_max)
 
 
 def check_xia_congruences(n_max: int) -> IdentityReport:
     """A3(8n+4) == 0 mod 4 and A3(16n+4) == 0 mod 8 for all n."""
-    def instances():
-        for n in range(n_max + 1):
-            yield ({"modulus": 4, "n": n}, pair_count(8 * n + 4) % 4, 0)
-            yield ({"modulus": 8, "n": n}, pair_count(16 * n + 4) % 8, 0)
-
-    return _collect("xia-congruence", {"n_max": n_max}, instances())
+    return _sweep({"n_max": n_max}, n_max, *(
+        Relation("xia-congruence", "A3", lambda k, r, a=a: ((a, 4), ()),
+                 modulus=modulus, labels={"modulus": modulus})
+        for a, modulus in ((8, 4), (16, 8))))
 
 
 @dataclass(frozen=True)
@@ -379,7 +324,7 @@ class XiaParams:
         if self.p == 2:
             raise ValueError(
                 "p = 2 unsupported: the Euler-theorem step needs 2 invertible mod p^(j+1)")
-        if not is_prime(self.p):
+        if not arith.is_prime(self.p):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.j < 1:
             raise ValueError("j must be >= 1")
@@ -411,14 +356,14 @@ def check_xia_conjecture(xp: XiaParams, alpha_max: int, n_max: int) -> IdentityR
             residue = (pow(2, e, modulus) - 1) % modulus
             factor_mod = (residue // 3) % pj
             for n in range(n_max + 1):
-                value_mod = (factor_mod * (sigma(6 * n + 1) % pj)) % pj
+                value_mod = (factor_mod * (arith.sigma(6 * n + 1) % pj)) % pj
                 yield ({"p": xp.p, "j": xp.j, "alpha": alpha, "n": n,
                         "path": "modular"}, value_mod, 0)
                 direct_arg = (1 << e) * n + ((1 << (e - 1)) - 2) // 3
                 if 3 * direct_arg + 2 < 2**63:
                     yield ({"p": xp.p, "j": xp.j, "alpha": alpha, "n": n,
                             "path": "direct"},
-                           pair_count(direct_arg) % pj, value_mod)
+                           arith.pair_count(direct_arg) % pj, value_mod)
 
     return _collect(f"xia-conjecture-p{xp.p}-j{xp.j}",
                     {"p": xp.p, "j": xp.j, "k0": xp.k0,
@@ -433,13 +378,13 @@ def cross_validate(n_max: int, brute_cap: int = 40) -> IdentityReport:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    closed = {1: core_count, 2: pair_count, 3: triple_count}
-    series_lane = {k: series.core_tuple_series(3, k, n_max) for k in (1, 2, 3)}
-    lambert_lane = {k: lambert.tuple_series(k, n_max) for k in (1, 2, 3)}
     labels = {1: "a3", 2: "A3", 3: "B3"}
+    closed = {k: getattr(arith, arith.COUNTERS[kind]) for k, kind in labels.items()}
     brute_bound = min(n_max - 1, brute_cap)
 
     def instances():
+        series_lane = {k: series.core_tuple_series(3, k, n_max) for k in (1, 2, 3)}
+        lambert_lane = {k: lambert.tuple_series(k, n_max) for k in (1, 2, 3)}
         for k in (1, 2, 3):
             for n in range(n_max):
                 reference = closed[k](n)

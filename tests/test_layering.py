@@ -1,0 +1,51 @@
+"""Oracle independence: a route that checks another never imports it.
+
+The series and Lambert routes stay off the closed forms in ``arith`` (and
+off ``identities`` and ``cli``, which reach ``arith``); brute-force
+enumeration stays off all three counting routes.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "core3"
+
+FORBIDDEN = {
+    "series": {"arith", "identities", "cli"},
+    "lambert": {"arith", "identities", "cli"},
+    "partitions": {"arith", "series", "lambert"},
+}
+
+
+def core3_imports(module: str) -> set[str]:
+    """Names of the core3 modules that ``module`` imports, in any form."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("core3."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module is not None and not (
+                    node.module == "core3" or node.module.startswith("core3.")):
+                continue
+            path = (node.module or "").removeprefix("core3").lstrip(".")
+            if path:
+                names.add(path.split(".")[0])
+            else:  # from . import x / from core3 import x
+                names.update(a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN))
+def test_oracle_routes_stay_independent(module):
+    assert not core3_imports(module) & FORBIDDEN[module]
+
+
+def test_import_scan_sees_every_form(tmp_path, monkeypatch):
+    sample = ("import core3.arith\nfrom . import identities\nfrom .cli import main\n"
+              "from core3 import lambert\nfrom core3.series import mul\nimport os\n")
+    (tmp_path / "sample.py").write_text(sample)
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert core3_imports("sample") == {"arith", "identities", "cli", "lambert", "series"}

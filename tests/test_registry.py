@@ -1,0 +1,189 @@
+"""The route and family registries, the relation evaluator, and the scripts
+and documents that read the registries."""
+
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from core3 import arith, cli, identities
+from core3.cli import (FAMILIES, KINDS, METHODS, Config, main, point_value, run_family,
+                       table_values)
+from core3.identities import Relation, _sweep
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (family, checked) of ``core3 selfcheck --nmax 40``, recorded before the
+# identity families became Relation data
+SELFCHECK_40 = [
+    ("cross-validate", 360), ("q-split", 1), ("square-kernel", 1),
+    ("pair-fold-cross-term", 1), ("a3-even-power-p2", 82), ("a3-even-power-p5", 82),
+    ("BN-1", 123), ("BN-2", 123), ("BN-3", 123), ("lin", 501),
+    ("A3-relation-general-p2", 164), ("A3-relation-coprime-p2", 80),
+    ("A3-relation-general-p5", 164), ("A3-relation-coprime-p5", 132),
+    ("A3-relation-general-p7", 164), ("A3-relation-coprime-p7", 140),
+    ("A3-residues-5", 492), ("A3-residues-7", 738),
+    ("B3-1", 123), ("B3-2", 123), ("B3-3", 123),
+    ("B3-relation-general-p2", 164), ("B3-relation-coprime-p2", 84),
+    ("B3-relation-general-p5", 164), ("B3-relation-coprime-p5", 132),
+    ("B3-relation-general-p7", 164), ("B3-relation-coprime-p7", 144),
+    ("B3-relation-coprime-p3", 164), ("B3-residues-5", 492), ("B3-residues-7", 738),
+    ("xia-congruence", 2002), ("xia-conjecture-p3-j1", 204), ("xia-conjecture-p5-j1", 204),
+]
+
+
+def test_selfcheck_checked_counts_are_pinned(capsys):
+    assert main(["selfcheck", "--nmax", "40"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [re.match(r"^(\S+)\s+checked=(\d+)\s+PASS\s+\[\d+\.\d\ds\]$", line)
+            for line in lines[:-1]]
+    assert all(rows), lines
+    assert [(m[1], int(m[2])) for m in rows] == SELFCHECK_40
+    assert lines[-1] == f"selfcheck: {len(SELFCHECK_40)}/{len(SELFCHECK_40)} families passed"
+
+
+def _lin(coefficient, **fields):
+    return Relation("lin", "A3", lambda k, r: ((8, 6), ((coefficient, 2, 1),)), **fields)
+
+
+@pytest.mark.parametrize("fields, first", [
+    ({}, {"n": 0}),
+    ({"skip": lambda m: m < 3}, {"n": 3}),
+    ({"ks": range(2, 4), "residues": (1, 2), "base": 3, "labels": {"p": 5}},
+     {"p": 5, "k": 2, "r": 1, "n": 0}),
+])
+def test_wrong_relation_fails_at_first_instance(fields, first):
+    # A3(8n+6) == 7*A3(2n+1), so coefficient 6 is wrong for every n
+    report = _sweep({"n_max": 9}, 9, _lin(6, **fields))
+    assert not report.passed
+    assert report.failures[0].inputs == first
+    assert list(report.failures[0].inputs) == list(first)
+    assert len(report.failures) == report.checked
+    assert report.as_dict()["failures"][0]["inputs"] == first
+
+
+def test_modulus_compares_residues():
+    # A3(8n+4) is 0 mod 4 but not always 0 mod 16: A3(4) = 8
+    report = _sweep({}, 3, Relation("mod", "A3", lambda k, r: ((8, 4), ()), modulus=16,
+                                    labels={"modulus": 16}))
+    assert report.failures[0].inputs == {"modulus": 16, "n": 0}
+    assert (report.failures[0].lhs, report.failures[0].rhs) == (8, 0)
+
+
+def test_non_integral_coefficient_raises():
+    rel = Relation("bad", "A3", lambda k, r: ((1, 0), ((identities._exact(7, 2), 1, 0),)))
+    with pytest.raises(ArithmeticError):
+        _sweep({}, 3, rel)
+
+
+def test_reports_are_timed_one_by_one():
+    started = time.perf_counter()
+    reports = identities.check_baruah_nath(3, 100)
+    wall = time.perf_counter() - started
+    assert all(r.seconds > 0 for r in reports)
+    assert sum(r.seconds for r in reports) <= wall
+    assert set(reports[0].as_dict()) == {"family", "params", "checked", "failures", "passed"}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_every_family_verifies(family, capsys):
+    assert main(["verify", family, "--nmax", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["reports"] and all(r["passed"] for r in payload["reports"])
+
+
+def test_batteries_name_registered_families_and_options():
+    path = ROOT / "scripts" / "verify_identities.py"
+    spec = importlib.util.spec_from_file_location("verify_identities", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    batteries = {"selfcheck": cli._selfcheck_battery(200, 40),
+                 "verify_identities": script.battery(4, 200)}
+    for name, battery in batteries.items():
+        for family, options in battery:
+            if name == "selfcheck" and family == "structural":
+                continue
+            assert family in FAMILIES, (name, family)
+            # run_family ignores unknown options, so a misspelt one would not show
+            assert set(options) <= set(FAMILIES[family].defaults), (name, family, options)
+
+
+def test_routes_agree_for_every_kind_and_method():
+    for kind in KINDS:
+        reference = table_values(kind, "formula", 12)
+        for method in METHODS:
+            assert table_values(kind, method, 12) == reference
+            assert [point_value(kind, method, n) for n in range(12)] == reference
+
+
+def test_route_budgets():
+    cfg = Config(order=10, brute_cap=10)
+    assert point_value("a3", "series", 9, cfg) == table_values("a3", "series", 10, cfg)[9]
+    assert point_value("a3", "brute", 10, cfg) == arith.core_count(10)
+    for call in (lambda: point_value("a3", "lambert", 10, cfg),
+                 lambda: table_values("a3", "series", 11, cfg),
+                 lambda: point_value("a3", "brute", 11, cfg),
+                 lambda: table_values("a3", "brute", 12, cfg)):
+        with pytest.raises(cli.UsageError, match="exceeds"):
+            call()
+    # the closed form has no budget, and an empty table asks nothing
+    assert point_value("a3", "formula", 10**6, cfg) == arith.core_count(10**6)
+    assert table_values("a3", "series", 0, cfg) == []
+
+
+def test_registries_look_functions_up_when_called(monkeypatch):
+    # tracers rebind module attributes; a registry holding the objects found
+    # at import would bypass them
+    calls = []
+    original = arith.pair_count
+
+    def counted(n, *args):
+        calls.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(arith, "pair_count", counted)
+    assert run_family("lin", {"nmax": 3})[0].passed
+    assert len(calls) == 8
+    assert table_values("A3", "formula", 4) == [original(n) for n in range(4)]
+    assert point_value("A3", "formula", 6) == original(6)
+    assert len(calls) == 8 + 4 + 1
+    stub = identities.IdentityReport("stub", {}, 1)
+    monkeypatch.setattr(identities, "check_lin", lambda n_max: stub)
+    assert run_family("lin", {}) == [stub]
+
+
+def test_make_tables_smoke(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_tables.py"), "--nmax", "50",
+         "--method", "lambert", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"wrote {tmp_path / kind}.csv (50 rows, cross-checked)" for kind in KINDS]
+    for kind in KINDS:
+        lines = (tmp_path / f"{kind}.csv").read_text().splitlines()
+        assert lines[0] == "kind,n,value,method"
+        assert lines[1:] == [f"{kind},{n},{v},lambert"
+                             for n, v in enumerate(table_values(kind, "formula", 50))]
+
+
+def test_verify_help_lists_the_registry(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    # argparse may wrap the help text anywhere, hyphens included
+    text = "".join(capsys.readouterr().out.split())
+    assert "oneof:" + ",".join(FAMILIES) in text
+
+
+def test_readme_lists_the_registry():
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Known `verify` families:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", paragraph) == list(FAMILIES)
