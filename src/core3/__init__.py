@@ -14,6 +14,7 @@ from .arith import (
     SpfSieve,
     core_count,
     core_count_product,
+    count_table,
     divisor_count_mod3,
     factorize,
     pair_count,
@@ -85,6 +86,7 @@ __all__ = [
     "check_xia_conjecture",
     "core_count",
     "core_count_product",
+    "count_table",
     "core_series",
     "core_tuple_series",
     "cross_validate",

@@ -10,18 +10,32 @@ forms:
 * ``triple_count(n)``: number of ordered triples, equal to the weighted
   divisor sum f(n+1) evaluated multiplicatively over the factorization.
 
-Factorization uses a smallest-prime-factor sieve (built once, then
-read-only) with a trial-division fallback above the sieve limit.
+Point queries factorize with a smallest-prime-factor sieve (built once,
+then read-only) with a trial-division fallback above the sieve limit.
+Whole tables come from ``count_table``, one segmented sieve over the
+progression the closed form is taken at, which needs neither.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
+from operator import floordiv, mul
 
 DEFAULT_SIEVE_LIMIT = 1_000_000
 
 # kind -> name of its closed-form counter in this module.  Callers look the
 # function up by name when they call it, so rebinding it here reaches them all.
 COUNTERS = {"a3": "core_count", "A3": "pair_count", "B3": "triple_count"}
+
+# kind -> (a, b, rule, divisor): the closed form of kind at n is the
+# multiplicative function with value rule(p, e) at p**e, taken at m = a*n + b,
+# divided by divisor.  The rule is named, and looked up when a table is built.
+_PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
+                 "A3": (3, 2, "_sigma_prime_power", 3),
+                 "B3": (1, 1, "weighted_divisor_sum_prime_power", 1)}
+
+# terms of the progression held in memory at once by count_table
+_WINDOW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -143,11 +157,15 @@ def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
+def _sigma_prime_power(p: int, a: int) -> int:
+    return (p ** (a + 1) - 1) // (p - 1)
+
+
 def sigma(n: int, sieve: SpfSieve | None = None) -> int:
     """Sum of the positive divisors of n."""
     total = 1
     for p, a in factorize(n, sieve).factors:
-        total *= (p ** (a + 1) - 1) // (p - 1)
+        total *= _sigma_prime_power(p, a)
     return total
 
 
@@ -177,6 +195,12 @@ def core_count(n: int, sieve: SpfSieve | None = None) -> int:
     return divisor_count_mod3(m, 1, sieve) - divisor_count_mod3(m, 2, sieve)
 
 
+def _core_prime_power(p: int, a: int) -> int:
+    if p % 3 == 1:
+        return a + 1
+    return 0 if a % 2 else 1
+
+
 def core_count_product(n: int, sieve: SpfSieve | None = None) -> int:
     """Product form of core_count over the factorization of 3n+1.
 
@@ -187,10 +211,7 @@ def core_count_product(n: int, sieve: SpfSieve | None = None) -> int:
         raise ValueError("n must be >= 0")
     result = 1
     for p, a in factorize(3 * n + 1, sieve).factors:
-        if p % 3 == 1:
-            result *= a + 1
-        elif a % 2 == 1:
-            return 0
+        result *= _core_prime_power(p, a)
     return result
 
 
@@ -251,3 +272,61 @@ def triple_count(n: int, sieve: SpfSieve | None = None) -> int:
     for p, a in factorize(n + 1, sieve).factors:
         result *= weighted_divisor_sum_prime_power(p, a)
     return result
+
+
+def count_table(kind: str, n_max: int) -> list[int]:
+    """The closed-form counts of ``kind`` for 0 <= n < n_max, in one pass.
+
+    The count at n is multiplicative in m = a*n + b, so the table is one
+    segmented sieve over that progression (after Gries and Misra, CACM 1978)
+    rather than n_max factorizations.  Each window of _WINDOW terms has every
+    prime p <= sqrt(top) divided out of the terms it divides, found from
+    a**-1 mod p**k; what is left above 1 is one prime.  Beyond the output
+    the working memory is one window plus the primes up to sqrt(top).
+    """
+    if n_max <= 0:
+        return []
+    a, b, rule_name, divisor = _PROGRESSIONS[kind]
+    rule = globals()[rule_name]
+    top = a * (n_max - 1) + b
+    # per prime p: (p**k, first n with p**k | a*n + b, rule(p, k)) for p**k <= top;
+    # gcd(a, b) = 1, so a prime dividing a divides no term
+    primes = []
+    for p in _primes_upto(isqrt(top)):
+        if a % p == 0:
+            continue
+        levels = []
+        pk, k = p, 1
+        while pk <= top:
+            levels.append((pk, -b * pow(a, -1, pk) % pk, rule(p, k)))
+            pk *= p
+            k += 1
+        primes.append((p, levels))
+    table = []
+    for lo in range(0, n_max, _WINDOW):
+        width = min(_WINDOW, n_max - lo)
+        rem = list(range(a * lo + b, a * (lo + width) + b, a))
+        val = [1] * width
+        # factor[i] ends as rule(p, e) for the exponent e of p in term i
+        factor = [0] * width
+        for p, levels in primes:
+            first = (levels[0][1] - lo) % p
+            if first >= width:
+                continue
+            for pk, start, value in levels:
+                start = (start - lo) % pk
+                if start >= width:
+                    break
+                rem[start::pk] = map(floordiv, rem[start::pk], repeat(p))
+                factor[start::pk] = repeat(value, len(range(start, width, pk)))
+            val[first::p] = map(mul, val[first::p], factor[first::p])
+        val = [v * rule(r, 1) if r > 1 else v for v, r in zip(val, rem)]
+        if divisor > 1:
+            for i, v in enumerate(val):
+                if v % divisor:
+                    raise ArithmeticError(
+                        f"{kind} closed form at n={lo + i} is {v}, not divisible "
+                        f"by {divisor}; implementation bug")
+            val = [v // divisor for v in val]
+        table += val
+    return table

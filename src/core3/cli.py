@@ -4,7 +4,8 @@ Subcommands: ``compute`` (one value), ``table`` (CSV or JSONL stream),
 ``verify`` (one identity family), ``selfcheck`` (cross-validation plus the
 whole identity battery, with per-family timing).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Values are
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
+closed early by its reader (128 + SIGPIPE).  Values are
 always printed as decimal strings so downstream JSON consumers never hit
 the 53-bit number limit.  Output ordering is deterministic: ascending n,
 JSON keys fixed as kind, n, value, method.
@@ -65,8 +66,7 @@ def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> 
     _check_budget(method, n_max - 1, f"--nmax {n_max}", cfg)
     k = TUPLE_SIZE[kind]
     if method == "formula":
-        count = getattr(arith, arith.COUNTERS[kind])
-        return [count(n) for n in range(n_max)]
+        return arith.count_table(kind, n_max)
     if method == "series":
         return list(series.core_tuple_series(3, k, n_max).coeffs)
     if method == "lambert":
@@ -165,6 +165,14 @@ def _record(kind: str, n: int, value: int, method: str) -> dict:
     return {"kind": kind, "n": n, "value": str(value), "method": method}
 
 
+def _jsonl_lines(kind: str, values: list[int], method: str):
+    """``json.dumps(_record(kind, n, value, method))`` plus a newline per row,
+    formatted directly: kind and method are argparse choices, which need no
+    JSON escaping, and a value is the decimal string of an int."""
+    return (f'{{"kind": "{kind}", "n": {n}, "value": "{value}", "method": "{method}"}}\n'
+            for n, value in enumerate(values))
+
+
 def _cmd_compute(args, cfg: Config) -> int:
     value = point_value(args.kind, args.method, args.n, cfg)
     print(json.dumps(_record(args.kind, args.n, value, args.method)))
@@ -178,12 +186,10 @@ def _cmd_table(args, cfg: Config) -> int:
     out = sys.stdout
     if args.format == "csv":
         out.write("kind,n,value,method\n")
-        for n, value in enumerate(values):
-            out.write(f"{args.kind},{n},{value},{args.method}\n")
+        out.writelines(f"{args.kind},{n},{value},{args.method}\n"
+                       for n, value in enumerate(values))
     else:
-        for n, value in enumerate(values):
-            out.write(json.dumps(_record(args.kind, n, value, args.method)))
-            out.write("\n")
+        out.writelines(_jsonl_lines(args.kind, values, args.method))
     return 0
 
 
@@ -197,6 +203,8 @@ def _cmd_verify(args, cfg: Config) -> int:
     if args.family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise UsageError(f"unknown family {args.family!r}; known families: {known}")
+    if args.nmax is not None and args.nmax < 0:
+        raise UsageError("--nmax must be >= 0")
     reports = run_family(args.family, {**vars(args), "brute_cap": cfg.brute_cap})
     for report in reports:
         print(_summary_line(report))
@@ -265,7 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=("Count 3-core partitions (a3), pairs (A3) and triples (B3) "
                      "by independent methods, and verify their identity families."),
         epilog=(f"Environment: {ENV_SIEVE_LIMIT} sets the factorization sieve "
-                f"limit (default {arith.DEFAULT_SIEVE_LIMIT}); {ENV_BRUTE_CAP} "
+                f"limit of point queries and identity sweeps (default "
+                f"{arith.DEFAULT_SIEVE_LIMIT}; formula tables sieve their own "
+                f"range); {ENV_BRUTE_CAP} "
                 f"sets the brute-force cap (default {DEFAULT_BRUTE_CAP}). "
                 "Flags take precedence over the environment."))
     parser.add_argument("--version", action="version", version=__version__)
@@ -328,4 +338,14 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # flush here, so a reader that closed the pipe early is met below
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

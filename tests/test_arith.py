@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from core3 import arith, lambert
 from core3.arith import (
+    COUNTERS,
     SpfSieve,
     core_count,
     core_count_product,
+    count_table,
     divisor_count_mod3,
     factorize,
     is_prime,
@@ -17,6 +20,7 @@ from core3.arith import (
     weighted_divisor_sum,
     weighted_divisor_sum_prime_power,
 )
+from core3.cli import main
 
 
 def divisors_brute(n):
@@ -165,3 +169,46 @@ def test_sieve_smallest_prime_factor():
     assert sieve.smallest_prime_factor(64) == 2
     with pytest.raises(ValueError):
         sieve.smallest_prime_factor(101)
+
+
+@pytest.mark.parametrize("kind", list(COUNTERS))
+def test_count_table_matches_the_point_counters(kind, monkeypatch):
+    count = getattr(arith, COUNTERS[kind])
+    for n_max in (0, 1, 2, 5000):
+        assert count_table(kind, n_max) == [count(n) for n in range(n_max)], n_max
+    # around one, two and three windows, and primes larger than a window
+    monkeypatch.setattr(arith, "_WINDOW", 16)
+    for n_max in (15, 16, 17, 31, 32, 33, 47, 48, 49, 1000):
+        assert count_table(kind, n_max) == [count(n) for n in range(n_max)], n_max
+
+
+def test_count_table_past_the_point_sieve_matches_lambert():
+    n_max = 333_400  # 3n+2 passes 10**6 at n = 333_333
+    assert 3 * (n_max - 1) + 2 > arith.DEFAULT_SIEVE_LIMIT
+    assert count_table("A3", n_max) == list(lambert.pair_series(n_max).coeffs)
+
+
+def test_table_does_not_depend_on_the_sieve_limit(capsys, monkeypatch):
+    monkeypatch.setattr(arith, "_default_sieve", None)
+    monkeypatch.setattr(arith, "_default_limit", arith._default_limit)
+    for kind in COUNTERS:
+        argv = ["table", kind, "--nmax", "2000"]
+        monkeypatch.delenv("CORE3_SIEVE_LIMIT", raising=False)
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setenv("CORE3_SIEVE_LIMIT", "10")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == default
+    # a table builds no factorization sieve
+    assert arith._default_sieve is None
+
+
+def test_broken_prime_power_rule_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(arith, "_sigma_prime_power",
+                        lambda p, a: (p ** (a + 1) - 1) // (p - 1) + 1)
+    with pytest.raises(ArithmeticError, match="n=0"):
+        count_table("A3", 10)
+    assert main(["table", "A3", "--nmax", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from core3.cli import main
+from core3 import cli
+from core3.cli import KINDS, METHODS, main
 
 
 def run_cli(capsys, *argv):
@@ -155,3 +156,35 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(result.stdout)["value"] == "2"
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_jsonl_lines_equal_json_dumps(kind, method):
+    values = [0, 1, 2**53 + 1, -(3**40)]
+    lines = "".join(cli._jsonl_lines(kind, values, method)).encode()
+    expected = "".join(json.dumps(cli._record(kind, n, value, method)) + "\n"
+                       for n, value in enumerate(values)).encode()
+    assert lines == expected
+
+
+@pytest.mark.parametrize("family", ["lin", "BN", "xia-congruence", "relation-general"])
+def test_verify_rejects_negative_nmax(capsys, family):
+    code, out, err = run_cli(capsys, "verify", family, "--nmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--nmax" in err
+
+
+def test_closed_pipe_exits_quietly():
+    # far more output than a pipe buffers, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "core3", "table", "B3", "--nmax", "50000", "--format", "jsonl"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert json.loads(first)["n"] == 0
+    assert b"Traceback" not in err

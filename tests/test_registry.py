@@ -150,9 +150,14 @@ def test_registries_look_functions_up_when_called(monkeypatch):
     monkeypatch.setattr(arith, "pair_count", counted)
     assert run_family("lin", {"nmax": 3})[0].passed
     assert len(calls) == 8
-    assert table_values("A3", "formula", 4) == [original(n) for n in range(4)]
     assert point_value("A3", "formula", 6) == original(6)
-    assert len(calls) == 8 + 4 + 1
+    assert len(calls) == 8 + 1
+    # the formula table route is one count_table call, not one counter per row
+    tables = []
+    monkeypatch.setattr(arith, "count_table",
+                        lambda kind, n_max: tables.append((kind, n_max)) or [7] * n_max)
+    assert table_values("A3", "formula", 4) == [7] * 4
+    assert tables == [("A3", 4)]
     stub = identities.IdentityReport("stub", {}, 1)
     monkeypatch.setattr(identities, "check_lin", lambda n_max: stub)
     assert run_family("lin", {}) == [stub]
