@@ -340,9 +340,10 @@ def check_xia_conjecture(xp: XiaParams, alpha_max: int, n_max: int) -> IdentityR
     The argument 3N+2 factors as 2^(e-1)*(6n+1) with e = 2*k0*(alpha+1), so
     the value equals (2^e-1)/3 * sigma(6n+1).  The check runs modularly:
     2^e is reduced mod 3p^j, which recovers (2^e-1)/3 mod p^j without ever
-    building the power.  Instances whose direct argument fits in 64 bits
-    are additionally evaluated outright and compared against the modular
-    residue.
+    building the power.  Instances whose direct argument 3N+2 stays below
+    2^63 are additionally evaluated outright and compared against the
+    modular residue; since 3N+2 >= 2^(e-1), that needs e <= 63, which is
+    decided before any power of two is built.
     """
     if alpha_max < 0 or n_max < 0:
         raise ValueError("alpha_max and n_max must be >= 0")
@@ -359,6 +360,8 @@ def check_xia_conjecture(xp: XiaParams, alpha_max: int, n_max: int) -> IdentityR
                 value_mod = (factor_mod * (arith.sigma(6 * n + 1) % pj)) % pj
                 yield ({"p": xp.p, "j": xp.j, "alpha": alpha, "n": n,
                         "path": "modular"}, value_mod, 0)
+                if e > 63:
+                    continue
                 direct_arg = (1 << e) * n + ((1 << (e - 1)) - 2) // 3
                 if 3 * direct_arg + 2 < 2**63:
                     yield ({"p": xp.p, "j": xp.j, "alpha": alpha, "n": n,

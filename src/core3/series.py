@@ -11,6 +11,8 @@ needs no synchronisation.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 
 
 @dataclass(frozen=True)
@@ -127,25 +129,38 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
     """Truncation of the infinite product (1-q^a)(1-q^(a+m))(1-q^(a+2m))...
 
-    Only factors whose exponent is below the order are multiplied; the
-    omitted ones are congruent to 1 modulo q^order, so the truncation is
-    exact.
+    Expands the product by Euler's identity (Andrews, *The Theory of
+    Partitions*, Cor. 2.2):
+
+        (q^a; q^m)_inf = sum over n >= 0 of
+                         (-1)^n q^(a*n + m*n(n-1)/2) / (q^m; q^m)_n.
+
+    Term n is term n-1 times -q^(a+m(n-1)) / (1-q^(m*n)); dividing by
+    1-q^(m*n) is a running sum along each residue class mod m*n.  Terms
+    whose lowest exponent reaches the order are congruent to 0 modulo
+    q^order, so the truncation is exact.  About sqrt(2*order/m) terms of at
+    most ``order`` coefficients each: O(order^1.5) integer additions, all
+    in slice-wide operations.
     """
     if a < 1 or m < 1:
         raise ValueError("need a >= 1 and m >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs = [0] * order
-    coeffs[0] = 1
-    e = a
-    while e < order:
-        # multiply in place by (1 - q^e); descending keeps old values intact
-        for i in range(order - 1, e - 1, -1):
-            c = coeffs[i - e]
-            if c:
-                coeffs[i] -= c
-        e += m
-    return TruncatedSeries(tuple(coeffs))
+    total = [0] * order
+    total[0] = 1
+    # term[i] is the coefficient of q^(low+i) in q^low / (q^m; q^m)_n; the
+    # sign (-1)^n is applied when the term is added into the total
+    term = total[:]
+    n, low = 1, a  # term n starts at q^(a*n + m*n(n-1)/2)
+    while low < order:
+        term = term[:order - low]
+        step = m * n
+        for r in range(min(step, len(term))):
+            term[r::step] = accumulate(term[r::step])
+        total[low:] = map(sub if n % 2 else add, total[low:], term)
+        low += a + m * n
+        n += 1
+    return TruncatedSeries(tuple(total))
 
 
 @lru_cache(maxsize=64)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from core3.arith import pair_count, triple_count
@@ -140,6 +142,16 @@ def test_xia_conjecture_modular_only_when_huge():
     report = check_xia_conjecture(XiaParams(5, 2), 0, 10)
     assert_clean(report)
     assert report.checked == 11  # arguments near 4^50 never fit 64 bits
+
+
+def test_xia_conjecture_large_prime_builds_no_power():
+    # e = p(p-1) = 100130042 bits: the direct path is ruled out from e alone,
+    # so no 12 MB power of two is built per instance
+    start = time.perf_counter()
+    report = check_xia_conjecture(XiaParams(10007, 1), 0, 50)
+    assert time.perf_counter() - start < 2.0
+    assert_clean(report)
+    assert report.checked == 51
 
 
 def test_cross_validate_with_brute_lane():

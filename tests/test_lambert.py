@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from core3.arith import core_count, pair_count, triple_count
@@ -9,7 +11,8 @@ from core3.lambert import (
     triple_series,
     tuple_series,
 )
-from core3.series import core_tuple_series, div, from_coeffs, monomial, mul, one
+from core3.series import (
+    core_tuple_series, div, euler_product, from_coeffs, monomial, mul, one)
 
 
 def test_core_series_spot_values():
@@ -43,6 +46,17 @@ def test_lambert_matches_euler_quotient():
     assert core_series(n) == core_tuple_series(3, 1, n)
     assert pair_series(n) == core_tuple_series(3, 2, n)
     assert triple_series(n) == core_tuple_series(3, 3, n)
+
+
+def test_lambert_matches_euler_quotient_to_6000():
+    # the two routes share no expansion code; the 2 s budget covers both,
+    # from cold caches (about 0.4 s on a 2-core Xeon)
+    euler_product.cache_clear()
+    core_tuple_series.cache_clear()
+    start = time.perf_counter()
+    for k in (1, 2, 3):
+        assert core_tuple_series(3, k, 6000) == tuple_series(k, 6000), k
+    assert time.perf_counter() - start < 2.0
 
 
 def test_lambert_matches_closed_forms():

@@ -30,6 +30,21 @@ def pentagonal_coeffs(order):
         k += 1
 
 
+def _literal_euler_product(a, m, order):
+    """Oracle: multiply in (1 - q^e) for e = a, a+m, ... < order, one factor at a time."""
+    coeffs = [0] * order
+    coeffs[0] = 1
+    e = a
+    while e < order:
+        # multiply in place by (1 - q^e); descending keeps old values intact
+        for i in range(order - 1, e - 1, -1):
+            c = coeffs[i - e]
+            if c:
+                coeffs[i] -= c
+        e += m
+    return TruncatedSeries(tuple(coeffs))
+
+
 small_series = st.builds(
     lambda values: from_coeffs(values, 10),
     st.lists(st.integers(-9, 9), min_size=1, max_size=10))
@@ -126,6 +141,29 @@ def test_euler_product_validation():
 
 def test_pentagonal_pattern_to_200():
     assert list(euler_product(1, 1, 200).coeffs) == pentagonal_coeffs(200)
+
+
+def test_pentagonal_pattern_to_6000():
+    assert list(euler_product(1, 1, 6000).coeffs) == pentagonal_coeffs(6000)
+
+
+def test_cube_pentagonal_pattern():
+    # (q^3; q^3) is (q; q) at q^3: the pentagonal pattern spread to multiples of 3
+    order = 6000
+    spread = [0] * order
+    spread[::3] = pentagonal_coeffs(len(spread[::3]))
+    assert list(euler_product(3, 3, order).coeffs) == spread
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 400))
+def test_euler_product_matches_literal_product(a, m, order):
+    euler_product.cache_clear()  # compute afresh, not from an earlier example
+    assert euler_product(a, m, order) == _literal_euler_product(a, m, order)
+
+
+def test_euler_product_is_cached():
+    assert euler_product(2, 3, 50) is euler_product(2, 3, 50)
 
 
 def test_core_tuple_series_spot_values():
