@@ -10,17 +10,22 @@ forms:
 * ``triple_count(n)``: number of ordered triples, equal to the weighted
   divisor sum f(n+1) evaluated multiplicatively over the factorization.
 
-Point queries factorize with a smallest-prime-factor sieve (built once,
-then read-only) with a trial-division fallback above the sieve limit.
-Whole tables come from ``count_table``, one segmented sieve over the
-progression the closed form is taken at, which needs neither.
+A point query factorizes its one argument without a sieve: the primes
+below 2**10 are divided out, a larger cofactor is proved prime by the
+strong-probable-prime test on the prime bases 2..41 (deterministic below
+PSI_13 ~ 3.3e24) or split by Pollard-Brent rho within RHO_BUDGET
+iterations; past either limit factorize refuses with ValueError.  Whole
+tables come from ``count_table``, one segmented sieve over the
+progression the closed form is taken at.  ``SpfSieve`` remains for
+callers that pass one to ``factorize``.
 """
 
 from dataclasses import dataclass
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt, prod
 from operator import floordiv, mul
 
+# a customary SpfSieve size; nothing in core3 builds a sieve by default
 DEFAULT_SIEVE_LIMIT = 1_000_000
 
 # kind -> name of its closed-form counter in this module.  Callers look the
@@ -79,28 +84,6 @@ def _primes_upto(bound: int) -> list[int]:
     return primes
 
 
-_default_sieve: SpfSieve | None = None
-_default_limit = DEFAULT_SIEVE_LIMIT
-
-
-def default_sieve() -> SpfSieve:
-    """The lazily built process-wide sieve."""
-    global _default_sieve
-    if _default_sieve is None or _default_sieve.limit < _default_limit:
-        _default_sieve = SpfSieve(_default_limit)
-    return _default_sieve
-
-
-def set_default_sieve_limit(limit: int) -> None:
-    """Resize the default sieve (rebuilt lazily on next use)."""
-    global _default_sieve, _default_limit
-    if limit < 2:
-        raise ValueError("sieve limit must be >= 2")
-    _default_limit = limit
-    if _default_sieve is not None and _default_sieve.limit < limit:
-        _default_sieve = None
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -116,44 +99,172 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
-    """Canonical prime factorization; falls back to trial division past the sieve."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}; need n >= 1")
-    if n == 1:
-        return Factorization(1, ())
-    if sieve is None:
-        sieve = default_sieve()
+# Sieve-free factorization.  Primes below _SMALL are divided out first; a
+# cofactor below _SMALL**2 left after that is prime.
+_SMALL = 1 << 10
+_SMALL_PRIMES = tuple(_primes_upto(_SMALL - 1))
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
+
+# PSI_13, the least strong pseudoprime to the first 13 prime bases 2..41
+# (Sorenson and Webster, arXiv:1509.00864): below it the strong-probable-prime
+# test on those bases proves primality.
+PSI_13 = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime
+# bases, those k bases suffice (Jaeschke, Math. Comp. 1993, up to psi_8;
+# Jiang and Deng, Math. Comp. 2014, psi_9 = psi_10 = psi_11; Sorenson and
+# Webster, psi_12 and psi_13); psi_7 = psi_8, so k = 8, 10, 11 never help
+_BASE_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+                (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+                (3825123056546413051, 9), (318665857834031151167461, 12),
+                (PSI_13, 13))
+
+# Pollard-Brent rho iterations one factorization may spend in all, enough for
+# a second-largest prime factor of 10**10 many times over (about 10**5 expected)
+RHO_BUDGET = 1 << 22
+# rho iterations whose differences are multiplied together per gcd
+_RHO_BATCH = 128
+
+
+def _is_strong_probable_prime(m: int, bases) -> bool:
+    """Miller-Rabin: m odd > max(bases) is a strong probable prime to every base."""
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_proved_prime(m: int, n: int) -> bool:
+    """Whether m, free of prime factors below _SMALL, is prime.  An m at or
+    past PSI_13 that no base shows composite could be a strong pseudoprime:
+    ValueError, naming n."""
+    if m < _SMALL * _SMALL:
+        return True
+    for bound, k in _BASE_BOUNDS:
+        if m < bound:
+            return _is_strong_probable_prime(m, _BASES[:k])
+    if _is_strong_probable_prime(m, _BASES):
+        raise ValueError(
+            f"cannot factorize {n}: its factor {m} passes the strong-probable-prime "
+            f"test to every base 2..41, which proves primality only below {PSI_13}")
+    return False
+
+
+def _rho_split(m: int, n: int, budget: int) -> tuple[int, int]:
+    """A proper divisor of the composite m by Pollard-Brent rho (Brent, BIT
+    20, 1980) on y -> y*y + c from y = 2, for c = 1, 2, ... in turn, and the
+    iterations left of ``budget``; raises ValueError naming n when it runs out."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            # a round takes r steps to move x on and at most r more to find g
+            if budget < 2 * r:
+                raise ValueError(
+                    f"cannot factorize {n}: Pollard-Brent rho reached its budget "
+                    f"of {RHO_BUDGET} iterations without splitting {m}")
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = gcd(q, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:
+            # the batch overshot: step again from its start, one gcd each
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g, budget
+
+
+def _factor_sieve_free(n: int) -> list[tuple[int, int]]:
     factors = []
     m = n
-    if n <= sieve.limit:
-        while m > 1:
-            p = sieve.smallest_prime_factor(m)
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            factors.append((p, a))
-        return Factorization(n, tuple(factors))
-    for p in (2, 3):
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            factors.append((p, a))
-    d = 5
-    while d * d <= m:
-        for p in (d, d + 2):
-            if m % p == 0:
+    # g: the product of the primes below _SMALL that divide m, not yet divided out
+    g = gcd(m, _SMALL_PRIMORIAL)
+    if g > 1:
+        for p in _SMALL_PRIMES:
+            if g % p == 0:
+                g //= p
                 a = 0
                 while m % p == 0:
                     m //= p
                     a += 1
                 factors.append((p, a))
-        d += 6
-    if m > 1:
+                if g == 1:
+                    break
+            elif p * p > g:
+                # every prime factor of g is above p, so g is one prime
+                a = 0
+                while m % g == 0:
+                    m //= g
+                    a += 1
+                factors.append((g, a))
+                break
+    if m == 1:
+        return factors
+    if _is_proved_prime(m, n):
         factors.append((m, 1))
+        return factors
+    # m is composite with no prime factor below _SMALL: split it by rho
+    large = {}
+    pending = [m]
+    budget = RHO_BUDGET
+    while pending:
+        m = pending.pop()
+        if _is_proved_prime(m, n):
+            large[m] = large.get(m, 0) + 1
+        else:
+            d, budget = _rho_split(m, n, budget)
+            pending += (d, m // d)
+    return factors + sorted(large.items())
+
+
+def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
+    """Canonical prime factorization.
+
+    With a ``sieve`` that covers n, read off its smallest prime factors.
+    Otherwise divide out the primes below 2**10, prove a larger cofactor
+    prime by the strong-probable-prime test on bases 2..41 (deterministic
+    below PSI_13) and split a composite one by Pollard-Brent rho.  Raises
+    ValueError, naming n, for a cofactor at or past PSI_13 that passes every
+    base, or when rho spends RHO_BUDGET iterations.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}; need n >= 1")
+    if n == 1:
+        return Factorization(1, ())
+    if sieve is None or n > sieve.limit:
+        return Factorization(n, tuple(_factor_sieve_free(n)))
+    factors = []
+    m = n
+    while m > 1:
+        p = sieve.smallest_prime_factor(m)
+        a = 0
+        while m % p == 0:
+            m //= p
+            a += 1
+        factors.append((p, a))
     return Factorization(n, tuple(factors))
 
 
@@ -169,12 +280,10 @@ def sigma(n: int, sieve: SpfSieve | None = None) -> int:
     return total
 
 
-def divisor_count_mod3(n: int, r: int, sieve: SpfSieve | None = None) -> int:
-    """Number of divisors of n congruent to r mod 3 (r must be 1 or 2)."""
-    if r not in (1, 2):
-        raise ValueError(f"residue must be 1 or 2, got {r}")
+def _divisor_residues(fact: Factorization) -> list[int]:
+    """counts[s] = number of divisors of fact.n congruent to s mod 3."""
     counts = [0, 1, 0]  # counts[s] = divisors built so far with residue s
-    for p, a in factorize(n, sieve).factors:
+    for p, a in fact.factors:
         step = p % 3
         new = [0, 0, 0]
         pm = 1
@@ -184,15 +293,22 @@ def divisor_count_mod3(n: int, r: int, sieve: SpfSieve | None = None) -> int:
                     new[(s * pm) % 3] += counts[s]
             pm = (pm * step) % 3
         counts = new
-    return counts[r]
+    return counts
+
+
+def divisor_count_mod3(n: int, r: int, sieve: SpfSieve | None = None) -> int:
+    """Number of divisors of n congruent to r mod 3 (r must be 1 or 2)."""
+    if r not in (1, 2):
+        raise ValueError(f"residue must be 1 or 2, got {r}")
+    return _divisor_residues(factorize(n, sieve))[r]
 
 
 def core_count(n: int, sieve: SpfSieve | None = None) -> int:
     """Number of 3-core partitions of n: d_{1,3}(3n+1) - d_{2,3}(3n+1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    m = 3 * n + 1
-    return divisor_count_mod3(m, 1, sieve) - divisor_count_mod3(m, 2, sieve)
+    counts = _divisor_residues(factorize(3 * n + 1, sieve))
+    return counts[1] - counts[2]
 
 
 def _core_prime_power(p: int, a: int) -> int:

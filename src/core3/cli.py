@@ -28,7 +28,6 @@ TUPLE_SIZE = {"a3": 1, "A3": 2, "B3": 3}
 DEFAULT_ORDER = 2000
 DEFAULT_BRUTE_CAP = 40
 
-ENV_SIEVE_LIMIT = "CORE3_SIEVE_LIMIT"
 ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
 
 
@@ -42,7 +41,6 @@ class Config:
 
     order: int = DEFAULT_ORDER
     brute_cap: int = DEFAULT_BRUTE_CAP
-    sieve_limit: int = arith.DEFAULT_SIEVE_LIMIT
 
 
 # --- the route and family registries, shared with scripts/ ----------------
@@ -157,8 +155,7 @@ def _make_config(args) -> Config:
     cap = _env_int(ENV_BRUTE_CAP, DEFAULT_BRUTE_CAP) if args.brute_cap is None else args.brute_cap
     if cap < 0:
         raise UsageError("--brute-cap must be >= 0")
-    sieve_limit = _env_int(ENV_SIEVE_LIMIT, arith.DEFAULT_SIEVE_LIMIT)
-    return Config(order=order, brute_cap=cap, sieve_limit=sieve_limit)
+    return Config(order=order, brute_cap=cap)
 
 
 def _record(kind: str, n: int, value: int, method: str) -> dict:
@@ -272,12 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="core3",
         description=("Count 3-core partitions (a3), pairs (A3) and triples (B3) "
                      "by independent methods, and verify their identity families."),
-        epilog=(f"Environment: {ENV_SIEVE_LIMIT} sets the factorization sieve "
-                f"limit of point queries and identity sweeps (default "
-                f"{arith.DEFAULT_SIEVE_LIMIT}; formula tables sieve their own "
-                f"range); {ENV_BRUTE_CAP} "
-                f"sets the brute-force cap (default {DEFAULT_BRUTE_CAP}). "
-                "Flags take precedence over the environment."))
+        epilog=(f"Environment: {ENV_BRUTE_CAP} sets the brute-force cap "
+                f"(default {DEFAULT_BRUTE_CAP}); flags take precedence over it. "
+                "Formula point queries factorize without a sieve: Miller-Rabin "
+                "on the prime bases 2..41 and Pollard-Brent rho.  An argument "
+                f"with a factor of at least {arith.PSI_13} that no base shows "
+                "composite, or one that rho cannot split within its budget, is "
+                "refused with exit code 2."))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -326,7 +324,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _make_config(args)
-        arith.set_default_sieve_limit(cfg.sieve_limit)
         return args.handler(args, cfg)
     except (UsageError, ValueError) as exc:
         # precondition violations from the library are usage errors

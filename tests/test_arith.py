@@ -188,19 +188,16 @@ def test_count_table_past_the_point_sieve_matches_lambert():
     assert count_table("A3", n_max) == list(lambert.pair_series(n_max).coeffs)
 
 
-def test_table_does_not_depend_on_the_sieve_limit(capsys, monkeypatch):
-    monkeypatch.setattr(arith, "_default_sieve", None)
-    monkeypatch.setattr(arith, "_default_limit", arith._default_limit)
-    for kind in COUNTERS:
-        argv = ["table", kind, "--nmax", "2000"]
-        monkeypatch.delenv("CORE3_SIEVE_LIMIT", raising=False)
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        monkeypatch.setenv("CORE3_SIEVE_LIMIT", "10")
-        assert main(argv) == 0
-        assert capsys.readouterr().out == default
-    # a table builds no factorization sieve
-    assert arith._default_sieve is None
+def test_no_command_builds_a_factorization_sieve(capsys, monkeypatch):
+    def refuse(self, limit):
+        raise AssertionError(f"SpfSieve({limit}) built")
+
+    monkeypatch.setattr(SpfSieve, "__init__", refuse)
+    for argv in (["compute", "A3", "333334"], ["compute", "B3", "10"],
+                 ["table", "a3", "--nmax", "2000"], ["verify", "lin"],
+                 ["selfcheck", "--nmax", "5"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_broken_prime_power_rule_is_an_internal_error(capsys, monkeypatch):

@@ -146,7 +146,7 @@ def test_env_brute_cap(capsys, monkeypatch):
 
 
 def test_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("CORE3_SIEVE_LIMIT", "banana")
+    monkeypatch.setenv("CORE3_BRUTE_CAP", "banana")
     assert run_cli(capsys, "compute", "a3", "1")[0] == 2
 
 

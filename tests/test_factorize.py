@@ -1,0 +1,158 @@
+"""The sieve-free factorization: small primes, Miller-Rabin, Pollard-Brent rho."""
+
+from collections import Counter
+from math import isqrt, prod
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from core3 import arith
+from core3.arith import PSI_13, SpfSieve, factorize, is_prime
+from core3.cli import main
+
+PSI_4 = 3215031751
+PSI_9 = 3825123056546413051
+PSI_12 = 318665857834031151167461
+
+
+def primes_between(lo, hi):
+    """The primes in [lo, hi), by a sieve of that window."""
+    composite = bytearray(hi - lo)
+    for p in arith._primes_upto(isqrt(hi - 1)):
+        start = max(p * p, -(-lo // p) * p)
+        composite[start - lo::p] = b"\x01" * len(range(start, hi, p))
+    return [lo + i for i, c in enumerate(composite) if not c and lo + i > 1]
+
+
+# primes on both sides of 2**10 (the primes divided out end there) and 2**20
+# (below it a cofactor free of those primes is prime), and up to 10**12
+POOL = (primes_between(2, 50) + primes_between(2**10 - 60, 2**10 + 60)
+        + primes_between(2**20 - 300, 2**20 + 300)
+        + primes_between(10**6, 10**6 + 200) + primes_between(10**12 - 500, 10**12))
+
+
+def expected(factors):
+    """factorize's result for the product of the given prime powers."""
+    counts = Counter()
+    for p, a in factors:
+        counts[p] += a
+    return tuple(sorted(counts.items()))
+
+
+def test_sieve_free_equals_the_sieve_path():
+    sieve = SpfSieve(2 * 10**5)
+    for n in range(1, 2 * 10**5 + 1):
+        assert factorize(n) == factorize(n, sieve), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(POOL), st.integers(1, 3)),
+                min_size=1, max_size=4))
+def test_products_of_primes_across_the_boundaries(factors):
+    # keep the prime powers that fit, in turn, under 10**12
+    kept = []
+    for p, a in factors:
+        if prod(q**b for q, b in kept) * p**a <= 10**12:
+            kept.append((p, a))
+    kept = kept or [(factors[0][0], 1)]
+    assert factorize(prod(p**a for p, a in kept)).factors == expected(kept)
+
+
+@pytest.mark.parametrize("p", [1031, 1033, 2**20 - 3, 2**20 + 7, 10007, 999983])
+def test_squares_and_cubes_past_the_small_primes(p):
+    assert factorize(p**2).factors == ((p, 2),)
+    assert factorize(p**3).factors == ((p, 3),)
+    assert factorize(2 * p**2 * 1021).factors == ((2, 1), (1021, 1), (p, 2))
+
+
+def test_base_bounds_are_strong_pseudoprimes():
+    # each psi_k passes the first k prime bases and is composite, so the
+    # bounds are tight; factorize still splits every one of them
+    for bound, k in arith._BASE_BOUNDS:
+        assert arith._is_strong_probable_prime(bound, arith._BASES[:k]), bound
+        if bound != PSI_13:
+            assert len(factorize(bound).factors) > 1, bound
+
+
+@pytest.mark.parametrize("n, factors", [
+    (PSI_4, ((151, 1), (751, 1), (28351, 1))),
+    (PSI_9, ((149491, 1), (747451, 1), (34233211, 1))),
+    (PSI_12, ((399165290221, 1), (798330580441, 1))),
+])
+def test_strong_pseudoprimes_are_split(n, factors):
+    assert factorize(n).factors == factors
+
+
+def test_psi_12_is_caught_by_base_41_alone():
+    assert arith._is_strong_probable_prime(PSI_12, arith._BASES[:12])
+    assert not arith._is_strong_probable_prime(PSI_12, (41,))
+
+
+def test_psi_13_is_refused(capsys):
+    with pytest.raises(ValueError, match=str(PSI_13)):
+        factorize(PSI_13)
+    # PSI_13 = 3n+1
+    assert main(["compute", "a3", str((PSI_13 - 1) // 3)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot factorize") and str(PSI_13) in err
+
+
+def test_second_largest_factor_near_10_to_the_10():
+    p, q = 10**10 + 19, 10**10 + 33
+    assert is_prime(p) and is_prime(q)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert factorize(6 * p * q * (2**61 - 1)).factors == (
+        (2, 1), (3, 1), (p, 1), (q, 1), (2**61 - 1, 1))
+
+
+def test_point_query_on_a_product_of_two_primes_past_10_to_the_6(capsys):
+    p, q = 2_000_003, 2_000_029
+    assert main(["compute", "A3", str((p * q - 2) // 3)]) == 0
+    assert f'"value": "{(1 + p + q + p * q) // 3}"' in capsys.readouterr().out
+
+
+def test_exhausted_rho_budget_is_a_usage_error(capsys, monkeypatch):
+    p, q = 100_000_007, 100_000_039
+    m = p * q  # = 3n+2
+    monkeypatch.setattr(arith, "RHO_BUDGET", 1000)
+    with pytest.raises(ValueError, match=f"cannot factorize {m}"):
+        factorize(m)
+    assert main(["compute", "A3", str((m - 2) // 3)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot factorize {m}")
+    assert "budget of 1000 iterations" in captured.err
+
+
+def test_hostile_point_query_is_refused_with_the_default_budget(capsys):
+    # two primes near 10**15: past the budget, refused instead of hanging
+    m = 1_000_000_000_000_037 * 1_000_000_000_000_091  # = 3n+1
+    assert main(["compute", "a3", str((m - 1) // 3)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot factorize {m}")
+
+
+def test_core_count_factorizes_once(monkeypatch):
+    calls = []
+    real = arith.factorize
+
+    def counting(n, sieve=None):
+        calls.append(n)
+        return real(n, sieve)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    assert arith.core_count(8) == 1  # 3*8+1 = 25: divisors 1, 5, 25
+    assert calls == [25]
+
+
+def test_sympy_factorint_oracle():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20151)
+    # up to 20 digits, so the second-largest prime factor is below 10**10
+    numbers = [rng.randrange(2, 10**digits) for digits in range(2, 21) for _ in range(15)]
+    numbers += [sympy.nextprime(rng.randrange(10**a, 10**(a + 1)))
+                * sympy.nextprime(rng.randrange(10**b, 10**(b + 1)))
+                for a, b in ((3, 6), (6, 6), (5, 9), (8, 9), (9, 10), (4, 18))]
+    for n in numbers:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
