@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 
 from .arith import (
     Factorization,
-    SpfSieve,
     core_count,
-    core_count_product,
     count_table,
     divisor_count_mod3,
     factorize,
@@ -69,7 +67,6 @@ __all__ = [
     "Factorization",
     "IdentityReport",
     "Partition",
-    "SpfSieve",
     "TruncatedSeries",
     "XiaParams",
     "brute_core_count",
@@ -85,7 +82,6 @@ __all__ = [
     "check_xia_congruences",
     "check_xia_conjecture",
     "core_count",
-    "core_count_product",
     "count_table",
     "core_series",
     "core_tuple_series",

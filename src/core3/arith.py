@@ -13,11 +13,13 @@ forms:
 A point query factorizes its one argument without a sieve: the primes
 below 2**10 are divided out, a larger cofactor is proved prime by the
 strong-probable-prime test on the prime bases 2..41 (deterministic below
-PSI_13 ~ 3.3e24) or split by Pollard-Brent rho within RHO_BUDGET
-iterations; past either limit factorize refuses with ValueError.  Whole
-tables come from ``count_table``, one segmented sieve over the
-progression the closed form is taken at.  ``SpfSieve`` remains for
-callers that pass one to ``factorize``.
+PSI_13 ~ 3.3e24), taken apart by its exact root if it is a perfect
+power, or split by Pollard-Brent rho within RHO_BUDGET iterations; past
+either limit factorize refuses with ValueError.
+``is_prime`` makes the same decision for one number.  Each closed form
+is stated once, in ``_PROGRESSIONS``: a point count evaluates it over
+``factorize``, and a whole table comes from ``count_table``, one
+segmented sieve over the progression the closed form is taken at.
 """
 
 from dataclasses import dataclass
@@ -25,16 +27,14 @@ from itertools import repeat
 from math import gcd, isqrt, prod
 from operator import floordiv, mul
 
-# a customary SpfSieve size; nothing in core3 builds a sieve by default
-DEFAULT_SIEVE_LIMIT = 1_000_000
-
 # kind -> name of its closed-form counter in this module.  Callers look the
 # function up by name when they call it, so rebinding it here reaches them all.
 COUNTERS = {"a3": "core_count", "A3": "pair_count", "B3": "triple_count"}
 
 # kind -> (a, b, rule, divisor): the closed form of kind at n is the
 # multiplicative function with value rule(p, e) at p**e, taken at m = a*n + b,
-# divided by divisor.  The rule is named, and looked up when a table is built.
+# divided by divisor.  The rule is named, and looked up at each call, so
+# rebinding it here reaches point counts and tables alike.
 _PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
                  "A3": (3, 2, "_sigma_prime_power", 3),
                  "B3": (1, 1, "weighted_divisor_sum_prime_power", 1)}
@@ -51,27 +51,6 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
 
-class SpfSieve:
-    """Smallest-prime-factor table for 2..limit; immutable after construction."""
-
-    def __init__(self, limit: int):
-        if limit < 2:
-            raise ValueError("sieve limit must be >= 2")
-        self.limit = limit
-        spf = list(range(limit + 1))
-        primes = _primes_upto(isqrt(limit))
-        # descending order makes the smallest prime the final (winning) write
-        for p in reversed(primes):
-            start = p * p
-            spf[start::p] = [p] * ((limit - start) // p + 1)
-        self._spf = spf
-
-    def smallest_prime_factor(self, m: int) -> int:
-        if not 2 <= m <= self.limit:
-            raise ValueError(f"{m} outside sieve range 2..{self.limit}")
-        return self._spf[m]
-
-
 def _primes_upto(bound: int) -> list[int]:
     if bound < 2:
         return []
@@ -82,21 +61,6 @@ def _primes_upto(bound: int) -> list[int]:
             primes.append(p)
             composite[p * p::p] = b"\x01" * len(range(p * p, bound + 1, p))
     return primes
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
 
 
 # Sieve-free factorization.  Primes below _SMALL are divided out first; a
@@ -144,10 +108,10 @@ def _is_strong_probable_prime(m: int, bases) -> bool:
     return True
 
 
-def _is_proved_prime(m: int, n: int) -> bool:
+def _is_proved_prime(m: int) -> bool:
     """Whether m, free of prime factors below _SMALL, is prime.  An m at or
-    past PSI_13 that no base shows composite could be a strong pseudoprime:
-    ValueError, naming n."""
+    past PSI_13 that no base shows composite could be a strong pseudoprime,
+    so it is refused with ValueError."""
     if m < _SMALL * _SMALL:
         return True
     for bound, k in _BASE_BOUNDS:
@@ -155,15 +119,40 @@ def _is_proved_prime(m: int, n: int) -> bool:
             return _is_strong_probable_prime(m, _BASES[:k])
     if _is_strong_probable_prime(m, _BASES):
         raise ValueError(
-            f"cannot factorize {n}: its factor {m} passes the strong-probable-prime "
-            f"test to every base 2..41, which proves primality only below {PSI_13}")
+            f"{m} passes the strong-probable-prime test to every base 2..41, "
+            f"which proves primality only below {PSI_13}")
     return False
 
 
-def _rho_split(m: int, n: int, budget: int) -> tuple[int, int]:
+def is_prime(n: int) -> bool:
+    """Whether n is prime, decided as factorize decides it: a gcd with the
+    primes below 2**10, then the strong-probable-prime test on bases 2..41.
+    Raises ValueError for an n at or past PSI_13 that passes every base."""
+    if n < _SMALL:
+        return n in _SMALL_PRIMES
+    return gcd(n, _SMALL_PRIMORIAL) == 1 and _is_proved_prime(n)
+
+
+def _exact_root(m: int) -> tuple[int, int]:
+    """(r, k) with r**k == m for the least prime k that has one, else (m, 1).
+    m has no prime factor below _SMALL = 2**10, so r > 2**10 bounds k by
+    m.bit_length() / 10."""
+    for k in _SMALL_PRIMES:
+        if 10 * k > m.bit_length():
+            break
+        # r = floor(m ** (1/k)) in integers, by Newton's method from above
+        r = 1 << -(-m.bit_length() // k)
+        while (s := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
+def _rho_split(m: int, budget: int) -> tuple[int, int]:
     """A proper divisor of the composite m by Pollard-Brent rho (Brent, BIT
     20, 1980) on y -> y*y + c from y = 2, for c = 1, 2, ... in turn, and the
-    iterations left of ``budget``; raises ValueError naming n when it runs out."""
+    iterations left of ``budget``; raises ValueError when it runs out."""
     c = 0
     while True:
         c += 1
@@ -172,8 +161,8 @@ def _rho_split(m: int, n: int, budget: int) -> tuple[int, int]:
             # a round takes r steps to move x on and at most r more to find g
             if budget < 2 * r:
                 raise ValueError(
-                    f"cannot factorize {n}: Pollard-Brent rho reached its budget "
-                    f"of {RHO_BUDGET} iterations without splitting {m}")
+                    f"Pollard-Brent rho reached its budget of {RHO_BUDGET} "
+                    f"iterations without splitting {m}")
             budget -= 2 * r
             x = y
             for _ in range(r):
@@ -197,7 +186,7 @@ def _rho_split(m: int, n: int, budget: int) -> tuple[int, int]:
             return g, budget
 
 
-def _factor_sieve_free(n: int) -> list[tuple[int, int]]:
+def _prime_powers(n: int) -> list[tuple[int, int]]:
     factors = []
     m = n
     # g: the product of the primes below _SMALL that divide m, not yet divided out
@@ -223,48 +212,45 @@ def _factor_sieve_free(n: int) -> list[tuple[int, int]]:
                 break
     if m == 1:
         return factors
-    if _is_proved_prime(m, n):
+    if _is_proved_prime(m):
         factors.append((m, 1))
         return factors
-    # m is composite with no prime factor below _SMALL: split it by rho
+    # m is composite with no prime factor below _SMALL: take a perfect power
+    # apart by its exact root (rho takes about sqrt(p) steps on p**2) and split
+    # anything else by rho
     large = {}
     pending = [m]
     budget = RHO_BUDGET
     while pending:
         m = pending.pop()
-        if _is_proved_prime(m, n):
+        if _is_proved_prime(m):
             large[m] = large.get(m, 0) + 1
+            continue
+        root, k = _exact_root(m)
+        if k > 1:
+            pending += [root] * k
         else:
-            d, budget = _rho_split(m, n, budget)
+            d, budget = _rho_split(m, budget)
             pending += (d, m // d)
     return factors + sorted(large.items())
 
 
-def factorize(n: int, sieve: SpfSieve | None = None) -> Factorization:
-    """Canonical prime factorization.
+def factorize(n: int) -> Factorization:
+    """Canonical prime factorization, without a sieve.
 
-    With a ``sieve`` that covers n, read off its smallest prime factors.
-    Otherwise divide out the primes below 2**10, prove a larger cofactor
-    prime by the strong-probable-prime test on bases 2..41 (deterministic
-    below PSI_13) and split a composite one by Pollard-Brent rho.  Raises
+    Divide out the primes below 2**10, prove a larger cofactor prime by the
+    strong-probable-prime test on bases 2..41 (deterministic below PSI_13),
+    take a composite cofactor that is a perfect power apart by its exact
+    integer root, and split the rest by Pollard-Brent rho.  Raises
     ValueError, naming n, for a cofactor at or past PSI_13 that passes every
     base, or when rho spends RHO_BUDGET iterations.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need n >= 1")
-    if n == 1:
-        return Factorization(1, ())
-    if sieve is None or n > sieve.limit:
-        return Factorization(n, tuple(_factor_sieve_free(n)))
-    factors = []
-    m = n
-    while m > 1:
-        p = sieve.smallest_prime_factor(m)
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
-        factors.append((p, a))
+    try:
+        factors = _prime_powers(n)
+    except ValueError as exc:
+        raise ValueError(f"cannot factorize {n}: {exc}") from None
     return Factorization(n, tuple(factors))
 
 
@@ -272,18 +258,24 @@ def _sigma_prime_power(p: int, a: int) -> int:
     return (p ** (a + 1) - 1) // (p - 1)
 
 
-def sigma(n: int, sieve: SpfSieve | None = None) -> int:
+def sigma(n: int) -> int:
     """Sum of the positive divisors of n."""
     total = 1
-    for p, a in factorize(n, sieve).factors:
+    for p, a in factorize(n).factors:
         total *= _sigma_prime_power(p, a)
     return total
 
 
-def _divisor_residues(fact: Factorization) -> list[int]:
-    """counts[s] = number of divisors of fact.n congruent to s mod 3."""
+def divisor_count_mod3(n: int, r: int) -> int:
+    """Number of divisors of n congruent to r mod 3 (r must be 1 or 2).
+
+    The paper's d_{r,3}(n), counted over the residues of the divisors rather
+    than by core_count's product rule, so it is that rule's test oracle.
+    """
+    if r not in (1, 2):
+        raise ValueError(f"residue must be 1 or 2, got {r}")
     counts = [0, 1, 0]  # counts[s] = divisors built so far with residue s
-    for p, a in fact.factors:
+    for p, a in factorize(n).factors:
         step = p % 3
         new = [0, 0, 0]
         pm = 1
@@ -293,22 +285,25 @@ def _divisor_residues(fact: Factorization) -> list[int]:
                     new[(s * pm) % 3] += counts[s]
             pm = (pm * step) % 3
         counts = new
-    return counts
+    return counts[r]
 
 
-def divisor_count_mod3(n: int, r: int, sieve: SpfSieve | None = None) -> int:
-    """Number of divisors of n congruent to r mod 3 (r must be 1 or 2)."""
-    if r not in (1, 2):
-        raise ValueError(f"residue must be 1 or 2, got {r}")
-    return _divisor_residues(factorize(n, sieve))[r]
-
-
-def core_count(n: int, sieve: SpfSieve | None = None) -> int:
-    """Number of 3-core partitions of n: d_{1,3}(3n+1) - d_{2,3}(3n+1)."""
+def _closed_form(kind: str, n: int) -> int:
+    """The closed form of ``kind`` at n, from _PROGRESSIONS: the product of
+    rule(p, e) over the factorization of a*n + b, divided exactly by divisor."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = _divisor_residues(factorize(3 * n + 1, sieve))
-    return counts[1] - counts[2]
+    a, b, rule_name, divisor = _PROGRESSIONS[kind]
+    rule = globals()[rule_name]
+    value = 1
+    for p, e in factorize(a * n + b).factors:
+        value *= rule(p, e)
+    q, rem = divmod(value, divisor)
+    if rem:
+        raise ArithmeticError(
+            f"{kind} closed form at n={n} is {value}, not divisible by "
+            f"{divisor}; implementation bug")
+    return q
 
 
 def _core_prime_power(p: int, a: int) -> int:
@@ -317,29 +312,19 @@ def _core_prime_power(p: int, a: int) -> int:
     return 0 if a % 2 else 1
 
 
-def core_count_product(n: int, sieve: SpfSieve | None = None) -> int:
-    """Product form of core_count over the factorization of 3n+1.
+def core_count(n: int) -> int:
+    """Number of 3-core partitions of n: d_{1,3}(3n+1) - d_{2,3}(3n+1).
 
-    Primes congruent to 1 mod 3 contribute (exponent + 1); a prime
-    congruent to 2 mod 3 with odd exponent kills the count.
+    Taken as a product over 3n+1: a prime congruent to 1 mod 3 contributes
+    (exponent + 1); a prime congruent to 2 mod 3 with odd exponent kills the
+    count.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    result = 1
-    for p, a in factorize(3 * n + 1, sieve).factors:
-        result *= _core_prime_power(p, a)
-    return result
+    return _closed_form("a3", n)
 
 
-def pair_count(n: int, sieve: SpfSieve | None = None) -> int:
+def pair_count(n: int) -> int:
     """Number of ordered pairs of 3-core partitions of total weight n: sigma(3n+2)/3."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q, rem = divmod(sigma(3 * n + 2, sieve), 3)
-    if rem:
-        raise ArithmeticError(
-            f"sigma(3*{n}+2) not divisible by 3; implementation bug")
-    return q
+    return _closed_form("A3", n)
 
 
 def weighted_divisor_sum(n: int) -> int:
@@ -380,14 +365,9 @@ def weighted_divisor_sum_prime_power(p: int, k: int) -> int:
     return (p ** (2 * k + 2) + (-1) ** k) // (p * p + 1)
 
 
-def triple_count(n: int, sieve: SpfSieve | None = None) -> int:
+def triple_count(n: int) -> int:
     """Number of ordered triples of 3-core partitions of total weight n: f(n+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    result = 1
-    for p, a in factorize(n + 1, sieve).factors:
-        result *= weighted_divisor_sum_prime_power(p, a)
-    return result
+    return _closed_form("B3", n)
 
 
 def count_table(kind: str, n_max: int) -> list[int]:

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import core3
 from core3 import arith, lambert
 from core3.arith import (
     COUNTERS,
-    SpfSieve,
     core_count,
-    core_count_product,
     count_table,
     divisor_count_mod3,
     factorize,
@@ -21,6 +20,7 @@ from core3.arith import (
     weighted_divisor_sum_prime_power,
 )
 from core3.cli import main
+from spf_sieve import SpfSieve
 
 
 def divisors_brute(n):
@@ -42,9 +42,8 @@ def test_factorize_rejects_zero():
 
 
 def test_factorize_fallback_past_sieve():
-    sieve = SpfSieve(10)
-    assert factorize(101 * 103, sieve).factors == ((101, 1), (103, 1))
-    assert factorize(2**40 * 7, sieve).factors == ((2, 40), (7, 1))
+    assert factorize(101 * 103).factors == ((101, 1), (103, 1))
+    assert factorize(2**40 * 7).factors == ((2, 40), (7, 1))
 
 
 @given(st.integers(1, 5000))
@@ -101,21 +100,46 @@ def test_core_count_spot_values():
     assert core_count(9) == 2
 
 
+def core_product_form(n, sieve):
+    # the product over 3n+1 from the oracle sieve's factorization: a prime
+    # 1 mod 3 gives (a + 1), a prime 2 mod 3 gives 1 or 0 as a is even or odd
+    value = 1
+    for p, a in sieve.factors(3 * n + 1):
+        value *= a + 1 if p % 3 == 1 else (a + 1) % 2
+    return value
+
+
 def test_core_count_product_spot_values():
-    assert core_count_product(0) == 1
-    assert core_count_product(3) == 0
-    assert core_count_product(4) == 2
+    sieve = SpfSieve(13)
+    assert [core_product_form(n, sieve) for n in (0, 3, 4)] == [1, 0, 2]
+    assert [core_count(n) for n in (0, 3, 4)] == [1, 0, 2]
 
 
 def test_core_count_equals_product_form():
+    sieve = SpfSieve(3 * 10_000 + 1)
     for n in range(10_001):
-        assert core_count(n) == core_count_product(n), n
+        assert core_count(n) == core_product_form(n, sieve), n
+
+
+def test_core_count_equals_residue_form():
+    # core_count's product rule against the paper's d_{1,3} - d_{2,3}
+    def residue_form(n):
+        return divisor_count_mod3(3 * n + 1, 1) - divisor_count_mod3(3 * n + 1, 2)
+
+    assert [residue_form(n) for n in (0, 3, 4)] == [1, 0, 2]
+    for n in range(10_001):
+        assert core_count(n) == residue_form(n), n
 
 
 def test_pair_count_spot_values():
     assert pair_count(0) == 1
     assert pair_count(6) == 14
     assert pair_count(10) == 21
+
+
+def test_pair_count_matches_divisor_enumeration():
+    for n in range(2001):
+        assert pair_count(n) == sum(divisors_brute(3 * n + 2)) // 3, n
 
 
 def test_pair_count_division_exact():
@@ -184,15 +208,13 @@ def test_count_table_matches_the_point_counters(kind, monkeypatch):
 
 def test_count_table_past_the_point_sieve_matches_lambert():
     n_max = 333_400  # 3n+2 passes 10**6 at n = 333_333
-    assert 3 * (n_max - 1) + 2 > arith.DEFAULT_SIEVE_LIMIT
+    assert 3 * (n_max - 1) + 2 > 10**6
     assert count_table("A3", n_max) == list(lambert.pair_series(n_max).coeffs)
 
 
-def test_no_command_builds_a_factorization_sieve(capsys, monkeypatch):
-    def refuse(self, limit):
-        raise AssertionError(f"SpfSieve({limit}) built")
-
-    monkeypatch.setattr(SpfSieve, "__init__", refuse)
+def test_no_command_builds_a_factorization_sieve(capsys):
+    assert not hasattr(core3, "SpfSieve") and "SpfSieve" not in core3.__all__
+    assert not hasattr(arith, "SpfSieve")
     for argv in (["compute", "A3", "333334"], ["compute", "B3", "10"],
                  ["table", "a3", "--nmax", "2000"], ["verify", "lin"],
                  ["selfcheck", "--nmax", "5"]):

@@ -2,19 +2,26 @@
 
 from collections import Counter
 from math import isqrt, prod
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from core3 import arith
-from core3.arith import PSI_13, SpfSieve, factorize, is_prime
+from core3.arith import PSI_13, factorize, is_prime
 from core3.cli import main
+from spf_sieve import SpfSieve
 
 PSI_4 = 3215031751
 PSI_9 = 3825123056546413051
 PSI_12 = 318665857834031151167461
+# a prime below PSI_13 whose square and higher powers are past it
+P_24 = 10**24 + 7
 
 
 def primes_between(lo, hi):
@@ -44,7 +51,13 @@ def expected(factors):
 def test_sieve_free_equals_the_sieve_path():
     sieve = SpfSieve(2 * 10**5)
     for n in range(1, 2 * 10**5 + 1):
-        assert factorize(n) == factorize(n, sieve), n
+        assert factorize(n).factors == sieve.factors(n), n
+
+
+def test_is_prime_agrees_with_the_sieve():
+    sieve = SpfSieve(2 * 10**5)
+    for n in range(-2, 2 * 10**5):
+        assert is_prime(n) == (n >= 2 and sieve.smallest_prime_factor(n) == n), n
 
 
 @settings(max_examples=300, deadline=None)
@@ -83,6 +96,41 @@ def test_base_bounds_are_strong_pseudoprimes():
 ])
 def test_strong_pseudoprimes_are_split(n, factors):
     assert factorize(n).factors == factors
+
+
+def test_is_prime_reports_every_bound_below_psi_13_composite():
+    for bound, _ in arith._BASE_BOUNDS:
+        if bound != PSI_13:
+            assert not is_prime(bound), bound
+    # and PSI_12's two prime factors are prime
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
+def test_is_prime_refuses_psi_13():
+    with pytest.raises(ValueError, match=str(PSI_13)) as info:
+        is_prime(PSI_13)
+    assert "factorize" not in str(info.value)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_perfect_powers_of_a_large_prime_are_split_by_their_root(k):
+    # rho would need about sqrt(P_24) steps to split P_24**2; it splits a
+    # cofactor q * P_24**k for q near 10**6 in about sqrt(q) steps
+    assert factorize(P_24**k).factors == ((P_24, k),)
+    for q in (1031, 999983):
+        assert factorize(2 * q * P_24**k).factors == ((2, 1), (q, 1), (P_24, k))
+
+
+def test_verify_with_a_prime_past_10_to_the_24_answers():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for family, k_max in (("B3-relation-coprime", 1), ("relation-general", 1),
+                          ("B3-relation-general", 3)):
+        result = subprocess.run(
+            [sys.executable, "-m", "core3", "verify", family, "--p", str(P_24),
+             "--kmax", str(k_max), "--nmax", "1"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert result.returncode == 0, (family, result.stderr)
+        assert result.stdout.split("\n")[0].endswith("PASS"), family
 
 
 def test_psi_12_is_caught_by_base_41_alone():
@@ -137,9 +185,9 @@ def test_core_count_factorizes_once(monkeypatch):
     calls = []
     real = arith.factorize
 
-    def counting(n, sieve=None):
+    def counting(n):
         calls.append(n)
-        return real(n, sieve)
+        return real(n)
 
     monkeypatch.setattr(arith, "factorize", counting)
     assert arith.core_count(8) == 1  # 3*8+1 = 25: divisors 1, 5, 25
