@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from core3.cli import KINDS, Config, table_values
+from core3.routes import KINDS, Config, table_values
 
 
 def main() -> int:

@@ -15,87 +15,26 @@ import argparse
 import json
 import os
 import sys
-import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import __version__, arith, identities, lambert, partitions, series
-
-KINDS = ("a3", "A3", "B3")
-METHODS = ("formula", "series", "lambert", "brute")
-TUPLE_SIZE = {"a3": 1, "A3": 2, "B3": 3}
-
-DEFAULT_ORDER = 2000
-DEFAULT_BRUTE_CAP = 40
+from . import __version__, arith, identities
+from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, METHODS, Config, UsageError,
+                     point_value, table_values)
 
 ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
 
 
-class UsageError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class Config:
-    """Run-wide knobs; flags win over environment variables over defaults."""
-
-    order: int = DEFAULT_ORDER
-    brute_cap: int = DEFAULT_BRUTE_CAP
-
-
-# --- the route and family registries, shared with scripts/ ----------------
-# Both look functions up when called, never at import, so rebinding a module
+# --- the family registry, shared with scripts/ ------------------------------
+# It looks functions up when called, never at import, so rebinding a module
 # attribute (as a tracer does) reaches every caller.
-
-def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
-    """Refuse a request whose largest n, ``top``, is past the method's budget."""
-    if method in ("series", "lambert") and top >= cfg.order:
-        raise UsageError(
-            f"{what} exceeds the series order budget {cfg.order}; raise --order")
-    if method == "brute" and top > cfg.brute_cap:
-        raise UsageError(
-            f"{what} exceeds the brute-force cap {cfg.brute_cap}; raise --brute-cap")
-
-
-def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
-    """The counts of ``kind`` for 0 <= n < n_max by ``method``."""
-    if n_max <= 0:
-        return []
-    _check_budget(method, n_max - 1, f"--nmax {n_max}", cfg)
-    k = TUPLE_SIZE[kind]
-    if method == "formula":
-        return arith.count_table(kind, n_max)
-    if method == "series":
-        return list(series.core_tuple_series(3, k, n_max).coeffs)
-    if method == "lambert":
-        return list(lambert.tuple_series(k, n_max).coeffs)
-    if method == "brute":
-        return [partitions.brute_tuple_count(n, 3, k, cap=cfg.brute_cap)
-                for n in range(n_max)]
-    raise UsageError(f"unknown method {method!r}")
-
-
-def point_value(kind: str, method: str, n: int, cfg: Config = Config()) -> int:
-    """The count of ``kind`` at n by ``method``; only the series routes build a table."""
-    if n < 0:
-        raise UsageError("n must be >= 0")
-    if method == "formula":
-        return getattr(arith, arith.COUNTERS[kind])(n)
-    _check_budget(method, n, f"n={n}", cfg)
-    if method == "brute":
-        return partitions.brute_tuple_count(n, 3, TUPLE_SIZE[kind], cap=cfg.brute_cap)
-    return table_values(kind, method, n + 1, cfg)[n]
-
 
 @dataclass(frozen=True)
 class Family:
     """A ``verify`` family: the name of the ``identities`` function it runs,
-    its arguments' option names and defaults in order, and, where they
-    differ from its arguments, a ``pack`` turning the option values into them."""
+    and its arguments' option names and defaults in order."""
 
     check: str
     defaults: dict
-    pack: Callable | None = None
 
 
 def _relation(check: str, coprime: bool) -> Family:
@@ -114,9 +53,8 @@ FAMILIES = {
     "B3-relation-coprime": _relation("check_B3_relations", True),
     "B3-residues": Family("check_B3_residue_families", {"kmax": 4, "nmax": 200}),
     "xia-congruence": Family("check_xia_congruences", {"nmax": 1000}),
-    "xia-conjecture": Family(
-        "check_xia_conjecture", {"p": 3, "j": 1, "alphamax": 1, "nmax": 50},
-        lambda p, j, alphamax, nmax: (identities.XiaParams(p, j), alphamax, nmax)),
+    "xia-conjecture": Family("check_xia_conjecture",
+                             {"p": 3, "j": 1, "alphamax": 1, "nmax": 50}),
     "cross-validate": Family("cross_validate",
                              {"nmax": 200, "brute_cap": DEFAULT_BRUTE_CAP}),
 }
@@ -128,23 +66,8 @@ def run_family(name: str, options: dict) -> list[identities.IdentityReport]:
     family = FAMILIES[name]
     args = [default if options.get(option) is None else options[option]
             for option, default in family.defaults.items()]
-    if family.pack is not None:
-        args = family.pack(*args)
     reports = getattr(identities, family.check)(*args)
     return reports if isinstance(reports, list) else [reports]
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{name} must be a positive integer, got {raw!r}")
-    return value
 
 
 def _make_config(args) -> Config:
@@ -152,9 +75,16 @@ def _make_config(args) -> Config:
     order = DEFAULT_ORDER if args.order is None else args.order
     if order < 1:
         raise UsageError("--order must be >= 1")
-    cap = _env_int(ENV_BRUTE_CAP, DEFAULT_BRUTE_CAP) if args.brute_cap is None else args.brute_cap
-    if cap < 0:
-        raise UsageError("--brute-cap must be >= 0")
+    if args.brute_cap is not None:
+        source, raw = "--brute-cap", args.brute_cap
+    else:
+        source, raw = ENV_BRUTE_CAP, os.environ.get(ENV_BRUTE_CAP, DEFAULT_BRUTE_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise UsageError(f"{source} must be an integer >= 0, got {raw!r}")
     return Config(order=order, brute_cap=cap)
 
 
@@ -209,19 +139,6 @@ def _cmd_verify(args, cfg: Config) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _structural_reports(n_max: int):
-    order = max(2, min(n_max, 500))
-    for family, params, check in (
-            ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
-            ("square-kernel", {"order": 100}, lambda: lambert.square_kernel_check(100)),
-            ("pair-fold-cross-term", {"order": order}, lambda: all(
-                c == 0 for c in lambert.pair_fold_cross_term(order).coeffs))):
-        started = time.perf_counter()
-        failures = [] if check() else [identities.Failure(params, 0, 1)]
-        yield identities.IdentityReport(family, params, 1, failures,
-                                        time.perf_counter() - started)
-
-
 def _selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
     """(family, options) in run order; "structural" is not a verify family."""
     n = min(n_max, 200)
@@ -251,7 +168,7 @@ def _cmd_selfcheck(args, cfg: Config) -> int:
     total = 0
     failed = 0
     for family, options in _selfcheck_battery(n_max, cfg.brute_cap):
-        reports = (_structural_reports(n_max) if family == "structural"
+        reports = (identities.structural_reports(n_max) if family == "structural"
                    else run_family(family, options))
         for report in reports:
             total += 1
@@ -325,7 +242,7 @@ def main(argv=None) -> int:
     try:
         cfg = _make_config(args)
         return args.handler(args, cfg)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         # precondition violations from the library are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,15 +7,15 @@ an implementation bug, never a false identity.  Degenerate parameters
 (k = 0, and k = 1 where a relation telescopes to a tautology) are swept on
 purpose rather than skipped.
 
-All families but Xia's conjecture and the route cross-validation are data:
-a Relation per identity, run by one evaluator.
+All families but Xia's conjecture, the route cross-validation and the
+structural checks are data: a Relation per identity, run by one evaluator.
 """
 
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from . import arith, lambert, partitions, series
+from . import arith, lambert, routes, series
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ class XiaParams:
         return self.p**self.j * (self.p - 1) // 2
 
 
-def check_xia_conjecture(xp: XiaParams, alpha_max: int, n_max: int) -> IdentityReport:
+def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> IdentityReport:
     """A3(4^(k0(a+1))*n + (2^(2k0(a+1)-1)-2)/3) == 0 mod p^j, k0 = p^j(p-1)/2.
 
     The argument 3N+2 factors as 2^(e-1)*(6n+1) with e = 2*k0*(alpha+1), so
@@ -345,6 +345,7 @@ def check_xia_conjecture(xp: XiaParams, alpha_max: int, n_max: int) -> IdentityR
     modular residue; since 3N+2 >= 2^(e-1), that needs e <= 63, which is
     decided before any power of two is built.
     """
+    xp = XiaParams(p, j)
     if alpha_max < 0 or n_max < 0:
         raise ValueError("alpha_max and n_max must be >= 0")
     pj = xp.p**xp.j
@@ -373,32 +374,44 @@ def check_xia_conjecture(xp: XiaParams, alpha_max: int, n_max: int) -> IdentityR
                      "alpha_max": alpha_max, "n_max": n_max}, instances())
 
 
-def cross_validate(n_max: int, brute_cap: int = 40) -> IdentityReport:
-    """Per-n agreement of every applicable route for all three counters.
+def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> IdentityReport:
+    """Per-n agreement of every registered route with the closed form, for
+    every kind.
 
     Series and Lambert lanes run for every n < n_max; the brute-force lane
     joins while n stays within its cap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    labels = {1: "a3", 2: "A3", 3: "B3"}
-    closed = {k: getattr(arith, arith.COUNTERS[kind]) for k, kind in labels.items()}
-    brute_bound = min(n_max - 1, brute_cap)
+    cfg = routes.Config(order=n_max, brute_cap=brute_cap)
+    sizes = {"series": n_max, "lambert": n_max, "brute": min(n_max, brute_cap + 1)}
 
     def instances():
-        series_lane = {k: series.core_tuple_series(3, k, n_max) for k in (1, 2, 3)}
-        lambert_lane = {k: lambert.tuple_series(k, n_max) for k in (1, 2, 3)}
-        for k in (1, 2, 3):
+        for kind in routes.KINDS:
+            lanes = {method: routes.table_values(kind, method, size, cfg)
+                     for method, size in sizes.items()}
             for n in range(n_max):
-                reference = closed[k](n)
-                yield ({"kind": labels[k], "n": n, "route": "series"},
-                       series_lane[k][n], reference)
-                yield ({"kind": labels[k], "n": n, "route": "lambert"},
-                       lambert_lane[k][n], reference)
-                if n <= brute_bound:
-                    yield ({"kind": labels[k], "n": n, "route": "brute"},
-                           partitions.brute_tuple_count(n, 3, k, cap=brute_cap),
-                           reference)
+                reference = routes.point_value(kind, "formula", n)
+                for method, lane in lanes.items():
+                    if n < len(lane):
+                        yield {"kind": kind, "n": n, "route": method}, lane[n], reference
 
     return _collect("cross-validate",
                     {"n_max": n_max, "brute_cap": brute_cap}, instances())
+
+
+def structural_reports(n_max: int) -> list[IdentityReport]:
+    """One single-instance report per structural check of the series and
+    Lambert routes: the q-split, the k^2 kernel and the vanishing pair-fold
+    cross term, at order min(n_max, 500), at least 2."""
+    order = max(2, min(n_max, 500))
+
+    def instance(params, check):
+        # lazy, so the report's seconds cover the check
+        yield params, 0, 0 if check() else 1
+
+    return [_collect(family, params, instance(params, check)) for family, params, check in (
+        ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
+        ("square-kernel", {"order": 100}, lambda: lambert.square_kernel_check(100)),
+        ("pair-fold-cross-term", {"order": order},
+         lambda: not any(lambert.pair_fold_cross_term(order).coeffs)))]

@@ -1,0 +1,68 @@
+"""The registry of counting routes: how each method gets a count of each kind.
+
+``cli``, ``identities`` and ``scripts/`` all read it.  It looks functions up
+when called, never at import, so rebinding a module attribute (as a tracer
+does) reaches every caller.
+"""
+
+from dataclasses import dataclass
+
+from . import arith, lambert, partitions, series
+
+KINDS = ("a3", "A3", "B3")
+METHODS = ("formula", "series", "lambert", "brute")
+TUPLE_SIZE = {"a3": 1, "A3": 2, "B3": 3}
+
+DEFAULT_ORDER = 2000
+DEFAULT_BRUTE_CAP = 40
+
+
+class UsageError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class Config:
+    """Run-wide knobs; flags win over environment variables over defaults."""
+
+    order: int = DEFAULT_ORDER
+    brute_cap: int = DEFAULT_BRUTE_CAP
+
+
+def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
+    """Refuse a request whose largest n, ``top``, is past the method's budget."""
+    if method in ("series", "lambert") and top >= cfg.order:
+        raise UsageError(
+            f"{what} exceeds the series order budget {cfg.order}; raise --order")
+    if method == "brute" and top > cfg.brute_cap:
+        raise UsageError(
+            f"{what} exceeds the brute-force cap {cfg.brute_cap}; raise --brute-cap")
+
+
+def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
+    """The counts of ``kind`` for 0 <= n < n_max by ``method``."""
+    if n_max <= 0:
+        return []
+    _check_budget(method, n_max - 1, f"--nmax {n_max}", cfg)
+    k = TUPLE_SIZE[kind]
+    if method == "formula":
+        return arith.count_table(kind, n_max)
+    if method == "series":
+        return list(series.core_tuple_series(3, k, n_max).coeffs)
+    if method == "lambert":
+        return list(lambert.tuple_series(k, n_max).coeffs)
+    if method == "brute":
+        return [partitions.brute_tuple_count(n, 3, k, cap=cfg.brute_cap)
+                for n in range(n_max)]
+    raise UsageError(f"unknown method {method!r}")
+
+
+def point_value(kind: str, method: str, n: int, cfg: Config = Config()) -> int:
+    """The count of ``kind`` at n by ``method``; every route but the closed
+    form answers from its table up to n."""
+    if n < 0:
+        raise UsageError("n must be >= 0")
+    if method == "formula":
+        return getattr(arith, arith.COUNTERS[kind])(n)
+    _check_budget(method, n, f"n={n}", cfg)
+    return table_values(kind, method, n + 1, cfg)[n]

@@ -1,0 +1,26 @@
+"""A per-test time limit, so a hang fails its own test instead of stalling
+the whole suite.  The slowest test takes under 2 s."""
+
+import signal
+
+import pytest
+
+TIME_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    if not hasattr(signal, "SIGALRM"):  # no alarm signal on this platform
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{request.node.nodeid} ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

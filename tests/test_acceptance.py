@@ -10,7 +10,6 @@ from math import gcd, isqrt
 
 from core3 import arith, identities, lambert, partitions, series
 from core3.arith import core_count, pair_count, sigma, triple_count, weighted_divisor_sum
-from core3.identities import XiaParams
 
 
 def _announce(label, ok, elapsed):
@@ -145,7 +144,7 @@ def test_criterion_7_xia_congruences():
 
 def test_criterion_8_xia_conjecture():
     start = time.perf_counter()
-    reports = [identities.check_xia_conjecture(XiaParams(p, j), 1, 50)
+    reports = [identities.check_xia_conjecture(p, j, 1, 50)
                for p in (3, 5, 7) for j in (1, 2)]
     ok = all(r.passed for r in reports)
     # the smallest instance, directly: A3(10) = 21 = 0 mod 3

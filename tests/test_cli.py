@@ -150,6 +150,26 @@ def test_env_rejects_garbage(capsys, monkeypatch):
     assert run_cli(capsys, "compute", "a3", "1")[0] == 2
 
 
+def test_env_brute_cap_zero_is_a_cap_like_the_flag(capsys, monkeypatch):
+    # a cap of 0 admits n = 0 alone, whichever source sets it
+    monkeypatch.setenv("CORE3_BRUTE_CAP", "0")
+    for flags in ((), ("--brute-cap", "0")):
+        code, out, _ = run_cli(capsys, "compute", "B3", "0", "--method", "brute", *flags)
+        assert code == 0
+        assert json.loads(out)["value"] == "1"
+        code, _, err = run_cli(capsys, "compute", "B3", "1", "--method", "brute", *flags)
+        assert code == 2
+        assert "cap 0" in err
+
+
+@pytest.mark.parametrize("raw", ["-1", "banana", ""])
+def test_env_brute_cap_refusal_names_variable_and_value(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CORE3_BRUTE_CAP", raw)
+    code, out, err = run_cli(capsys, "compute", "a3", "1")
+    assert (code, out) == (2, "")
+    assert f"CORE3_BRUTE_CAP must be an integer >= 0, got {raw!r}" in err
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "core3", "compute", "a3", "4"],

@@ -132,14 +132,14 @@ def test_xia_conjecture_smallest_instance():
 
 
 def test_xia_conjecture_modular_and_direct_agree():
-    report = check_xia_conjecture(XiaParams(3, 1), 1, 50)
+    report = check_xia_conjecture(3, 1, 1, 50)
     assert_clean(report)
     # every direct-path instance compares the two routes
     assert report.checked == 2 * 51 + 2 * 51
 
 
 def test_xia_conjecture_modular_only_when_huge():
-    report = check_xia_conjecture(XiaParams(5, 2), 0, 10)
+    report = check_xia_conjecture(5, 2, 0, 10)
     assert_clean(report)
     assert report.checked == 11  # arguments near 4^50 never fit 64 bits
 
@@ -148,7 +148,7 @@ def test_xia_conjecture_large_prime_builds_no_power():
     # e = p(p-1) = 100130042 bits: the direct path is ruled out from e alone,
     # so no 12 MB power of two is built per instance
     start = time.perf_counter()
-    report = check_xia_conjecture(XiaParams(10007, 1), 0, 50)
+    report = check_xia_conjecture(10007, 1, 0, 50)
     assert time.perf_counter() - start < 2.0
     assert_clean(report)
     assert report.checked == 51

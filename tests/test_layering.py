@@ -1,8 +1,11 @@
 """Oracle independence: a route that checks another never imports it.
 
 The series and Lambert routes stay off the closed forms in ``arith`` (and
-off ``identities`` and ``cli``, which reach ``arith``); brute-force
-enumeration stays off all three counting routes.
+off ``routes``, ``identities`` and ``cli``, which reach ``arith``);
+brute-force enumeration stays off all three counting routes.  Above them,
+the route registry ``routes`` is the one module that dispatches to the
+routes: ``identities`` reads it without importing ``cli``, and ``cli``
+reaches the routes only through it.
 """
 
 import ast
@@ -13,9 +16,14 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "core3"
 
 FORBIDDEN = {
-    "series": {"arith", "identities", "cli"},
-    "lambert": {"arith", "identities", "cli"},
-    "partitions": {"arith", "series", "lambert"},
+    "series": {"arith", "routes", "identities", "cli"},
+    "lambert": {"arith", "routes", "identities", "cli"},
+    "partitions": {"arith", "series", "lambert", "routes"},
+}
+
+LAYERS = {
+    "identities": {"cli"},
+    "cli": {"series", "lambert", "partitions"},
 }
 
 
@@ -41,6 +49,11 @@ def core3_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_oracle_routes_stay_independent(module):
     assert not core3_imports(module) & FORBIDDEN[module]
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_registry_layers(module):
+    assert not core3_imports(module) & LAYERS[module]
 
 
 def test_import_scan_sees_every_form(tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from core3 import arith, cli, identities
+from core3 import arith, cli, identities, lambert, partitions, series
 from core3.cli import (FAMILIES, KINDS, METHODS, Config, main, point_value, run_family,
                        table_values)
 from core3.identities import Relation, _sweep
@@ -161,6 +161,30 @@ def test_registries_look_functions_up_when_called(monkeypatch):
     stub = identities.IdentityReport("stub", {}, 1)
     monkeypatch.setattr(identities, "check_lin", lambda n_max: stub)
     assert run_family("lin", {}) == [stub]
+
+
+def _off_by_one_at_7(original, route):
+    def wrong(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if route == "brute":
+            return result + (args[0] == 7)
+        return result + series.monomial(result.order, 7)
+    return wrong
+
+
+@pytest.mark.parametrize("module, name, route", [
+    (series, "core_tuple_series", "series"),
+    (lambert, "tuple_series", "lambert"),
+    (partitions, "brute_tuple_count", "brute"),
+])
+def test_cross_validate_reads_every_route_from_the_registry(module, name, route,
+                                                            monkeypatch):
+    monkeypatch.setattr(module, name, _off_by_one_at_7(getattr(module, name), route))
+    report = identities.cross_validate(20, brute_cap=10)
+    # series and Lambert for n < 20, brute for n <= 10, per kind
+    assert report.checked == 3 * (20 + 20 + 11)
+    assert [f.inputs for f in report.failures] == [
+        {"kind": kind, "n": 7, "route": route} for kind in KINDS]
 
 
 def test_make_tables_smoke(tmp_path):
