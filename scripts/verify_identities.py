@@ -2,15 +2,15 @@
 """Run the whole identity battery at generous ranges and print a summary.
 
 This is the long-form version of ``core3 selfcheck``: wider sweeps, one
-line per family with instance count and wall time.  Exits nonzero if any
-family reports a counterexample.
+line per family with instance count and wall time.  Exits 1 if any
+family reports a counterexample and 2 on a usage error, as ``core3`` does.
 """
 
 import argparse
 import sys
 import time
 
-from core3.cli import run_family
+from core3.identities import run_family
 
 
 def battery(k_max: int, n_max: int) -> list[tuple[str, dict]]:
@@ -38,21 +38,30 @@ def main() -> int:
     parser.add_argument("--kmax", type=int, default=4)
     parser.add_argument("--nmax", type=int, default=200)
     args = parser.parse_args()
+    if args.kmax < 1:
+        parser.error("--kmax must be >= 1")
+    if args.nmax < 0:
+        parser.error("--nmax must be >= 0")
 
     failed = 0
     total = 0
     grand_start = time.perf_counter()
-    for family, options in battery(args.kmax, args.nmax):
-        for report in run_family(family, options):
-            total += 1
-            status = "ok" if report.passed else "FAIL"
-            print(f"{report.family:<32} {report.checked:>8} instances "
-                  f"{report.seconds:>7.2f}s  {status}")
-            if not report.passed:
-                failed += 1
-                for failure in report.failures[:5]:
-                    print(f"    counterexample {failure.inputs}: "
-                          f"{failure.lhs} != {failure.rhs}")
+    try:
+        for family, options in battery(args.kmax, args.nmax):
+            for report in run_family(family, options):
+                total += 1
+                status = "ok" if report.passed else "FAIL"
+                print(f"{report.family:<32} {report.checked:>8} instances "
+                      f"{report.seconds:>7.2f}s  {status}")
+                if not report.passed:
+                    failed += 1
+                    for failure in report.failures[:5]:
+                        print(f"    counterexample {failure.inputs}: "
+                              f"{failure.lhs} != {failure.rhs}")
+    except ValueError as exc:
+        # precondition violations from the library are usage errors, as in the CLI
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"\n{total - failed}/{total} families clean "
           f"in {time.perf_counter() - grand_start:.2f}s")
     return 1 if failed else 0

@@ -23,7 +23,6 @@ from .arith import (
 )
 from .identities import (
     IdentityReport,
-    XiaParams,
     check_A3_relations,
     check_A3_residue_families,
     check_B3_relations,
@@ -68,7 +67,6 @@ __all__ = [
     "IdentityReport",
     "Partition",
     "TruncatedSeries",
-    "XiaParams",
     "brute_core_count",
     "brute_tuple_count",
     "check_A3_relations",

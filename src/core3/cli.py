@@ -15,59 +15,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from . import __version__, arith, identities
+from . import __version__, arith
+from .identities import FAMILIES, run_family
 from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, METHODS, Config, UsageError,
                      point_value, table_values)
 
 ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
-
-
-# --- the family registry, shared with scripts/ ------------------------------
-# It looks functions up when called, never at import, so rebinding a module
-# attribute (as a tracer does) reaches every caller.
-
-@dataclass(frozen=True)
-class Family:
-    """A ``verify`` family: the name of the ``identities`` function it runs,
-    and its arguments' option names and defaults in order."""
-
-    check: str
-    defaults: dict
-
-
-def _relation(check: str, coprime: bool) -> Family:
-    return Family(check, {"p": 5, "kmax": 4, "nmax": 200, "coprime_variant": coprime})
-
-
-FAMILIES = {
-    "a3-even-power": Family("check_a3_even_power", {"p": 2, "kmax": 4, "nmax": 200}),
-    "BN": Family("check_baruah_nath", {"kmax": 5, "nmax": 200}),
-    "lin": Family("check_lin", {"nmax": 500}),
-    "relation-general": _relation("check_A3_relations", False),
-    "relation-coprime": _relation("check_A3_relations", True),
-    "A3-residues": Family("check_A3_residue_families", {"kmax": 4, "nmax": 200}),
-    "B3-ids": Family("check_b3_power_families", {"kmax": 5, "nmax": 200}),
-    "B3-relation-general": _relation("check_B3_relations", False),
-    "B3-relation-coprime": _relation("check_B3_relations", True),
-    "B3-residues": Family("check_B3_residue_families", {"kmax": 4, "nmax": 200}),
-    "xia-congruence": Family("check_xia_congruences", {"nmax": 1000}),
-    "xia-conjecture": Family("check_xia_conjecture",
-                             {"p": 3, "j": 1, "alphamax": 1, "nmax": 50}),
-    "cross-validate": Family("cross_validate",
-                             {"nmax": 200, "brute_cap": DEFAULT_BRUTE_CAP}),
-}
-
-
-def run_family(name: str, options: dict) -> list[identities.IdentityReport]:
-    """The reports of family ``name``; ``options`` that the family takes and
-    that are not None replace its defaults, and the rest are ignored."""
-    family = FAMILIES[name]
-    args = [default if options.get(option) is None else options[option]
-            for option, default in family.defaults.items()]
-    reports = getattr(identities, family.check)(*args)
-    return reports if isinstance(reports, list) else [reports]
 
 
 def _make_config(args) -> Config:
@@ -107,8 +61,6 @@ def _cmd_compute(args, cfg: Config) -> int:
 
 
 def _cmd_table(args, cfg: Config) -> int:
-    if args.nmax < 0:
-        raise UsageError("--nmax must be >= 0")
     values = table_values(args.kind, args.method, args.nmax, cfg)
     out = sys.stdout
     if args.format == "csv":
@@ -127,11 +79,6 @@ def _summary_line(report) -> str:
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    if args.family not in FAMILIES:
-        known = ", ".join(sorted(FAMILIES))
-        raise UsageError(f"unknown family {args.family!r}; known families: {known}")
-    if args.nmax is not None and args.nmax < 0:
-        raise UsageError("--nmax must be >= 0")
     reports = run_family(args.family, {**vars(args), "brute_cap": cfg.brute_cap})
     for report in reports:
         print(_summary_line(report))
@@ -140,11 +87,11 @@ def _cmd_verify(args, cfg: Config) -> int:
 
 
 def _selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
-    """(family, options) in run order; "structural" is not a verify family."""
+    """(family, options) in run order, every family a registered verify name."""
     n = min(n_max, 200)
     return [
         ("cross-validate", {"nmax": n_max, "brute_cap": brute_cap}),
-        ("structural", {}),
+        ("structural", {"nmax": n_max}),
         *(("a3-even-power", {"p": p, "kmax": 4, "nmax": n}) for p in (2, 5)),
         ("BN", {"kmax": 3, "nmax": n}),
         ("lin", {"nmax": 500}),
@@ -168,9 +115,7 @@ def _cmd_selfcheck(args, cfg: Config) -> int:
     total = 0
     failed = 0
     for family, options in _selfcheck_battery(n_max, cfg.brute_cap):
-        reports = (identities.structural_reports(n_max) if family == "structural"
-                   else run_family(family, options))
-        for report in reports:
+        for report in run_family(family, options):
             total += 1
             if not report.passed:
                 failed += 1

@@ -313,27 +313,6 @@ def check_xia_congruences(n_max: int) -> IdentityReport:
         for a, modulus in ((8, 4), (16, 8))))
 
 
-@dataclass(frozen=True)
-class XiaParams:
-    """Odd prime p and exponent j of the power-of-4 congruence family."""
-
-    p: int
-    j: int
-
-    def __post_init__(self):
-        if self.p == 2:
-            raise ValueError(
-                "p = 2 unsupported: the Euler-theorem step needs 2 invertible mod p^(j+1)")
-        if not arith.is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.j < 1:
-            raise ValueError("j must be >= 1")
-
-    @property
-    def k0(self) -> int:
-        return self.p**self.j * (self.p - 1) // 2
-
-
 def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> IdentityReport:
     """A3(4^(k0(a+1))*n + (2^(2k0(a+1)-1)-2)/3) == 0 mod p^j, k0 = p^j(p-1)/2.
 
@@ -345,32 +324,39 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     modular residue; since 3N+2 >= 2^(e-1), that needs e <= 63, which is
     decided before any power of two is built.
     """
-    xp = XiaParams(p, j)
+    if p == 2:
+        raise ValueError(
+            "p = 2 unsupported: the Euler-theorem step needs 2 invertible mod p^(j+1)")
+    if not arith.is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if j < 1:
+        raise ValueError("j must be >= 1")
     if alpha_max < 0 or n_max < 0:
         raise ValueError("alpha_max and n_max must be >= 0")
-    pj = xp.p**xp.j
+    pj = p**j
+    k0 = pj * (p - 1) // 2
     modulus = 3 * pj
 
     def instances():
         for alpha in range(alpha_max + 1):
-            e = 2 * xp.k0 * (alpha + 1)
+            e = 2 * k0 * (alpha + 1)
             # 3 | 2^e - 1 because e is even, and 3 | modulus keeps that visible
             residue = (pow(2, e, modulus) - 1) % modulus
             factor_mod = (residue // 3) % pj
             for n in range(n_max + 1):
                 value_mod = (factor_mod * (arith.sigma(6 * n + 1) % pj)) % pj
-                yield ({"p": xp.p, "j": xp.j, "alpha": alpha, "n": n,
+                yield ({"p": p, "j": j, "alpha": alpha, "n": n,
                         "path": "modular"}, value_mod, 0)
                 if e > 63:
                     continue
                 direct_arg = (1 << e) * n + ((1 << (e - 1)) - 2) // 3
                 if 3 * direct_arg + 2 < 2**63:
-                    yield ({"p": xp.p, "j": xp.j, "alpha": alpha, "n": n,
+                    yield ({"p": p, "j": j, "alpha": alpha, "n": n,
                             "path": "direct"},
                            arith.pair_count(direct_arg) % pj, value_mod)
 
-    return _collect(f"xia-conjecture-p{xp.p}-j{xp.j}",
-                    {"p": xp.p, "j": xp.j, "k0": xp.k0,
+    return _collect(f"xia-conjecture-p{p}-j{j}",
+                    {"p": p, "j": j, "k0": k0,
                      "alpha_max": alpha_max, "n_max": n_max}, instances())
 
 
@@ -415,3 +401,54 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
         ("square-kernel", {"order": 100}, lambda: lambert.square_kernel_check(100)),
         ("pair-fold-cross-term", {"order": order},
          lambda: not any(lambert.pair_fold_cross_term(order).coeffs)))]
+
+
+# --- the family registry, read by cli, scripts/ and the tests ---------------
+# run_family looks each check up by name when called, so a tracer's rebinding reaches it
+
+@dataclass(frozen=True)
+class Family:
+    """A ``verify`` family: the check it runs, and its options' defaults in order."""
+
+    check: str
+    defaults: dict
+
+
+def _relation_family(check: str, coprime: bool) -> Family:
+    return Family(check, {"p": 5, "kmax": 4, "nmax": 200, "coprime_variant": coprime})
+
+
+FAMILIES = {
+    "a3-even-power": Family("check_a3_even_power", {"p": 2, "kmax": 4, "nmax": 200}),
+    "BN": Family("check_baruah_nath", {"kmax": 5, "nmax": 200}),
+    "lin": Family("check_lin", {"nmax": 500}),
+    "relation-general": _relation_family("check_A3_relations", False),
+    "relation-coprime": _relation_family("check_A3_relations", True),
+    "A3-residues": Family("check_A3_residue_families", {"kmax": 4, "nmax": 200}),
+    "B3-ids": Family("check_b3_power_families", {"kmax": 5, "nmax": 200}),
+    "B3-relation-general": _relation_family("check_B3_relations", False),
+    "B3-relation-coprime": _relation_family("check_B3_relations", True),
+    "B3-residues": Family("check_B3_residue_families", {"kmax": 4, "nmax": 200}),
+    "xia-congruence": Family("check_xia_congruences", {"nmax": 1000}),
+    "xia-conjecture": Family("check_xia_conjecture",
+                             {"p": 3, "j": 1, "alphamax": 1, "nmax": 50}),
+    "cross-validate": Family("cross_validate",
+                             {"nmax": 200, "brute_cap": routes.DEFAULT_BRUTE_CAP}),
+    "structural": Family("structural_reports", {"nmax": 200}),
+}
+
+
+def run_family(name: str, options: dict) -> list[IdentityReport]:
+    """The reports of family ``name``; ``options`` that the family takes and
+    that are not None replace its defaults, and the rest are ignored.  An
+    unknown name or a negative ``nmax`` is a ``routes.UsageError``."""
+    family = FAMILIES.get(name)
+    if family is None:
+        known = ", ".join(sorted(FAMILIES))
+        raise routes.UsageError(f"unknown family {name!r}; known families: {known}")
+    if options.get("nmax") is not None and options["nmax"] < 0:
+        raise routes.UsageError("--nmax must be >= 0")
+    args = [default if options.get(option) is None else options[option]
+            for option, default in family.defaults.items()]
+    reports = globals()[family.check](*args)
+    return reports if isinstance(reports, list) else [reports]

@@ -41,7 +41,9 @@ def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
 
 def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
     """The counts of ``kind`` for 0 <= n < n_max by ``method``."""
-    if n_max <= 0:
+    if n_max < 0:
+        raise UsageError("--nmax must be >= 0")
+    if n_max == 0:
         return []
     _check_budget(method, n_max - 1, f"--nmax {n_max}", cfg)
     k = TUPLE_SIZE[kind]

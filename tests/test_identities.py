@@ -5,7 +5,6 @@ import pytest
 from core3.arith import pair_count, triple_count
 from core3.identities import (
     IdentityReport,
-    XiaParams,
     check_A3_relations,
     check_A3_residue_families,
     check_B3_relations,
@@ -115,14 +114,14 @@ def test_xia_congruences():
 
 
 def test_xia_params():
-    assert XiaParams(3, 1).k0 == 3
-    assert XiaParams(5, 2).k0 == 50
+    assert check_xia_conjecture(3, 1, 0, 0).params["k0"] == 3
+    assert check_xia_conjecture(5, 2, 0, 0).params["k0"] == 50
     with pytest.raises(ValueError):
-        XiaParams(2, 1)
+        check_xia_conjecture(2, 1, 0, 0)
     with pytest.raises(ValueError):
-        XiaParams(9, 1)
+        check_xia_conjecture(9, 1, 0, 0)
     with pytest.raises(ValueError):
-        XiaParams(3, 0)
+        check_xia_conjecture(3, 0, 0, 0)
 
 
 def test_xia_conjecture_smallest_instance():

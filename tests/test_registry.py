@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from core3 import arith, cli, identities, lambert, partitions, series
+from core3 import arith, cli, identities, lambert, partitions, routes, series
 from core3.cli import (FAMILIES, KINDS, METHODS, Config, main, point_value, run_family,
                        table_values)
 from core3.identities import Relation, _sweep
@@ -107,8 +107,6 @@ def test_batteries_name_registered_families_and_options():
                  "verify_identities": script.battery(4, 200)}
     for name, battery in batteries.items():
         for family, options in battery:
-            if name == "selfcheck" and family == "structural":
-                continue
             assert family in FAMILIES, (name, family)
             # run_family ignores unknown options, so a misspelt one would not show
             assert set(options) <= set(FAMILIES[family].defaults), (name, family, options)
@@ -201,6 +199,47 @@ def test_make_tables_smoke(tmp_path):
         assert lines[0] == "kind,n,value,method"
         assert lines[1:] == [f"{kind},{n},{v},lambert"
                              for n, v in enumerate(table_values(kind, "formula", 50))]
+
+
+def _run_script(name, *argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_verify_identities_end_to_end():
+    result = _run_script("verify_identities.py", "--kmax", "1", "--nmax", "5")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].startswith("43/43 families clean")
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("verify_identities.py", ["--kmax", "0", "--nmax", "5"]),
+    ("verify_identities.py", ["--kmax", "1", "--nmax", "-1"]),
+    ("make_tables.py", ["--nmax", "-3"]),
+    ("make_tables.py", ["--nmax", "50", "--method", "brute"]),
+])
+def test_scripts_refuse_like_the_cli(tmp_path, script, argv):
+    out = tmp_path / "tables"
+    if script == "make_tables.py":
+        argv = [*argv, "--out", str(out)]
+    result = _run_script(script, *argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert [line for line in result.stderr.splitlines() if "error: " in line] == [
+        result.stderr.splitlines()[-1]]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: identities.run_family("nope", {}), "unknown family 'nope'; known families: "),
+    (lambda: identities.run_family("lin", {"nmax": -1}), "--nmax must be >= 0"),
+    (lambda: routes.table_values("a3", "formula", -1), "--nmax must be >= 0"),
+])
+def test_library_callers_get_the_cli_refusals(call, message):
+    with pytest.raises(routes.UsageError, match=re.escape(message)):
+        call()
 
 
 def test_verify_help_lists_the_registry(capsys):
