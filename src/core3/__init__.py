@@ -44,7 +44,6 @@ from .lambert import (
 )
 from .partitions import (
     Partition,
-    brute_core_count,
     brute_tuple_count,
     enumerate_partitions,
     hook_lengths,
@@ -67,7 +66,6 @@ __all__ = [
     "IdentityReport",
     "Partition",
     "TruncatedSeries",
-    "brute_core_count",
     "brute_tuple_count",
     "check_A3_relations",
     "check_A3_residue_families",

@@ -441,7 +441,8 @@ FAMILIES = {
 def run_family(name: str, options: dict) -> list[IdentityReport]:
     """The reports of family ``name``; ``options`` that the family takes and
     that are not None replace its defaults, and the rest are ignored.  An
-    unknown name or a negative ``nmax`` is a ``routes.UsageError``."""
+    unknown name, a negative ``nmax`` or a sweep that checks no instance is
+    a ``routes.UsageError``."""
     family = FAMILIES.get(name)
     if family is None:
         known = ", ".join(sorted(FAMILIES))
@@ -451,4 +452,8 @@ def run_family(name: str, options: dict) -> list[IdentityReport]:
     args = [default if options.get(option) is None else options[option]
             for option, default in family.defaults.items()]
     reports = globals()[family.check](*args)
-    return reports if isinstance(reports, list) else [reports]
+    reports = reports if isinstance(reports, list) else [reports]
+    for report in reports:
+        if report.checked == 0:
+            raise routes.UsageError(f"{report.family} checked no instance; raise --nmax")
+    return reports

@@ -36,16 +36,6 @@ class TruncatedSeries:
         _check_orders(self, other)
         return TruncatedSeries(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _check_orders(self, other)
-        return TruncatedSeries(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-x for x in self.coeffs))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return mul(self, other)
-
 
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
     if a.order != b.order:

@@ -69,7 +69,7 @@ def test_criterion_2_three_oracle_agreement():
 def test_criterion_3_spot_values():
     start = time.perf_counter()
     # a3(0..4) by hook-length enumeration
-    brute_a3 = [partitions.brute_core_count(n, 3) for n in range(5)]
+    brute_a3 = [partitions.brute_tuple_count(n, 3, 1) for n in range(5)]
     assert brute_a3 == [1, 1, 2, 0, 2]
     assert [core_count(n) for n in range(5)] == [1, 1, 2, 0, 2]
 

@@ -121,6 +121,14 @@ def test_verify_unknown_family(capsys):
     assert "unknown family" in err
 
 
+def test_verify_with_no_instance_is_a_usage_error(capsys):
+    # at p = 2 the coprime sweep skips m = 0 (2 divides 3*0 + 2), leaving nothing
+    code, out, err = run_cli(capsys, "verify", "relation-coprime", "--p", "2", "--nmax", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: A3-relation-coprime-p2 checked no instance; raise --nmax\n"
+
+
 def test_selfcheck_small(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--nmax", "40")
     assert code == 0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from core3.partitions import (
     CapExceededError,
     Partition,
-    brute_core_count,
     brute_tuple_count,
     enumerate_partitions,
     hook_lengths,
@@ -85,10 +84,19 @@ def test_t_core_conjugation_symmetry(partition, t):
     assert is_t_core(partition, t) == is_t_core(partition.conjugate(), t)
 
 
+def test_is_t_core_matches_the_hook_definition():
+    # every partition of n <= 25: the beta-set test against the literal hooks
+    for n in range(26):
+        for partition in enumerate_partitions(n):
+            hooks = hook_lengths(partition)
+            for t in range(2, 7):
+                assert is_t_core(partition, t) == all(h % t for h in hooks), (partition, t)
+
+
 def test_brute_core_count():
-    assert brute_core_count(2, 3) == 2
-    assert brute_core_count(3, 3) == 0
-    assert brute_core_count(3, 2) == 1
+    assert brute_tuple_count(2, 3, 1) == 2
+    assert brute_tuple_count(3, 3, 1) == 0
+    assert brute_tuple_count(3, 2, 1) == 1
 
 
 def test_brute_tuple_count():
@@ -98,7 +106,7 @@ def test_brute_tuple_count():
 
 
 def test_brute_tuple_count_is_ordered_convolution():
-    base = [brute_core_count(m, 3) for m in range(7)]
+    base = [brute_tuple_count(m, 3, 1) for m in range(7)]
     for n in range(7):
         expected = sum(base[i] * base[n - i] for i in range(n + 1))
         assert brute_tuple_count(n, 3, 2) == expected
@@ -106,8 +114,8 @@ def test_brute_tuple_count_is_ordered_convolution():
 
 def test_brute_validation():
     with pytest.raises(CapExceededError):
-        brute_core_count(100, 3)
+        brute_tuple_count(100, 3, 1)
     with pytest.raises(ValueError):
         brute_tuple_count(5, 3, 4)
     with pytest.raises(ValueError):
-        brute_core_count(5, 1)
+        brute_tuple_count(5, 1, 1)

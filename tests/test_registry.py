@@ -232,9 +232,18 @@ def test_scripts_refuse_like_the_cli(tmp_path, script, argv):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_verify_identities_with_no_instance_is_a_usage_error():
+    result = _run_script("verify_identities.py", "--kmax", "1", "--nmax", "0")
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: A3-relation-coprime-p2 checked no instance; raise --nmax"]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: identities.run_family("nope", {}), "unknown family 'nope'; known families: "),
     (lambda: identities.run_family("lin", {"nmax": -1}), "--nmax must be >= 0"),
+    (lambda: identities.run_family("relation-coprime", {"p": 2, "nmax": 0}),
+     "A3-relation-coprime-p2 checked no instance"),
     (lambda: routes.table_values("a3", "formula", -1), "--nmax must be >= 0"),
 ])
 def test_library_callers_get_the_cli_refusals(call, message):
