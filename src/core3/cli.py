@@ -24,9 +24,14 @@ from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, METHODS, Config, U
 ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
 
 
+# the verify flags, each an option of some family in identities.FAMILIES
+_VERIFY_FLAGS = ("p", "j", "kmax", "nmax", "alphamax")
+
+
 def _make_config(args) -> Config:
-    # every subcommand has --order and --brute-cap
-    order = DEFAULT_ORDER if args.order is None else args.order
+    # every subcommand has --brute-cap; only compute and table, whose routes
+    # read the series order budget, have --order
+    order = getattr(args, "order", DEFAULT_ORDER)
     if order < 1:
         raise UsageError("--order must be >= 1")
     if args.brute_cap is not None:
@@ -79,7 +84,8 @@ def _summary_line(report) -> str:
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    reports = run_family(args.family, {**vars(args), "brute_cap": cfg.brute_cap})
+    options = {flag: getattr(args, flag) for flag in _VERIFY_FLAGS}
+    reports = run_family(args.family, {**options, "brute_cap": cfg.brute_cap})
     for report in reports:
         print(_summary_line(report))
     print(json.dumps({"reports": [r.as_dict() for r in reports]}))
@@ -141,9 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--order", type=int, default=None,
-                       help=f"series order budget (default {DEFAULT_ORDER})")
+    def common(p, order=True):
+        if order:
+            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                           help=f"series order budget (default {DEFAULT_ORDER})")
         p.add_argument("--brute-cap", type=int, default=None, dest="brute_cap",
                        help=f"brute-force cap (default {DEFAULT_BRUTE_CAP})")
 
@@ -164,18 +171,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify one identity family")
     p_verify.add_argument("family", help="one of: " + ", ".join(FAMILIES))
-    p_verify.add_argument("--p", type=int, default=None)
-    p_verify.add_argument("--j", type=int, default=None)
-    p_verify.add_argument("--kmax", type=int, default=None)
-    p_verify.add_argument("--nmax", type=int, default=None)
-    p_verify.add_argument("--alphamax", type=int, default=None)
-    common(p_verify)
+    for flag in _VERIFY_FLAGS:
+        p_verify.add_argument(f"--{flag}", type=int, default=None)
+    common(p_verify, order=False)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_self = sub.add_parser("selfcheck",
                             help="cross-validate all methods and run every family")
     p_self.add_argument("--nmax", type=int, default=None)
-    common(p_self)
+    common(p_self, order=False)
     p_self.set_defaults(handler=_cmd_selfcheck)
 
     return parser

@@ -439,18 +439,22 @@ FAMILIES = {
 
 
 def run_family(name: str, options: dict) -> list[IdentityReport]:
-    """The reports of family ``name``; ``options`` that the family takes and
-    that are not None replace its defaults, and the rest are ignored.  An
-    unknown name, a negative ``nmax`` or a sweep that checks no instance is
-    a ``routes.UsageError``."""
+    """The reports of family ``name``; ``options`` that are not None replace
+    its defaults.  ``brute_cap`` is run-wide: a family that does not take it
+    drops it.  An unknown name, any other option the family does not take, a
+    negative ``nmax`` or a sweep that checks no instance is a
+    ``routes.UsageError``."""
     family = FAMILIES.get(name)
     if family is None:
         known = ", ".join(sorted(FAMILIES))
         raise routes.UsageError(f"unknown family {name!r}; known families: {known}")
-    if options.get("nmax") is not None and options["nmax"] < 0:
+    options = {option: value for option, value in options.items() if value is not None}
+    for option in options:
+        if option not in family.defaults and option != "brute_cap":
+            raise routes.UsageError(f"family {name!r} takes no --{option}")
+    if options.get("nmax", 0) < 0:
         raise routes.UsageError("--nmax must be >= 0")
-    args = [default if options.get(option) is None else options[option]
-            for option, default in family.defaults.items()]
+    args = [options.get(option, default) for option, default in family.defaults.items()]
     reports = globals()[family.check](*args)
     reports = reports if isinstance(reports, list) else [reports]
     for report in reports:

@@ -1,8 +1,8 @@
 """The registry of counting routes: how each method gets a count of each kind.
 
-``cli``, ``identities`` and ``scripts/`` all read it.  It looks functions up
-when called, never at import, so rebinding a module attribute (as a tracer
-does) reaches every caller.
+``cli`` and ``identities`` read it.  It looks functions up when called,
+never at import, so rebinding a module attribute (as a tracer does) reaches
+every caller.
 """
 
 from dataclasses import dataclass

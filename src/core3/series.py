@@ -153,7 +153,6 @@ def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(total))
 
 
-@lru_cache(maxsize=64)
 def core_tuple_series(t: int, k: int, order: int) -> TruncatedSeries:
     """Generating function of ordered k-tuples of t-core partitions.
 

@@ -1,5 +1,5 @@
 """A per-test time limit, so a hang fails its own test instead of stalling
-the whole suite.  The slowest test takes under 2 s."""
+the whole suite.  The slowest test takes about 3 s."""
 
 import signal
 

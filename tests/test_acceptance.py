@@ -16,14 +16,9 @@ def _announce(label, ok, elapsed):
     print(f"[{'PASS' if ok else 'FAIL'}] {label} ({elapsed:.2f}s)")
 
 
-def _clear_series_caches():
-    series.euler_product.cache_clear()
-    series.core_tuple_series.cache_clear()
-
-
 def test_criterion_1_four_oracle_agreement():
     start = time.perf_counter()
-    _clear_series_caches()
+    series.euler_product.cache_clear()
     n_max = 40
     mismatches = []
     for k in (1, 2, 3):
@@ -48,7 +43,7 @@ def test_criterion_1_four_oracle_agreement():
 
 def test_criterion_2_three_oracle_agreement():
     start = time.perf_counter()
-    _clear_series_caches()
+    series.euler_product.cache_clear()
     n_max = 2000
     mismatches = []
     for k in (1, 2, 3):

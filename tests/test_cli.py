@@ -86,6 +86,30 @@ def test_table_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_table_routes_write_the_formula_csv(capsys, kind, method):
+    # every budget admits n = 40, so each route writes the whole table
+    code, out, _ = run_cli(capsys, "table", kind, "--nmax", "41", "--method", method,
+                           "--order", "41", "--brute-cap", "41")
+    assert code == 0
+    _, formula, _ = run_cli(capsys, "table", kind, "--nmax", "41")
+    assert len(formula.splitlines()) == 42
+    assert out == formula.replace(",formula\n", f",{method}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--nmax", "-3"], "--nmax must be >= 0"),
+    (["--nmax", "50", "--method", "brute"],
+     "--nmax 50 exceeds the brute-force cap 40; raise --brute-cap"),
+    # the flag that hint names is one this front end reads
+    (["--nmax", "50", "--method", "brute", "--brute-cap", "9"],
+     "--nmax 50 exceeds the brute-force cap 9; raise --brute-cap"),
+], ids=["negative-nmax", "brute-cap", "brute-cap-flag"])
+def test_table_refusals_are_one_error_line(capsys, argv, message):
+    assert run_cli(capsys, "table", "a3", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_table_respects_order_budget(capsys):
     code, _, err = run_cli(capsys, "table", "a3", "--nmax", "30",
                            "--method", "series", "--order", "10")
@@ -127,6 +151,21 @@ def test_verify_with_no_instance_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: A3-relation-coprime-p2 checked no instance; raise --nmax\n"
+
+
+@pytest.mark.parametrize("family, flag, value", [
+    ("lin", "--p", "7"), ("BN", "--alphamax", "2"), ("xia-congruence", "--kmax", "9")])
+def test_verify_refuses_an_option_its_family_does_not_take(capsys, family, flag, value):
+    code, out, err = run_cli(capsys, "verify", family, flag, value, "--nmax", "3")
+    assert (code, out, err) == (2, "", f"error: family {family!r} takes no {flag}\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "lin"], ["selfcheck"]])
+def test_order_is_refused_where_no_route_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--order", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
 
 
 def test_selfcheck_small(capsys):

