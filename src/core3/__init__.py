@@ -55,9 +55,11 @@ from .series import (
     div,
     euler_product,
     from_coeffs,
+    jacobi_cube,
     monomial,
     mul,
     one,
+    pentagonal,
     verify_q_split,
 )
 
@@ -90,12 +92,14 @@ __all__ = [
     "from_coeffs",
     "hook_lengths",
     "is_t_core",
+    "jacobi_cube",
     "monomial",
     "mul",
     "one",
     "pair_count",
     "pair_fold_cross_term",
     "pair_series",
+    "pentagonal",
     "sigma",
     "square_kernel_check",
     "triple_count",

@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("n", type=int)
     p_compute.add_argument("--method", choices=METHODS, default="formula")
     common(p_compute)
-    p_compute.set_defaults(handler=_cmd_compute)
+    p_compute.set_defaults(handler=_cmd_compute, parser=p_compute)
 
     p_table = sub.add_parser("table", help="emit values for 0 <= n < nmax")
     p_table.add_argument("kind", choices=KINDS)
@@ -167,27 +167,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--method", choices=METHODS, default="formula")
     p_table.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     common(p_table)
-    p_table.set_defaults(handler=_cmd_table)
+    p_table.set_defaults(handler=_cmd_table, parser=p_table)
 
     p_verify = sub.add_parser("verify", help="verify one identity family")
     p_verify.add_argument("family", help="one of: " + ", ".join(FAMILIES))
     for flag in _VERIFY_FLAGS:
         p_verify.add_argument(f"--{flag}", type=int, default=None)
     common(p_verify, order=False)
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
 
     p_self = sub.add_parser("selfcheck",
                             help="cross-validate all methods and run every family")
     p_self.add_argument("--nmax", type=int, default=None)
     common(p_self, order=False)
-    p_self.set_defaults(handler=_cmd_selfcheck)
+    p_self.set_defaults(handler=_cmd_selfcheck, parser=p_self)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:
+        # the subcommand's parser reports them, with its own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         cfg = _make_config(args)
         return args.handler(args, cfg)

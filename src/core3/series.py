@@ -5,12 +5,16 @@ else; every operation preserves the order, so a result is trustworthy for
 exactly the exponents it carries.  Coefficients are native Python integers:
 arithmetic is exact at any magnitude and silent wraparound cannot occur.
 
+The infinite products come from classical identities rather than factor by
+factor: ``pentagonal`` and ``jacobi_cube`` write (q^m; q^m) and its cube
+down term by term (O(sqrt N) nonzero terms each), and ``euler_product``
+sums any (q^a; q^m) in O(N^1.5).
+
 All functions here are pure and all series immutable, so concurrent use
 needs no synchronisation.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 
@@ -115,7 +119,6 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-@lru_cache(maxsize=256)
 def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
     """Truncation of the infinite product (1-q^a)(1-q^(a+m))(1-q^(a+2m))...
 
@@ -131,6 +134,10 @@ def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
     q^order, so the truncation is exact.  About sqrt(2*order/m) terms of at
     most ``order`` coefficients each: O(order^1.5) integer additions, all
     in slice-wide operations.
+
+    This is the general product that ``verify_q_split`` needs (a != m) and
+    the literal-product reference that ``pentagonal`` and ``jacobi_cube``
+    are tested against; ``core_tuple_series`` uses the sparse builders.
     """
     if a < 1 or m < 1:
         raise ValueError("need a >= 1 and m >= 1")
@@ -153,23 +160,82 @@ def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(total))
 
 
+def _check_base(m: int, order: int) -> None:
+    if m < 1:
+        raise ValueError("need m >= 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+
+
+def pentagonal(m: int, order: int) -> TruncatedSeries:
+    """(q^m; q^m)_inf by Euler's pentagonal number theorem:
+
+        (q; q)_inf = sum over n in Z of (-1)^n q^(n(3n-1)/2),
+
+    at q^m.  About sqrt(8*order/(3m)) nonzero terms, each written down
+    directly.
+    """
+    _check_base(m, order)
+    coeffs = [0] * order
+    coeffs[0] = 1
+    n, low = 1, m  # q^(m*n(3n-1)/2) and q^(m*n(3n+1)/2), m*n apart
+    while low < order:
+        sign = -1 if n % 2 else 1
+        coeffs[low] = sign
+        if low + m * n < order:
+            coeffs[low + m * n] = sign
+        low += m * (3 * n + 1)
+        n += 1
+    return TruncatedSeries(tuple(coeffs))
+
+
+def jacobi_cube(m: int, order: int) -> TruncatedSeries:
+    """(q^m; q^m)_inf^3 by Jacobi's identity (Andrews, *The Theory of
+    Partitions*, ch. 2):
+
+        (q; q)_inf^3 = sum over n >= 0 of (-1)^n (2n+1) q^(n(n+1)/2),
+
+    at q^m.  About sqrt(2*order/m) nonzero terms, each written down
+    directly.
+    """
+    _check_base(m, order)
+    coeffs = [0] * order
+    n, low = 0, 0  # q^(m*n(n+1)/2)
+    while low < order:
+        coeffs[low] = -(2 * n + 1) if n % 2 else 2 * n + 1
+        n += 1
+        low += m * n
+    return TruncatedSeries(tuple(coeffs))
+
+
 def core_tuple_series(t: int, k: int, order: int) -> TruncatedSeries:
     """Generating function of ordered k-tuples of t-core partitions.
 
     Expands (q^t; q^t)^(k*t) / (q; q)^k; the coefficient of q^n counts the
-    k-tuples of t-core partitions whose weights sum to n.
+    k-tuples of t-core partitions whose weights sum to n.  With
+    k*t = 3a + b and k = 3c + d, the numerator is J(q^t)^a P(q^t)^b and the
+    denominator J(q)^c P(q)^d, where J = (q; q)^3 (``jacobi_cube``) and
+    P = (q; q) (``pentagonal``) are both sparse.  For d = 2 the quotient
+    uses 1/P^2 = P/J, so the whole expansion takes c + 1 divisions when
+    d > 0 and c when d = 0: one for every k <= 3.
     """
     if t < 2:
         raise ValueError("need t >= 2")
     if k < 1:
         raise ValueError("need k >= 1")
-    numerator_factor = euler_product(t, t, order)
+    a, b = divmod(k * t, 3)
+    c, d = divmod(k, 3)
+    factors = [jacobi_cube(t, order)] * a + [pentagonal(t, order)] * b
+    if d == 2:
+        factors.append(pentagonal(1, order))
+        c, d = c + 1, 0
     result = one(order)
-    for _ in range(k * t):
-        result = mul(result, numerator_factor)
-    denominator_factor = euler_product(1, 1, order)
-    for _ in range(k):
-        result = div(result, denominator_factor)
+    for factor in factors:
+        result = mul(result, factor)
+    for _ in range(c):
+        result = div(result, jacobi_cube(1, order))
+    if d:
+        result = div(result, pentagonal(1, order))
     return result
 
 

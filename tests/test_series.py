@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from core3.partitions import enumerate_partitions
@@ -9,8 +9,10 @@ from core3.series import (
     div,
     euler_product,
     from_coeffs,
+    jacobi_cube,
     mul,
     one,
+    pentagonal,
     verify_q_split,
 )
 
@@ -43,6 +45,19 @@ def _literal_euler_product(a, m, order):
                 coeffs[i] -= c
         e += m
     return TruncatedSeries(tuple(coeffs))
+
+
+def _euler_quotient(t, k, order):
+    """Oracle: (q^t; q^t)^(k*t) / (q; q)^k from the Euler products, one
+    factor per multiplication and one division per power of (q; q)."""
+    numerator_factor = euler_product(t, t, order)
+    result = one(order)
+    for _ in range(k * t):
+        result = mul(result, numerator_factor)
+    denominator_factor = euler_product(1, 1, order)
+    for _ in range(k):
+        result = div(result, denominator_factor)
+    return result
 
 
 small_series = st.builds(
@@ -158,12 +173,54 @@ def test_cube_pentagonal_pattern():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 400))
 def test_euler_product_matches_literal_product(a, m, order):
-    euler_product.cache_clear()  # compute afresh, not from an earlier example
     assert euler_product(a, m, order) == _literal_euler_product(a, m, order)
 
 
-def test_euler_product_is_cached():
-    assert euler_product(2, 3, 50) is euler_product(2, 3, 50)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 400))
+def test_pentagonal_is_the_euler_product(m, order):
+    assert pentagonal(m, order) == euler_product(m, m, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 400))
+def test_jacobi_cube_is_the_cubed_euler_product(m, order):
+    e = euler_product(m, m, order)
+    assert jacobi_cube(m, order) == mul(mul(e, e), e)
+
+
+def test_sparse_builders_spot_values():
+    assert pentagonal(1, 13).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
+    assert pentagonal(2, 6).coeffs == (1, 0, -1, 0, -1, 0)
+    assert jacobi_cube(1, 11).coeffs == (1, -3, 0, 5, 0, 0, -7, 0, 0, 0, 9)
+    assert jacobi_cube(3, 10).coeffs == (1, 0, 0, -3, 0, 0, 0, 0, 0, 5)
+    assert pentagonal(7, 1) == jacobi_cube(7, 1) == one(1)
+
+
+@pytest.mark.parametrize("builder", [pentagonal, jacobi_cube])
+def test_sparse_builders_validation(builder):
+    with pytest.raises(ValueError):
+        builder(0, 5)
+    with pytest.raises(ValueError):
+        builder(1, 0)
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 300))
+@example(1)
+@example(300)
+def test_core_tuple_series_matches_euler_quotient(t, k, order):
+    assert core_tuple_series(t, k, order) == _euler_quotient(t, k, order)
+
+
+def test_core_tuple_series_uses_only_the_sparse_factors(monkeypatch):
+    # the dense Euler products are the oracle here, not the engine
+    def refuse(*args):
+        raise AssertionError("core_tuple_series called euler_product")
+    monkeypatch.setattr("core3.series.euler_product", refuse)
+    assert core_tuple_series(3, 3, 4).coeffs == (1, 3, 9, 13)
 
 
 def test_core_tuple_series_spot_values():
