@@ -2,7 +2,8 @@
 
 Subcommands: ``compute`` (one value), ``table`` (CSV or JSONL stream),
 ``verify`` (one identity family), ``selfcheck`` (cross-validation plus the
-whole identity battery, with per-family timing).
+whole identity battery, with per-family timing; ``--wide`` runs the
+long-form battery).  Both batteries are data in ``identities``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
 closed early by its reader (128 + SIGPIPE).  Values are
@@ -17,7 +18,7 @@ import os
 import sys
 
 from . import __version__, arith
-from .identities import FAMILIES, run_family
+from .identities import FAMILIES, run_family, selfcheck_battery, wide_battery
 from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, METHODS, Config, UsageError,
                      point_value, table_values)
 
@@ -92,42 +93,27 @@ def _cmd_verify(args, cfg: Config) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
-    """(family, options) in run order, every family a registered verify name."""
-    n = min(n_max, 200)
-    return [
-        ("cross-validate", {"nmax": n_max, "brute_cap": brute_cap}),
-        ("structural", {"nmax": n_max}),
-        *(("a3-even-power", {"p": p, "kmax": 4, "nmax": n}) for p in (2, 5)),
-        ("BN", {"kmax": 3, "nmax": n}),
-        ("lin", {"nmax": 500}),
-        *((f"relation-{variant}", {"p": p, "kmax": 3, "nmax": n})
-          for p in (2, 5, 7) for variant in ("general", "coprime")),
-        ("A3-residues", {"kmax": 2, "nmax": n}),
-        ("B3-ids", {"kmax": 3, "nmax": n}),
-        *((f"B3-relation-{variant}", {"p": p, "kmax": 3, "nmax": n})
-          for p in (2, 5, 7) for variant in ("general", "coprime")),
-        ("B3-relation-coprime", {"p": 3, "kmax": 3, "nmax": n}),
-        ("B3-residues", {"kmax": 2, "nmax": n}),
-        ("xia-congruence", {"nmax": 1000}),
-        *(("xia-conjecture", {"p": p, "j": 1, "alphamax": 1, "nmax": 50}) for p in (3, 5)),
-    ]
-
-
 def _cmd_selfcheck(args, cfg: Config) -> int:
-    n_max = 200 if args.nmax is None else args.nmax
-    if n_max < 1:
-        raise UsageError("--nmax must be >= 1")
+    if args.wide:
+        battery = wide_battery(4 if args.kmax is None else args.kmax, args.nmax,
+                               cfg.brute_cap)
+    elif args.kmax is not None:
+        raise UsageError("--kmax needs --wide")
+    else:
+        battery = selfcheck_battery(args.nmax, cfg.brute_cap)
     total = 0
     failed = 0
-    for family, options in _selfcheck_battery(n_max, cfg.brute_cap):
+    for family, options in battery:
         for report in run_family(family, options):
             total += 1
-            if not report.passed:
-                failed += 1
             status = "PASS" if report.passed else "FAIL"
             print(f"{report.family:<32} checked={report.checked:<8} "
                   f"{status}  [{report.seconds:.2f}s]")
+            if not report.passed:
+                failed += 1
+                for failure in report.failures[:5]:
+                    print(f"    counterexample {failure.inputs}: "
+                          f"{failure.lhs} != {failure.rhs}")
     print(f"selfcheck: {total - failed}/{total} families passed")
     return 1 if failed else 0
 
@@ -178,7 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selfcheck",
                             help="cross-validate all methods and run every family")
-    p_self.add_argument("--nmax", type=int, default=None)
+    p_self.add_argument("--nmax", type=int, default=200)
+    p_self.add_argument("--wide", action="store_true",
+                        help="the long-form battery: wider ranges, more primes")
+    p_self.add_argument("--kmax", type=int, default=None,
+                        help="largest k of the --wide battery (default 4)")
     common(p_self, order=False)
     p_self.set_defaults(handler=_cmd_selfcheck, parser=p_self)
 

@@ -9,6 +9,8 @@ purpose rather than skipped.
 
 All families but Xia's conjecture, the route cross-validation and the
 structural checks are data: a Relation per identity, run by one evaluator.
+The ``verify`` family registry closes the module, with the two batteries of
+``core3 selfcheck`` (default and ``--wide``) as lists of its entries.
 """
 
 import time
@@ -58,7 +60,9 @@ class Relation:
 
     For k in ``ks`` and r in ``residues``, ``terms(k, r)`` gives ``(a, b)``
     and ``((c, a_i, b_i), ...)``; m = base*n + r for n = 0..n_max, less the
-    m where ``skip(m)`` holds.  A ``modulus`` compares both sides modulo it.
+    m where ``coprime_to`` divides the progression value of ``kind`` at m
+    (3m+2 for A3, m+1 for B3, as ``arith._PROGRESSIONS`` states them).  A
+    ``modulus`` compares both sides modulo it.
     A None index is unused: r counts as 0, and a failure's inputs (``labels``
     first) leave it out.
     """
@@ -69,7 +73,7 @@ class Relation:
     ks: Sequence[int | None] = (None,)
     residues: Sequence[int | None] = (None,)
     base: int = 1
-    skip: Callable[[int], bool] | None = None
+    coprime_to: int | None = None
     modulus: int | None = None
     labels: dict = field(default_factory=dict)
 
@@ -84,13 +88,14 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     failures = []
     for rel in relations:
         count = getattr(arith, arith.COUNTERS[rel.kind])
-        base, skip, modulus = rel.base, rel.skip, rel.modulus
+        s, t = arith._PROGRESSIONS[rel.kind][:2]
+        base, coprime_to, modulus = rel.base, rel.coprime_to, rel.modulus
         for k in rel.ks:
             for r in rel.residues:
                 (a, b), rhs_terms = rel.terms(k, r)
                 for n in range(n_max + 1):
                     m = base * n + (r or 0)
-                    if skip is not None and skip(m):
+                    if coprime_to is not None and (s * m + t) % coprime_to == 0:
                         continue
                     lhs = count(a * m + b)
                     rhs = 0
@@ -168,15 +173,17 @@ def _B3_terms(p: int, coprime: bool):
     return terms
 
 
-def _relation(kind: str, terms, p: int, k_max: int, n_max: int, coprime: bool,
-              skip) -> IdentityReport:
-    """One variant of a relation theorem; ``skip`` applies to the coprime one."""
+def _relation(kind: str, terms, p: int, k_max: int, n_max: int,
+              coprime: bool) -> IdentityReport:
+    """One variant of a relation theorem.  The coprime one holds where p does
+    not divide the progression value of m, and B3's at p = 3 for every m."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     variant = "coprime" if coprime else "general"
     return _sweep({"p": p, "k_max": k_max, "n_max": n_max, "variant": variant}, n_max,
                   Relation(f"{kind}-relation-{variant}-p{p}", kind, terms(p, coprime),
-                           range(k_max + 1), skip=skip if coprime else None,
+                           range(k_max + 1),
+                           coprime_to=p if coprime and p != 3 else None,
                            labels={"p": p}))
 
 
@@ -242,8 +249,7 @@ def check_A3_relations(p: int, k_max: int, n_max: int,
     """
     if not arith.is_prime(p) or p == 3:
         raise ValueError(f"p must be a prime other than 3, got {p}")
-    return _relation("A3", _A3_terms, p, k_max, n_max, coprime_variant,
-                     lambda m: (3 * m + 2) % p == 0)
+    return _relation("A3", _A3_terms, p, k_max, n_max, coprime_variant)
 
 
 def check_A3_residue_families(k_max: int, n_max: int) -> list[IdentityReport]:
@@ -291,8 +297,7 @@ def check_B3_relations(p: int, k_max: int, n_max: int,
         raise ValueError(f"p must be prime, got {p}")
     if not coprime_variant and p == 3:
         raise ValueError("the general three-term relation excludes p = 3")
-    return _relation("B3", _B3_terms, p, k_max, n_max, coprime_variant,
-                     None if p == 3 else lambda m: (m + 1) % p == 0)
+    return _relation("B3", _B3_terms, p, k_max, n_max, coprime_variant)
 
 
 def check_B3_residue_families(k_max: int, n_max: int) -> list[IdentityReport]:
@@ -403,7 +408,7 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
          lambda: not any(lambert.pair_fold_cross_term(order).coeffs)))]
 
 
-# --- the family registry, read by cli, scripts/ and the tests ---------------
+# --- the family registry and its two batteries, read by cli and the tests ---
 # run_family looks each check up by name when called, so a tracer's rebinding reaches it
 
 @dataclass(frozen=True)
@@ -461,3 +466,57 @@ def run_family(name: str, options: dict) -> list[IdentityReport]:
         if report.checked == 0:
             raise routes.UsageError(f"{report.family} checked no instance; raise --nmax")
     return reports
+
+
+def selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
+    """``core3 selfcheck``: (family, options) in run order, every family a
+    registered verify name.  An n_max below 1 is refused here, before any
+    family runs: at n_max = 0 the coprime sweep at p = 2 checks nothing."""
+    if n_max < 1:
+        raise routes.UsageError("--nmax must be >= 1")
+    n = min(n_max, 200)
+    return [
+        ("cross-validate", {"nmax": n_max, "brute_cap": brute_cap}),
+        ("structural", {"nmax": n_max}),
+        *(("a3-even-power", {"p": p, "kmax": 4, "nmax": n}) for p in (2, 5)),
+        ("BN", {"kmax": 3, "nmax": n}),
+        ("lin", {"nmax": 500}),
+        *((f"relation-{variant}", {"p": p, "kmax": 3, "nmax": n})
+          for p in (2, 5, 7) for variant in ("general", "coprime")),
+        ("A3-residues", {"kmax": 2, "nmax": n}),
+        ("B3-ids", {"kmax": 3, "nmax": n}),
+        *((f"B3-relation-{variant}", {"p": p, "kmax": 3, "nmax": n})
+          for p in (2, 5, 7) for variant in ("general", "coprime")),
+        ("B3-relation-coprime", {"p": 3, "kmax": 3, "nmax": n}),
+        ("B3-residues", {"kmax": 2, "nmax": n}),
+        ("xia-congruence", {"nmax": 1000}),
+        *(("xia-conjecture", {"p": p, "j": 1, "alphamax": 1, "nmax": 50}) for p in (3, 5)),
+    ]
+
+
+def wide_battery(k_max: int, n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
+    """``core3 selfcheck --wide``: the same families at wider ranges and more
+    primes, as (family, options) in run order.  Bounds below 1 are refused
+    here, before any family runs; at k_max, n_max >= 1 every entry checks an
+    instance, since each coprime sweep holds m = 0 and m = 1 and no prime
+    divides the progression value at both (2 and 5 for A3, 1 and 2 for B3)."""
+    if k_max < 1:
+        raise routes.UsageError("--kmax must be >= 1")
+    if n_max < 1:
+        raise routes.UsageError("--nmax must be >= 1")
+    wide = {"kmax": k_max, "nmax": n_max}
+    return [
+        ("cross-validate", {"nmax": 2000, "brute_cap": brute_cap}),
+        *(("a3-even-power", {"p": p, "kmax": 2 * k_max, "nmax": n_max}) for p in (2, 5, 11)),
+        ("BN", {"kmax": k_max + 1, "nmax": n_max}),
+        ("lin", {"nmax": 500}),
+        *((f"{counter}relation-{variant}", {"p": p, **wide}) for p in (2, 5, 7, 11, 13)
+          for counter in ("", "B3-") for variant in ("general", "coprime")),
+        ("B3-relation-coprime", {"p": 3, **wide}),
+        ("A3-residues", wide),
+        ("B3-ids", {"kmax": k_max + 1, "nmax": n_max}),
+        ("B3-residues", wide),
+        ("xia-congruence", {"nmax": 1000}),
+        *(("xia-conjecture", {"p": p, "j": j, "alphamax": 1, "nmax": 50})
+          for p in (3, 5, 7) for j in (1, 2)),
+    ]

@@ -5,8 +5,7 @@ off ``routes``, ``identities`` and ``cli``, which reach ``arith``);
 brute-force enumeration stays off all three counting routes.  Above them,
 the route registry ``routes`` is the one module that dispatches to the
 routes: ``identities`` reads it without importing ``cli``, and ``cli``
-reaches the routes only through it.  The scripts read the route and family
-registries directly, never through ``cli``.
+reaches the routes only through it.
 """
 
 import ast
@@ -16,7 +15,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "core3"
-SCRIPTS = ROOT / "scripts"
 
 FORBIDDEN = {
     "series": {"arith", "routes", "identities", "cli"},
@@ -30,11 +28,10 @@ LAYERS = {
 }
 
 
-def core3_imports(module: str, directory: Path | None = None) -> set[str]:
-    """Names of the core3 modules that ``module`` (in ``directory``, by
-    default the package) imports, in any form."""
+def core3_imports(module: str) -> set[str]:
+    """Names of the core3 modules that ``module`` imports, in any form."""
     names = set()
-    source = (directory or SRC) / f"{module}.py"
+    source = SRC / f"{module}.py"
     for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.Import):
             names.update(a.name.split(".")[1] for a in node.names
@@ -59,11 +56,6 @@ def test_oracle_routes_stay_independent(module):
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_registry_layers(module):
     assert not core3_imports(module) & LAYERS[module]
-
-
-@pytest.mark.parametrize("script", sorted(path.stem for path in SCRIPTS.glob("*.py")))
-def test_scripts_read_the_registries_not_the_cli(script):
-    assert "cli" not in core3_imports(script, SCRIPTS)
 
 
 def test_import_scan_sees_every_form(tmp_path, monkeypatch):

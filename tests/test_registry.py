@@ -1,12 +1,8 @@
-"""The route and family registries, the relation evaluator, and the scripts
-and documents that read the registries."""
+"""The route and family registries, the relation evaluator, the selfcheck
+batteries, and the documents that read the registries."""
 
-import importlib.util
 import json
-import os
 import re
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -54,7 +50,8 @@ def _lin(coefficient, **fields):
 
 @pytest.mark.parametrize("fields, first", [
     ({}, {"n": 0}),
-    ({"skip": lambda m: m < 3}, {"n": 3}),
+    # 3m+2 is even exactly when m is, so m = 0 is skipped
+    ({"coprime_to": 2}, {"n": 1}),
     ({"ks": range(2, 4), "residues": (1, 2), "base": 3, "labels": {"p": 5}},
      {"p": 5, "k": 2, "r": 1, "n": 0}),
 ])
@@ -101,12 +98,8 @@ def test_every_family_verifies(family, capsys):
 
 
 def test_batteries_name_registered_families_and_options():
-    path = ROOT / "scripts" / "verify_identities.py"
-    spec = importlib.util.spec_from_file_location("verify_identities", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    batteries = {"selfcheck": cli._selfcheck_battery(200, 40),
-                 "verify_identities": script.battery(4, 200)}
+    batteries = {"selfcheck": identities.selfcheck_battery(200, 40),
+                 "wide": identities.wide_battery(4, 200, 40)}
     for name, battery in batteries.items():
         for family, options in battery:
             assert family in FAMILIES, (name, family)
@@ -188,36 +181,43 @@ def test_cross_validate_reads_every_route_from_the_registry(module, name, route,
         {"kind": kind, "n": 7, "route": route} for kind in KINDS]
 
 
-def _run_script(name, *argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
-                          capture_output=True, text=True, env=env)
+def test_selfcheck_wide_end_to_end(capsys):
+    assert main(["selfcheck", "--wide", "--kmax", "1", "--nmax", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "selfcheck: 43/43 families passed"
 
 
-def test_verify_identities_end_to_end():
-    result = _run_script("verify_identities.py", "--kmax", "1", "--nmax", "5")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1].startswith("43/43 families clean")
+@pytest.mark.parametrize("argv, message", [
+    (["--wide", "--kmax", "0", "--nmax", "5"], "--kmax must be >= 1"),
+    (["--wide", "--kmax", "1", "--nmax", "-1"], "--nmax must be >= 1"),
+    # at n_max = 0 the coprime sweep at p = 2 would check no instance
+    (["--wide", "--kmax", "1", "--nmax", "0"], "--nmax must be >= 1"),
+    (["--kmax", "1"], "--kmax needs --wide"),
+], ids=["kmax-0", "nmax-negative", "nmax-0", "kmax-without-wide"])
+def test_selfcheck_refuses_before_any_family_runs(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_family", lambda *args: pytest.fail("a family ran"))
+    started = time.perf_counter()
+    assert main(["selfcheck", *argv]) == 2
+    assert time.perf_counter() - started < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("script, argv", [
-    ("verify_identities.py", ["--kmax", "0", "--nmax", "5"]),
-    ("verify_identities.py", ["--kmax", "1", "--nmax", "-1"]),
-])
-def test_scripts_refuse_like_the_cli(script, argv):
-    result = _run_script(script, *argv)
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "Traceback" not in result.stderr
-    assert [line for line in result.stderr.splitlines() if "error: " in line] == [
-        result.stderr.splitlines()[-1]]
-
-
-def test_verify_identities_with_no_instance_is_a_usage_error():
-    result = _run_script("verify_identities.py", "--kmax", "1", "--nmax", "0")
-    assert result.returncode == 2
-    assert result.stderr.splitlines() == [
-        "error: A3-relation-coprime-p2 checked no instance; raise --nmax"]
+def test_selfcheck_prints_at_most_five_counterexamples(capsys, monkeypatch):
+    original = arith.pair_count
+    monkeypatch.setattr(arith, "pair_count", lambda n: original(n) + (n == 6))
+    assert main(["selfcheck", "--nmax", "10", "--brute-cap", "10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    shown = []  # counterexample lines under each FAIL row
+    for line in lines[:-1]:
+        if line.startswith("    counterexample {"):
+            shown[-1] += 1
+        elif re.match(r"^\S+\s+checked=\d+\s+FAIL\s", line):
+            shown.append(0)
+    assert shown and all(1 <= count <= 5 for count in shown)
+    assert 5 in shown  # BN-2 has six failures: A3(6) is A3(4n+2) and A3(n)
+    assert re.fullmatch(r"selfcheck: (\d+)/33 families passed", lines[-1])[1] == str(
+        33 - len(shown))
 
 
 @pytest.mark.parametrize("call, message", [
