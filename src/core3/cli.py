@@ -19,8 +19,8 @@ import sys
 
 from . import __version__, arith
 from .identities import FAMILIES, run_family, selfcheck_battery, wide_battery
-from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, METHODS, Config, UsageError,
-                     point_value, table_values)
+from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, MAX_BRUTE_CAP, METHODS, Config,
+                     UsageError, point_value, table_values)
 
 ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
 
@@ -45,6 +45,8 @@ def _make_config(args) -> Config:
         cap = None
     if cap is None or cap < 0:
         raise UsageError(f"{source} must be an integer >= 0, got {raw!r}")
+    if cap > MAX_BRUTE_CAP:
+        raise UsageError(f"{source} must be at most {MAX_BRUTE_CAP}, got {raw!r}")
     return Config(order=order, brute_cap=cap)
 
 
@@ -124,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=("Count 3-core partitions (a3), pairs (A3) and triples (B3) "
                      "by independent methods, and verify their identity families."),
         epilog=(f"Environment: {ENV_BRUTE_CAP} sets the brute-force cap "
-                f"(default {DEFAULT_BRUTE_CAP}); flags take precedence over it. "
+                f"(default {DEFAULT_BRUTE_CAP}, at most {MAX_BRUTE_CAP}); flags take "
+                "precedence over it. "
                 "Formula point queries factorize without a sieve: Miller-Rabin "
                 "on the prime bases 2..41 and Pollard-Brent rho.  An argument "
                 f"with a factor of at least {arith.PSI_13} that no base shows "
@@ -138,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                            help=f"series order budget (default {DEFAULT_ORDER})")
         p.add_argument("--brute-cap", type=int, default=None, dest="brute_cap",
-                       help=f"brute-force cap (default {DEFAULT_BRUTE_CAP})")
+                       help=f"brute-force cap (default {DEFAULT_BRUTE_CAP}, "
+                            f"at most {MAX_BRUTE_CAP})")
 
     p_compute = sub.add_parser("compute", help="compute one value")
     p_compute.add_argument("kind", choices=KINDS)

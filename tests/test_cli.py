@@ -222,6 +222,29 @@ def test_env_brute_cap_zero_is_a_cap_like_the_flag(capsys, monkeypatch):
         assert "cap 0" in err
 
 
+@pytest.mark.parametrize("flags, env, message", [
+    (("--brute-cap", "61"), None, "--brute-cap must be at most 60, got 61"),
+    ((), "61", "CORE3_BRUTE_CAP must be at most 60, got '61'"),
+    (("--brute-cap", "1000"), "5", "--brute-cap must be at most 60, got 1000"),
+], ids=["flag", "env", "flag-over-env"])
+def test_brute_cap_above_the_walk_ceiling_is_refused(capsys, monkeypatch, flags, env,
+                                                     message):
+    if env is not None:
+        monkeypatch.setenv("CORE3_BRUTE_CAP", env)
+    code, out, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_brute_cap_at_the_ceiling_is_accepted(capsys, monkeypatch):
+    monkeypatch.setenv("CORE3_BRUTE_CAP", "60")
+    code, out, _ = run_cli(capsys, "compute", "a3", "6", "--method", "brute")
+    assert (code, json.loads(out)["value"]) == (0, "2")
+    # at the ceiling the refusal does not ask for a larger cap
+    code, _, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute")
+    assert (code, err) == (
+        2, "error: n=61 exceeds the brute-force cap 60; --brute-cap is at most 60\n")
+
+
 @pytest.mark.parametrize("raw", ["-1", "banana", ""])
 def test_env_brute_cap_refusal_names_variable_and_value(capsys, monkeypatch, raw):
     monkeypatch.setenv("CORE3_BRUTE_CAP", raw)

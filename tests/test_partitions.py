@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from core3 import partitions
 from core3.partitions import (
     CapExceededError,
     Partition,
@@ -91,6 +92,35 @@ def test_is_t_core_matches_the_hook_definition():
             hooks = hook_lengths(partition)
             for t in range(2, 7):
                 assert is_t_core(partition, t) == all(h % t for h in hooks), (partition, t)
+
+
+def test_walk_matches_the_enumeration_oracle():
+    # every partition of n <= 25: the walk's bitmask test against is_t_core on
+    # Partition objects and against the literal hooks
+    lanes = {t: partitions._walk(25, t) for t in range(2, 7)}
+    for n in range(26):
+        found = list(enumerate_partitions(n))
+        hooks = [hook_lengths(p) for p in found]
+        for t, lane in lanes.items():
+            by_beta = sum(is_t_core(p, t) for p in found)
+            by_hooks = sum(all(h % t for h in cell_hooks) for cell_hooks in hooks)
+            assert lane[n] == by_beta == by_hooks == brute_tuple_count(n, t, 1), (n, t)
+
+
+def test_walk_visits_every_partition_once():
+    # no hook of a partition of m exceeds m, so for t > m every partition is a
+    # t-core and the count is p(m)
+    for m in range(26):
+        assert brute_tuple_count(m, max(2, m + 1), 1) == sum(1 for _ in enumerate_partitions(m))
+    assert brute_tuple_count(40, 41, 1) == 37338
+    assert brute_tuple_count(50, 51, 1) == 204226
+
+
+def test_lane_is_walked_again_only_for_a_larger_n(walks):
+    for n in (10, 5, 10, 12, 3):
+        brute_tuple_count(n, 3, 3)
+    brute_tuple_count(4, 2, 1)
+    assert walks == [(10, 3), (12, 3), (4, 2)]
 
 
 def test_brute_core_count():

@@ -181,6 +181,16 @@ def test_cross_validate_reads_every_route_from_the_registry(module, name, route,
         {"kind": kind, "n": 7, "route": route} for kind in KINDS]
 
 
+@pytest.mark.parametrize("run", [
+    lambda: table_values("B3", "brute", 41),
+    lambda: identities.cross_validate(200),
+], ids=["table", "cross-validate"])
+def test_brute_lane_is_one_walk(run, walks):
+    # every row of every kind reads one walk to the top n, t = 3
+    run()
+    assert walks == [(40, 3)]
+
+
 def test_selfcheck_wide_end_to_end(capsys):
     assert main(["selfcheck", "--wide", "--kmax", "1", "--nmax", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "selfcheck: 43/43 families passed"
