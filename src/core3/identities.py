@@ -447,8 +447,8 @@ def run_family(name: str, options: dict) -> list[IdentityReport]:
     """The reports of family ``name``; ``options`` that are not None replace
     its defaults.  ``brute_cap`` is run-wide: a family that does not take it
     drops it.  An unknown name, any other option the family does not take, a
-    negative ``nmax`` or a sweep that checks no instance is a
-    ``routes.UsageError``."""
+    negative ``nmax``, a ``brute_cap`` past ``routes.MAX_BRUTE_CAP`` or a
+    sweep that checks no instance is a ``routes.UsageError``."""
     family = FAMILIES.get(name)
     if family is None:
         known = ", ".join(sorted(FAMILIES))
@@ -459,6 +459,8 @@ def run_family(name: str, options: dict) -> list[IdentityReport]:
             raise routes.UsageError(f"family {name!r} takes no --{option}")
     if options.get("nmax", 0) < 0:
         raise routes.UsageError("--nmax must be >= 0")
+    if "brute_cap" in options:  # refused as the CLI does, even where the family drops it
+        routes.Config(brute_cap=options["brute_cap"])
     args = [options.get(option, default) for option, default in family.defaults.items()]
     reports = globals()[family.check](*args)
     reports = reports if isinstance(reports, list) else [reports]

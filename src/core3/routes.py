@@ -30,6 +30,13 @@ class Config:
     order: int = DEFAULT_ORDER
     brute_cap: int = DEFAULT_BRUTE_CAP
 
+    def __post_init__(self):
+        # every route and family reads its cap from here, so no library call
+        # can start a walk past the ceiling either
+        if self.brute_cap > MAX_BRUTE_CAP:
+            raise UsageError(
+                f"brute_cap must be at most {MAX_BRUTE_CAP}, got {self.brute_cap}")
+
 
 def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
     """Refuse a request whose largest n, ``top``, is past the method's budget."""

@@ -206,10 +206,11 @@ def test_count_table_matches_the_point_counters(kind, monkeypatch):
         assert count_table(kind, n_max) == [count(n) for n in range(n_max)], n_max
 
 
-def test_count_table_past_the_point_sieve_matches_lambert():
-    n_max = 333_400  # 3n+2 passes 10**6 at n = 333_333
-    assert 3 * (n_max - 1) + 2 > 10**6
-    assert count_table("A3", n_max) == list(lambert.pair_series(n_max).coeffs)
+def test_count_table_across_windows_matches_lambert():
+    n_max = 2 * arith._WINDOW + 1  # both routes cross two window boundaries
+    for kind, builder in (("a3", lambert.core_series), ("A3", lambert.pair_series),
+                          ("B3", lambert.triple_series)):
+        assert count_table(kind, n_max) == list(builder(n_max).coeffs), kind
 
 
 def test_no_command_builds_a_factorization_sieve(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from core3.arith import core_count, pair_count, triple_count
 from core3.lambert import (
+    _WINDOW,
     core_series,
     pair_fold_cross_term,
     pair_series,
@@ -13,6 +14,63 @@ from core3.lambert import (
 )
 from core3.series import (
     core_tuple_series, div, from_coeffs, monomial, mul, one)
+
+
+# The oracle: the folded double sums of the module docstring, one lattice
+# point at a time, the pair sum as its two halves without the (m, k) swap.
+
+def core_points(order):
+    coeffs = [0] * order
+    top = 3 * order - 2  # largest exponent 3n+1 with n < order
+    for d in range(1, top + 1, 3):           # d = 3m+1, e = d*(3k+1)
+        for e in range(d, top + 1, 3 * d):
+            coeffs[(e - 1) // 3] += 1
+    for d in range(2, top + 1, 3):           # d = 3m+2, e = d*(3k+2)
+        for e in range(2 * d, top + 1, 3 * d):
+            coeffs[(e - 1) // 3] -= 1
+    return coeffs
+
+
+def pair_points(order):
+    coeffs = [0] * order
+    top = 3 * order - 1  # largest exponent 3n+2 with n < order
+    for m, d in enumerate(range(1, top + 1, 3)):   # d = 3m+1, e = d*(3k+2)
+        for e in range(2 * d, top + 1, 3 * d):
+            coeffs[(e - 2) // 3] += m
+    for m, d in enumerate(range(2, top + 1, 3)):   # d = 3m+2, e = d*(3k+1)
+        for e in range(d, top + 1, 3 * d):
+            coeffs[(e - 2) // 3] += m + 1
+    return coeffs
+
+
+def triple_points(order):
+    acc = [0] * (order + 1)  # acc[e] collects the coefficient of q^e, e = n+1
+    for d in range(1, order + 1, 3):
+        for k in range(1, order // d + 1):
+            acc[d * k] += k * k
+    for d in range(2, order + 1, 3):
+        for k in range(1, order // d + 1):
+            acc[d * k] -= k * k
+    return acc[1:]
+
+
+BUILDERS = [(core_series, core_points), (pair_series, pair_points),
+            (triple_series, triple_points)]
+
+
+@pytest.mark.parametrize("builder, points", BUILDERS)
+def test_builders_match_the_lattice_points_at_every_small_order(builder, points):
+    # every split, diagonal and column start below 300 comes and goes
+    expected = points(300)
+    for order in range(1, 301):
+        assert list(builder(order).coeffs) == expected[:order], order
+
+
+@pytest.mark.parametrize("builder, points", BUILDERS)
+def test_builders_match_the_lattice_points_across_windows(builder, points):
+    expected = points(2 * _WINDOW + 1)
+    for order in (_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 1):
+        assert list(builder(order).coeffs) == expected[:order], order
 
 
 def test_core_series_spot_values():

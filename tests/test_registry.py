@@ -191,6 +191,22 @@ def test_brute_lane_is_one_walk(run, walks):
     assert walks == [(40, 3)]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_family("cross-validate", {"nmax": 80, "brute_cap": 80}),
+    lambda: run_family("lin", {"nmax": 3, "brute_cap": 61}),
+    lambda: identities.cross_validate(62, brute_cap=61),
+    lambda: table_values("a3", "brute", 62, Config(brute_cap=61)),
+    lambda: point_value("B3", "brute", 61, Config(brute_cap=61)),
+], ids=["run_family", "run_family-dropped", "cross_validate", "table_values", "point_value"])
+def test_library_callers_meet_the_brute_cap_ceiling(call, walks):
+    # the ceiling of the command line, refused before any walk starts
+    with pytest.raises(routes.UsageError,
+                       match=f"^brute_cap must be at most {routes.MAX_BRUTE_CAP}, got (61|80)$"):
+        call()
+    assert walks == []
+    assert Config(brute_cap=routes.MAX_BRUTE_CAP).brute_cap == routes.MAX_BRUTE_CAP
+
+
 def test_selfcheck_wide_end_to_end(capsys):
     assert main(["selfcheck", "--wide", "--kmax", "1", "--nmax", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "selfcheck: 43/43 families passed"
