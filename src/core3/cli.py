@@ -83,7 +83,7 @@ def _cmd_table(args, cfg: Config) -> int:
 def _summary_line(report) -> str:
     status = "PASS" if report.passed else "FAIL"
     return (f"{report.family}: checked={report.checked} "
-            f"failures={len(report.failures)} {status}")
+            f"failures={report.failed} {status}")
 
 
 def _cmd_verify(args, cfg: Config) -> int:

@@ -1,11 +1,11 @@
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import core3
-from core3 import arith, lambert
+from core3 import arith, identities, lambert
 from core3.arith import (
     COUNTERS,
     core_count,
@@ -206,6 +206,35 @@ def test_count_table_matches_the_point_counters(kind, monkeypatch):
         assert count_table(kind, n_max) == [count(n) for n in range(n_max)], n_max
 
 
+@pytest.mark.parametrize("window", [16, identities._SIDE_WINDOW, arith._WINDOW])
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(COUNTERS)), st.integers(1, 10**4), st.integers(0, 10**4),
+       st.integers(0, 300))
+# progressions whose slope shares primes with their offset: A3 at 8n + 6 and
+# 16n + 4 sieves 24n + 20 = 4(6n + 5) and 48n + 14 = 2(24n + 7), B3 at
+# 81n + 80 sieves 81(n + 1)
+@example("A3", 8, 6, 300)
+@example("A3", 16, 4, 300)
+@example("a3", 81, 80, 300)
+@example("B3", 81, 80, 300)
+@example("B3", 8, 6, 300)
+def test_progression_counts_sieve_the_point_counts(window, kind, step, offset, count):
+    count_at = getattr(arith, COUNTERS[kind])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
+        windows = list(arith.progression_counts(kind, step, offset, count, window))
+    assert [len(w) for w in windows] == [min(window, count - lo) for lo in range(0, count, window)]
+    assert sum(windows, []) == [count_at(step * i + offset) for i in range(count)]
+
+
+def test_progression_counts_take_the_point_path_past_the_crossover(monkeypatch):
+    # 13**8 * 200 is about 1.6e11: the primes to its square root would cost
+    # far more than 201 point counts
+    monkeypatch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("sieved"))
+    values = sum(arith.progression_counts("A3", 13**8, 3, 201, 64), [])
+    assert values == [pair_count(13**8 * i + 3) for i in range(201)]
+
+
 def test_count_table_across_windows_matches_lambert():
     n_max = 2 * arith._WINDOW + 1  # both routes cross two window boundaries
     for kind, builder in (("a3", lambert.core_series), ("A3", lambert.pair_series),
@@ -232,3 +261,13 @@ def test_broken_prime_power_rule_is_an_internal_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")
+
+
+def test_broken_rule_names_the_argument_of_the_progression(monkeypatch):
+    monkeypatch.setattr(arith, "_sigma_prime_power",
+                        lambda p, a: (p ** (a + 1) - 1) // (p - 1) + 1)
+    # the first term is A3 at 8*0 + 6, on either path
+    for crossover in (0, float("inf")):
+        monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", crossover)
+        with pytest.raises(ArithmeticError, match="^A3 closed form at n=6 is"):
+            list(arith.progression_counts("A3", 8, 6, 10, 4))

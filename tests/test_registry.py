@@ -79,6 +79,108 @@ def test_non_integral_coefficient_raises():
         _sweep({}, 3, rel)
 
 
+def test_failure_list_keeps_the_first_and_counts_the_rest():
+    # A3(n) == 2*A3(n) fails at every n, since A3(n) >= 1
+    n_max = 10**4
+    report = _sweep({"n_max": n_max}, n_max,
+                    Relation("wrong", "A3", lambda k, r: ((1, 0), ((2, 1, 0),))))
+    assert report.checked == report.failed == n_max + 1
+    assert [f.inputs for f in report.failures] == [
+        {"n": n} for n in range(identities.MAX_FAILURES)]
+    assert report.dropped == n_max + 1 - identities.MAX_FAILURES
+    data = report.as_dict()
+    assert list(data) == ["family", "params", "checked", "failures", "failures_total", "passed"]
+    assert data["failures_total"] == n_max + 1
+    assert cli._summary_line(report) == f"wrong: checked={n_max + 1} failures={n_max + 1} FAIL"
+    collected = identities._collect("demo", {}, (({"n": n}, 0, 1) for n in range(150)))
+    assert (len(collected.failures), collected.failed) == (identities.MAX_FAILURES, 150)
+    # a report that dropped nothing writes no total
+    assert "failures_total" not in _sweep({}, 9, _lin(6)).as_dict()
+
+
+@pytest.mark.parametrize("relation", [
+    _lin(7),
+    _lin(7, coprime_to=2),
+    Relation("A3-5", "A3", identities._A3_terms(5, True), range(4), residues=(0, 1, 2, 3, 4),
+             base=5, coprime_to=5),
+    Relation("B3-7", "B3", identities._B3_terms(7, False), range(1, 3), coprime_to=7),
+    Relation("B3-3", "B3", identities._B3_terms(3, True), range(3), residues=(0, 2), base=9,
+             coprime_to=3),
+    Relation("A3-4", "A3", identities._A3_terms(2, True), range(3), base=2, coprime_to=4),
+], ids=["lin", "lin-coprime-2", "A3-residues-5", "B3-general-7", "B3-base-9", "A3-coprime-4"])
+def test_relation_count_and_extent_are_the_sweep_box(relation):
+    s, t = arith._PROGRESSIONS[relation.kind][:2]
+    for n_max in (-1, 0, 1, 2, 7, 50):
+        kept, arguments = 0, []
+        for k in relation.ks:
+            for r in relation.residues:
+                (a, b), terms = relation.terms(k, r)
+                for n in range(n_max + 1):
+                    m = relation.base * n + (r or 0)
+                    arguments += [a * m + b] + [ai * m + bi for _, ai, bi in terms]
+                    p = relation.coprime_to
+                    kept += p is None or (s * m + t) % p != 0
+        assert relation.count(n_max) == kept, n_max
+        assert relation.extent(n_max) == max(arguments, default=None), n_max
+        assert _sweep({}, n_max, relation).checked == kept, n_max
+
+
+def test_a_sweep_that_checks_nothing_reads_no_value(capsys, monkeypatch):
+    for name in ("progression_counts", "core_count", "pair_count", "triple_count",
+                 "_closed_form", "factorize"):
+        monkeypatch.setattr(arith, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    assert main(["verify", "relation-coprime", "--p", "2", "--nmax", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: A3-relation-coprime-p2 checked no instance; raise --nmax\n")
+
+
+# every family that sweeps relations, at its defaults and as the default
+# battery runs it: all of them read arith.progression_counts
+_SWEEPS = [(name, {}) for name in FAMILIES
+           if name not in ("cross-validate", "structural", "xia-conjecture")]
+_SWEEPS += [(name, options) for name, options in identities.selfcheck_battery(200, 40)
+            if name not in ("cross-validate", "structural", "xia-conjecture")]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_reports_do_not_depend_on_the_path_a_side_takes(broken, monkeypatch):
+    if broken:
+        # wrong prime-power rules, still divisible where the closed form
+        # divides, so that the reports compared carry failures
+        for name, wrong in (("_core_prime_power", lambda p, a: p == 7),
+                            ("_sigma_prime_power", lambda p, a: 3 * (p == 11 and a == 1)),
+                            ("weighted_divisor_sum_prime_power",
+                             lambda p, k: p == 5 and k == 2)):
+            rule = getattr(arith, name)
+            monkeypatch.setattr(arith, name, lambda p, e, rule=rule, wrong=wrong:
+                                rule(p, e) + wrong(p, e))
+
+    def reports():
+        return [run_family(name, options) for name, options in _SWEEPS]
+
+    tops = []
+    progression_counts = arith.progression_counts
+
+    def logged(kind, step, offset, count, window):
+        tops.append(step * (count - 1) + offset)
+        return progression_counts(kind, step, offset, count, window)
+
+    monkeypatch.setattr(arith, "progression_counts", logged)
+    reference = reports()
+    failed = sum(r.failed for family in reference for r in family)
+    assert failed > 0 if broken else failed == 0
+    # every top is small enough to sieve outright
+    assert max(tops) < 10**9
+    with monkeypatch.context() as patch:
+        patch.setattr(arith, "_SIEVE_CROSSOVER", 0)
+        patch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("a side was sieved"))
+        assert reports() == reference
+    with monkeypatch.context() as patch:
+        patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
+        patch.setattr(arith, "_closed_form", lambda *args: pytest.fail("a point count ran"))
+        assert reports() == reference
+
+
 def test_reports_are_timed_one_by_one():
     started = time.perf_counter()
     reports = identities.check_baruah_nath(3, 100)
@@ -134,6 +236,18 @@ def test_route_budgets():
 def test_registries_look_functions_up_when_called(monkeypatch):
     # tracers rebind module attributes; a registry holding the objects found
     # at import would bypass them
+    sides = []
+    progression_counts = arith.progression_counts
+
+    def counted_sides(*args):
+        sides.append(args)
+        return progression_counts(*args)
+
+    monkeypatch.setattr(arith, "progression_counts", counted_sides)
+    assert run_family("lin", {"nmax": 3})[0].passed
+    # one read per side: A3(8n + 6) and A3(2n + 1) for n = 0..3
+    window = identities._SIDE_WINDOW
+    assert sides == [("A3", 8, 6, 4, window), ("A3", 2, 1, 4, window)]
     calls = []
     original = arith.pair_count
 
@@ -142,8 +256,10 @@ def test_registries_look_functions_up_when_called(monkeypatch):
         return original(n, *args)
 
     monkeypatch.setattr(arith, "pair_count", counted)
+    # on the point path the engine reaches the rebound counter, 2 calls per n
+    monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", 0)
     assert run_family("lin", {"nmax": 3})[0].passed
-    assert len(calls) == 8
+    assert len(calls) == 8 and len(sides) == 4
     assert point_value("A3", "formula", 6) == original(6)
     assert len(calls) == 8 + 1
     # the formula table route is one count_table call, not one counter per row
@@ -230,8 +346,17 @@ def test_selfcheck_refuses_before_any_family_runs(argv, message, capsys, monkeyp
 
 
 def test_selfcheck_prints_at_most_five_counterexamples(capsys, monkeypatch):
-    original = arith.pair_count
-    monkeypatch.setattr(arith, "pair_count", lambda n: original(n) + (n == 6))
+    original = arith.progression_counts
+
+    def wrong_at_6(kind, step, offset, count, window):
+        # A3(6) one too large, wherever a sweep side reads it
+        lo = 0
+        for values in original(kind, step, offset, count, window):
+            yield [v + (kind == "A3" and step * (lo + i) + offset == 6)
+                   for i, v in enumerate(values)]
+            lo += len(values)
+
+    monkeypatch.setattr(arith, "progression_counts", wrong_at_6)
     assert main(["selfcheck", "--nmax", "10", "--brute-cap", "10"]) == 1
     lines = capsys.readouterr().out.splitlines()
     shown = []  # counterexample lines under each FAIL row
