@@ -13,12 +13,10 @@ from .arith import (
     Factorization,
     core_count,
     count_table,
-    divisor_count_mod3,
     factorize,
     pair_count,
     sigma,
     triple_count,
-    weighted_divisor_sum,
     weighted_divisor_sum_prime_power,
 )
 from .identities import (
@@ -42,13 +40,7 @@ from .lambert import (
     square_kernel_check,
     triple_series,
 )
-from .partitions import (
-    Partition,
-    brute_tuple_count,
-    enumerate_partitions,
-    hook_lengths,
-    is_t_core,
-)
+from .partitions import brute_tuple_table
 from .series import (
     TruncatedSeries,
     core_tuple_series,
@@ -66,9 +58,8 @@ from .series import (
 __all__ = [
     "Factorization",
     "IdentityReport",
-    "Partition",
     "TruncatedSeries",
-    "brute_tuple_count",
+    "brute_tuple_table",
     "check_A3_relations",
     "check_A3_residue_families",
     "check_B3_relations",
@@ -85,13 +76,9 @@ __all__ = [
     "core_tuple_series",
     "cross_validate",
     "div",
-    "divisor_count_mod3",
-    "enumerate_partitions",
     "euler_product",
     "factorize",
     "from_coeffs",
-    "hook_lengths",
-    "is_t_core",
     "jacobi_cube",
     "monomial",
     "mul",
@@ -105,6 +92,5 @@ __all__ = [
     "triple_count",
     "triple_series",
     "verify_q_split",
-    "weighted_divisor_sum",
     "weighted_divisor_sum_prime_power",
 ]

@@ -281,28 +281,6 @@ def sigma(n: int) -> int:
     return total
 
 
-def divisor_count_mod3(n: int, r: int) -> int:
-    """Number of divisors of n congruent to r mod 3 (r must be 1 or 2).
-
-    The paper's d_{r,3}(n), counted over the residues of the divisors rather
-    than by core_count's product rule, so it is that rule's test oracle.
-    """
-    if r not in (1, 2):
-        raise ValueError(f"residue must be 1 or 2, got {r}")
-    counts = [0, 1, 0]  # counts[s] = divisors built so far with residue s
-    for p, a in factorize(n).factors:
-        step = p % 3
-        new = [0, 0, 0]
-        pm = 1
-        for _ in range(a + 1):
-            for s in range(3):
-                if counts[s]:
-                    new[(s * pm) % 3] += counts[s]
-            pm = (pm * step) % 3
-        counts = new
-    return counts[r]
-
-
 def _closed_form(kind: str, n: int) -> int:
     """The closed form of ``kind`` at n, from _PROGRESSIONS: the product of
     rule(p, e) over the factorization of a*n + b, divided exactly by divisor."""
@@ -340,31 +318,6 @@ def core_count(n: int) -> int:
 def pair_count(n: int) -> int:
     """Number of ordered pairs of 3-core partitions of total weight n: sigma(3n+2)/3."""
     return _closed_form("A3", n)
-
-
-def weighted_divisor_sum(n: int) -> int:
-    """f(n) = sum over d | n of chi(d) * (n/d)^2, chi = +1, -1, 0 on d = 1, 2, 0 mod 3."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            q = n // d
-            total += _chi3(d) * q * q
-            if q != d:
-                total += _chi3(q) * d * d
-        d += 1
-    return total
-
-
-def _chi3(d: int) -> int:
-    r = d % 3
-    if r == 1:
-        return 1
-    if r == 2:
-        return -1
-    return 0
 
 
 def weighted_divisor_sum_prime_power(p: int, k: int) -> int:

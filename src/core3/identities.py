@@ -16,7 +16,7 @@ The ``verify`` family registry closes the module, with the two batteries of
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import add, mul, ne
 
 from . import arith, lambert, routes, series
@@ -135,6 +135,13 @@ class Relation:
         return kept * len(self.ks)
 
 
+def _tally(failing) -> tuple[list[Failure], int]:
+    """The failing instances of one report, from an iterator of (inputs, lhs,
+    rhs): the first MAX_FAILURES as Failures, and the number of the rest."""
+    failures = [Failure(*instance) for instance in islice(failing, MAX_FAILURES)]
+    return failures, sum(1 for _ in failing)
+
+
 def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     """One timed report over every instance of the relations, in order.
 
@@ -147,52 +154,52 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     function that asked for it."""
     started = time.perf_counter()
     checked = sum(rel.count(n_max) for rel in relations)
-    failures = []
-    failed = 0
-    for rel in relations if checked else ():
-        s, t = arith._PROGRESSIONS[rel.kind][:2]
-        base, coprime_to, modulus = rel.base, rel.coprime_to, rel.modulus
-        for k, r, sides in rel.sides():
-            coefficients = [c for c, _, _ in sides[1:]]
-            residue = r or 0
-            lo = 0
-            read = (arith.progression_counts(rel.kind, step, offset, n_max + 1, _SIDE_WINDOW)
-                    for _, step, offset in sides)
-            for lhs, *terms in zip(*read):
-                rhs = [0] * len(lhs)
-                for c, values in zip(coefficients, terms):
-                    rhs = list(map(add, rhs, map(mul, repeat(c), values)))
-                if modulus is not None:
-                    lhs = [v % modulus for v in lhs]
-                    rhs = [v % modulus for v in rhs]
-                for i in compress(range(len(lhs)), map(ne, lhs, rhs)):
-                    n = lo + i
-                    if coprime_to is not None and (s * (base * n + residue) + t) % coprime_to == 0:
-                        continue
-                    failed += 1
-                    if failed <= MAX_FAILURES:
-                        index = {"k": k, "r": r, "n": n}
-                        inputs = {key: v for key, v in index.items() if v is not None}
-                        failures.append(Failure({**rel.labels, **inputs}, lhs[i], rhs[i]))
-                lo += len(lhs)
+
+    def failing():
+        for rel in relations if checked else ():
+            s, t = arith._PROGRESSIONS[rel.kind][:2]
+            base, coprime_to, modulus = rel.base, rel.coprime_to, rel.modulus
+            for k, r, sides in rel.sides():
+                coefficients = [c for c, _, _ in sides[1:]]
+                residue = r or 0
+                index = {"k": k, "r": r}
+                labels = {**rel.labels, **{key: v for key, v in index.items() if v is not None}}
+                lo = 0
+                read = (arith.progression_counts(rel.kind, step, offset, n_max + 1, _SIDE_WINDOW)
+                        for _, step, offset in sides)
+                for lhs, *terms in zip(*read):
+                    rhs = [0] * len(lhs)
+                    for c, values in zip(coefficients, terms):
+                        rhs = list(map(add, rhs, map(mul, repeat(c), values)))
+                    if modulus is not None:
+                        lhs = [v % modulus for v in lhs]
+                        rhs = [v % modulus for v in rhs]
+                    for i in compress(range(len(lhs)), map(ne, lhs, rhs)):
+                        n = lo + i
+                        if coprime_to is None or (s * (base * n + residue) + t) % coprime_to:
+                            yield {**labels, "n": n}, lhs[i], rhs[i]
+                    lo += len(lhs)
+
+    failures, dropped = _tally(failing())
     return IdentityReport(relations[0].family, params, checked, failures,
-                          time.perf_counter() - started, failed - len(failures))
+                          time.perf_counter() - started, dropped)
 
 
 def _collect(family: str, params: dict, instances) -> IdentityReport:
     """A timed report over lazily computed (inputs, lhs, rhs) instances."""
     started = time.perf_counter()
     checked = 0
-    failures = []
-    failed = 0
-    for inputs, lhs, rhs in instances:
-        checked += 1
-        if lhs != rhs:
-            failed += 1
-            if failed <= MAX_FAILURES:
-                failures.append(Failure(inputs, lhs, rhs))
+
+    def failing():
+        nonlocal checked
+        for inputs, lhs, rhs in instances:
+            checked += 1
+            if lhs != rhs:
+                yield inputs, lhs, rhs
+
+    failures, dropped = _tally(failing())
     return IdentityReport(family, params, checked, failures,
-                          time.perf_counter() - started, failed - len(failures))
+                          time.perf_counter() - started, dropped)
 
 
 def _exact(numerator: int, denominator: int) -> int:
@@ -438,23 +445,24 @@ def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> Ide
     """Per-n agreement of every registered route with the closed form, for
     every kind.
 
-    Series and Lambert lanes run for every n < n_max; the brute-force lane
-    joins while n stays within its cap.
+    Each route's table comes from ``routes.table_values``, the closed form's
+    as one sieve per kind.  Series and Lambert lanes run for every n < n_max;
+    the brute-force lane joins while n stays within its cap.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     cfg = routes.Config(order=n_max, brute_cap=brute_cap)
-    sizes = {"series": n_max, "lambert": n_max, "brute": min(n_max, brute_cap + 1)}
+    sizes = {"brute": min(n_max, brute_cap + 1)}
 
     def instances():
         for kind in routes.KINDS:
-            lanes = {method: routes.table_values(kind, method, size, cfg)
-                     for method, size in sizes.items()}
-            for n in range(n_max):
-                reference = routes.point_value(kind, "formula", n)
+            lanes = {method: routes.table_values(kind, method, sizes.get(method, n_max), cfg)
+                     for method in routes.METHODS}
+            reference = lanes.pop("formula")
+            for n, expected in enumerate(reference):
                 for method, lane in lanes.items():
                     if n < len(lane):
-                        yield {"kind": kind, "n": n, "route": method}, lane[n], reference
+                        yield {"kind": kind, "n": n, "route": method}, lane[n], expected
 
     return _collect("cross-validate",
                     {"n_max": n_max, "brute_cap": brute_cap}, instances())

@@ -9,7 +9,8 @@ import time
 from math import gcd, isqrt
 
 from core3 import arith, identities, lambert, partitions, series
-from core3.arith import core_count, pair_count, sigma, triple_count, weighted_divisor_sum
+from core3.arith import core_count, pair_count, sigma, triple_count
+from oracles import weighted_divisor_sum
 
 
 def _announce(label, ok, elapsed):
@@ -24,12 +25,13 @@ def test_criterion_1_four_oracle_agreement():
         from_series = series.core_tuple_series(3, k, n_max)
         from_lambert = lambert.tuple_series(k, n_max)
         closed = {1: core_count, 2: pair_count, 3: triple_count}[k]
+        brute = partitions.brute_tuple_table(n_max, 3, k, cap=n_max)
         for n in range(n_max):
             values = {
                 "series": from_series[n],
                 "lambert": from_lambert[n],
                 "formula": closed(n),
-                "brute": partitions.brute_tuple_count(n, 3, k, cap=n_max),
+                "brute": brute[n],
             }
             if len(set(values.values())) != 1:
                 mismatches.append((k, n, values))
@@ -62,7 +64,7 @@ def test_criterion_2_three_oracle_agreement():
 def test_criterion_3_spot_values():
     start = time.perf_counter()
     # a3(0..4) by hook-length enumeration
-    brute_a3 = [partitions.brute_tuple_count(n, 3, 1) for n in range(5)]
+    brute_a3 = partitions.brute_tuple_table(5, 3, 1)
     assert brute_a3 == [1, 1, 2, 0, 2]
     assert [core_count(n) for n in range(5)] == [1, 1, 2, 0, 2]
 

@@ -10,16 +10,15 @@ from core3.arith import (
     COUNTERS,
     core_count,
     count_table,
-    divisor_count_mod3,
     factorize,
     is_prime,
     pair_count,
     sigma,
     triple_count,
-    weighted_divisor_sum,
     weighted_divisor_sum_prime_power,
 )
 from core3.cli import main
+from oracles import divisor_count_mod3, weighted_divisor_sum
 from spf_sieve import SpfSieve
 
 

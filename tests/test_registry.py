@@ -273,38 +273,41 @@ def test_registries_look_functions_up_when_called(monkeypatch):
     assert run_family("lin", {}) == [stub]
 
 
-def _off_by_one_at_7(original, route):
+def _off_by_one_at_7(original):
     def wrong(*args, **kwargs):
         result = original(*args, **kwargs)
-        if route == "brute":
-            return result + (args[0] == 7)
+        if isinstance(result, list):  # a table, from n = 0
+            return [value + (n == 7) for n, value in enumerate(result)]
         return result + series.monomial(result.order, 7)
     return wrong
 
 
 @pytest.mark.parametrize("module, name, route", [
+    (arith, "count_table", "formula"),
     (series, "core_tuple_series", "series"),
     (lambert, "tuple_series", "lambert"),
-    (partitions, "brute_tuple_count", "brute"),
+    (partitions, "brute_tuple_table", "brute"),
 ])
 def test_cross_validate_reads_every_route_from_the_registry(module, name, route,
                                                             monkeypatch):
-    monkeypatch.setattr(module, name, _off_by_one_at_7(getattr(module, name), route))
+    monkeypatch.setattr(module, name, _off_by_one_at_7(getattr(module, name)))
     report = identities.cross_validate(20, brute_cap=10)
     # series and Lambert for n < 20, brute for n <= 10, per kind
     assert report.checked == 3 * (20 + 20 + 11)
+    # a wrong reference is named for every other route
+    named = [other for other in METHODS[1:] if route in ("formula", other)]
     assert [f.inputs for f in report.failures] == [
-        {"kind": kind, "n": 7, "route": route} for kind in KINDS]
+        {"kind": kind, "n": 7, "route": other} for kind in KINDS for other in named]
 
 
-@pytest.mark.parametrize("run", [
-    lambda: table_values("B3", "brute", 41),
-    lambda: identities.cross_validate(200),
+@pytest.mark.parametrize("run, tables", [
+    (lambda: table_values("B3", "brute", 41), 1),
+    (lambda: identities.cross_validate(200), 3),
 ], ids=["table", "cross-validate"])
-def test_brute_lane_is_one_walk(run, walks):
-    # every row of every kind reads one walk to the top n, t = 3
+def test_brute_lane_is_one_walk(run, tables, walks):
+    # every row of a table reads one walk to the top n, t = 3: one per kind
     run()
-    assert walks == [(40, 3)]
+    assert walks == [(40, 3)] * tables
 
 
 @pytest.mark.parametrize("call", [

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from core3.partitions import enumerate_partitions
 from core3.series import (
     TruncatedSeries,
     core_tuple_series,
@@ -15,6 +14,7 @@ from core3.series import (
     pentagonal,
     verify_q_split,
 )
+from oracles import enumerate_partitions
 
 
 def pentagonal_coeffs(order):
