@@ -26,10 +26,10 @@ more than the terms (``_SIEVE_CROSSOVER``).  A whole table,
 sweeps read each side of a relation from it.
 """
 
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from math import gcd, isqrt, prod
 from operator import floordiv, mul
+from typing import NamedTuple
 
 # kind -> name of its closed-form counter in this module.  Callers look the
 # function up by name when they call it, so rebinding it here reaches them all.
@@ -59,8 +59,7 @@ _SIEVE_CROSSOVER = 4
 _SIEVE_SETUP = 32
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n as an ordered product of prime powers p1^a1 * p2^a2 * ... (p1 < p2 < ...)."""
 
     n: int

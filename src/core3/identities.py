@@ -15,9 +15,9 @@ The ``verify`` family registry closes the module, with the two batteries of
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import add, mul, ne
+from typing import NamedTuple
 
 from . import arith, lambert, routes, series
 
@@ -32,24 +32,41 @@ MAX_FAILURES = 100
 _SIDE_WINDOW = 1 << 10
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     inputs: dict
     lhs: int
     rhs: int
 
 
-@dataclass
 class IdentityReport:
     """Outcome of one family sweep: instance count plus any counterexamples,
-    the first MAX_FAILURES of them kept and the rest counted in ``dropped``."""
+    the first MAX_FAILURES of them kept and the rest counted in ``dropped``.
+    Two reports are equal when all but their ``seconds`` are."""
 
-    family: str
-    params: dict
-    checked: int
-    failures: list[Failure] = field(default_factory=list)
-    seconds: float = field(default=0.0, compare=False)  # wall time; not in as_dict()
-    dropped: int = 0
+    __slots__ = ("family", "params", "checked", "failures", "seconds", "dropped")
+
+    def __init__(self, family: str, params: dict, checked: int,
+                 failures: list[Failure] | None = None, seconds: float = 0.0,
+                 dropped: int = 0):
+        self.family = family
+        self.params = params
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds  # wall time; not in as_dict()
+        self.dropped = dropped
+
+    def _compared(self) -> tuple:
+        return self.family, self.params, self.checked, self.failures, self.dropped
+
+    def __eq__(self, other):
+        if type(other) is not IdentityReport:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self):
+        return (f"IdentityReport(family={self.family!r}, params={self.params!r}, "
+                f"checked={self.checked!r}, failures={self.failures!r}, "
+                f"seconds={self.seconds!r}, dropped={self.dropped!r})")
 
     @property
     def passed(self) -> bool:
@@ -76,8 +93,7 @@ class IdentityReport:
         return data
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """F(a*m + b) == sum of c * F(a_i*m + b_i), F the counter of ``kind``.
 
     For k in ``ks`` and r in ``residues``, ``terms(k, r)`` gives ``(a, b)``
@@ -86,7 +102,7 @@ class Relation:
     (3m+2 for A3, m+1 for B3, as ``arith._PROGRESSIONS`` states them).  A
     ``modulus`` compares both sides modulo it.
     A None index is unused: r counts as 0, and a failure's inputs (``labels``
-    first) leave it out.
+    first, when given) leave it out.
     """
 
     family: str
@@ -97,7 +113,7 @@ class Relation:
     base: int = 1
     coprime_to: int | None = None
     modulus: int | None = None
-    labels: dict = field(default_factory=dict)
+    labels: dict | None = None
 
     def sides(self):
         """(k, r, sides) per (k, r) in sweep order: the left side and then each
@@ -163,7 +179,7 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
                 coefficients = [c for c, _, _ in sides[1:]]
                 residue = r or 0
                 index = {"k": k, "r": r}
-                labels = {**rel.labels, **{key: v for key, v in index.items() if v is not None}}
+                labels = {**(rel.labels or {}), **{key: v for key, v in index.items() if v is not None}}
                 lo = 0
                 read = (arith.progression_counts(rel.kind, step, offset, n_max + 1, _SIDE_WINDOW)
                         for _, step, offset in sides)
@@ -488,8 +504,7 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
 # --- the family registry and its two batteries, read by cli and the tests ---
 # run_family looks each check up by name when called, so a tracer's rebinding reaches it
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A ``verify`` family: the check it runs, and its options' defaults in order."""
 
     check: str

@@ -14,20 +14,37 @@ All functions here are pure and all series immutable, so concurrent use
 needs no synchronisation.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, sub
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients ``coeffs[n]`` of q^n for 0 <= n < order."""
+    """Coefficients ``coeffs[n]`` of q^n for 0 <= n < order; immutable, and
+    equal to another series with the same coefficients."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if len(coeffs) < 1:
             raise ValueError("a truncated series needs order >= 1")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not TruncatedSeries:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

@@ -261,13 +261,32 @@ def test_module_entry_point():
     assert json.loads(result.stdout)["value"] == "2"
 
 
+def _imported_modules(*args: str) -> set[str]:
+    """The modules ``python -X importtime *args`` reports importing."""
+    result = subprocess.run([sys.executable, "-X", "importtime", *args],
+                            capture_output=True, text=True, check=True)
+    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:") and not line.endswith("imported package")}
+
+
+@pytest.mark.parametrize("argv", [["compute", "A3", "6"], ["table", "a3", "--nmax", "10"]],
+                         ids=["compute", "table"])
+def test_point_commands_import_only_what_they_run(argv):
+    # dataclasses pulls in inspect (and with it ast, dis and tokenize), and
+    # json is read by verify alone: neither belongs in a point query's start-up
+    own = _imported_modules("-m", "core3", *argv) - _imported_modules("-c", "pass")
+    assert "core3.cli" in own
+    assert not own & {"dataclasses", "inspect", "json"}
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_jsonl_lines_equal_json_dumps(kind, method):
-    values = [0, 1, 2**53 + 1, -(3**40)]
-    lines = "".join(cli._jsonl_lines(kind, values, method)).encode()
-    expected = "".join(json.dumps(cli._record(kind, n, value, method)) + "\n"
-                       for n, value in enumerate(values)).encode()
+    rows = [(0, 0), (1, 1), (2, 2**53 + 1), (3, -(3**40)), (10**30, 7)]
+    lines = "".join(cli._jsonl_lines(kind, rows, method)).encode()
+    expected = "".join(
+        json.dumps({"kind": kind, "n": n, "value": str(value), "method": method}) + "\n"
+        for n, value in rows).encode()
     assert lines == expected
 
 

@@ -400,3 +400,44 @@ def test_readme_lists_the_registry():
     readme = (ROOT / "README.md").read_text()
     paragraph = readme.split("Known `verify` families:", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`([^`]+)`", paragraph) == list(FAMILIES)
+
+
+def _lin_terms(k, r):
+    return (8, 6), ((7, 2, 1),)
+
+
+@pytest.mark.parametrize("make, field, hashable", [
+    (lambda: arith.Factorization(12, ((2, 2), (3, 1))), "n", True),
+    (lambda: identities.Failure({"n": 3}, 1, 2), "lhs", False),
+    (lambda: Relation("lin", "A3", _lin_terms, range(3), labels={"p": 5}), "base", False),
+    # hashable, so labels has no dict for a default
+    (lambda: Relation("lin", "A3", _lin_terms, range(3)), "labels", True),
+    (lambda: identities.Family("check_lin", {"nmax": 500}), "check", False),
+    (lambda: Config(order=10, brute_cap=20), "brute_cap", True),
+    (lambda: series.from_coeffs([1, 2, 3]), "coeffs", True),
+], ids=["Factorization", "Failure", "Relation", "Relation-unlabelled", "Family", "Config",
+        "TruncatedSeries"])
+def test_value_classes_are_frozen_and_compare_by_value(make, field, hashable):
+    value = make()
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    twin = make()
+    assert twin == value and twin is not value and not twin != value
+    if hashable:
+        assert hash(twin) == hash(value)
+    assert value != object()
+
+
+def test_report_equality_ignores_seconds():
+    failures = [identities.Failure({"n": 0}, 1, 2)]
+    report = identities.IdentityReport("demo", {"n_max": 3}, 4, failures, 0.5, 1)
+    assert report == identities.IdentityReport("demo", {"n_max": 3}, 4, list(failures), 9.0, 1)
+    assert report != identities.IdentityReport("demo", {"n_max": 3}, 4, failures, 0.5, 2)
+    assert report != identities.IdentityReport("demo", {"n_max": 3}, 5, failures, 0.5, 1)
+    assert identities.IdentityReport("demo", {}, 1).failures == []
+    assert identities.IdentityReport("a", {}, 1).failures is not identities.IdentityReport(
+        "b", {}, 1).failures
+    with pytest.raises(TypeError):  # mutable, so unhashable, as an eq dataclass is
+        hash(report)
