@@ -19,16 +19,19 @@ either limit factorize refuses with ValueError.
 ``is_prime`` makes the same decision for one number.  Each closed form
 is stated once, in ``_PROGRESSIONS``: a point count evaluates it over
 ``factorize``, and ``progression_counts`` gives its values at every
-n = A*i + B as one segmented sieve over the progression a*n + b the closed
-form is taken at, or point by point where the sieve's primes would cost
-more than the terms (``_SIEVE_CROSSOVER``).  A whole table,
-``count_table``, is the progression at A = 1, B = 0, and the identity
-sweeps read each side of a relation from it.
+n = A*i + B for several (A, B) at once.  The closed form is taken at
+a*n + b = g*(alpha*i + beta) with alpha*i + beta primitive, so every
+(A, B) of one primitive form is read from one segmented sieve over it, or
+point by point where the sieve's primes would cost more than the terms of
+those sides (``_SIEVE_CROSSOVER``).  A whole table, ``count_table``, is the
+engine at the one side A = 1, B = 0; an identity sweep reads every side of
+one (k, r) of a relation in one call, and those sides share one primitive
+form.
 """
 
 from itertools import chain, compress, repeat
 from math import gcd, isqrt, prod
-from operator import floordiv, mul
+from operator import floordiv, itemgetter, mod, mul
 from typing import NamedTuple
 
 # kind -> name of its closed-form counter in this module.  Callers look the
@@ -45,16 +48,18 @@ _PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
 
 # terms of the progression held in memory at once by count_table
 _WINDOW = 1 << 16
-# progression_counts sieves a progression of count terms up to top when
-# isqrt(top) + _SIEVE_SETUP <= _SIEVE_CROSSOVER * count, and takes a point
-# count per term otherwise: the sieve's cost grows with the primes up to
-# sqrt(top) plus a fixed setup, the point path's with the terms.  Measured on
-# a 2-core Xeon by timing both paths on each of the 2612 sides that the
-# verify defaults, both selfcheck batteries, the selfcheck benchmark's
-# enlarged sweeps and small sweeps (nmax 3 to 30) read: with 4 and 32 each
-# of those sets takes within about 1% of the faster path for every side.
-# Without the setup term the small sweeps take about 8% more; 2 for 4 costs
-# the larger sets 3-5%, and 6 or 8 the small sweeps 3-6%.
+# progression_counts sieves a primitive form alpha*i + beta of count terms up
+# to top, read by s sides, when isqrt(top) + _SIEVE_SETUP <=
+# _SIEVE_CROSSOVER * count * s, and takes a point count per term of each side
+# otherwise: the sieve's cost grows with the primes up to sqrt(top) plus a
+# fixed setup, the point path's with the terms of every side.  Measured on a
+# 2-core Xeon by timing both paths on each of the 1126 forms that the verify
+# defaults, both selfcheck batteries, the selfcheck benchmark's enlarged
+# sweeps and small sweeps (nmax 3, 10 and 30) read: with 4 and 32 the small
+# sweeps take 0.5% more than the faster path for every form, and each other
+# set no measurable amount more.  Without the setup term the small sweeps
+# take about 5% more, with 16 or with 6 or 8 for 4 also about 5%, with 2 for
+# 4 about 2%; 64 for 32 is as good, at 0.3-0.4%.
 _SIEVE_CROSSOVER = 4
 _SIEVE_SETUP = 32
 
@@ -349,77 +354,159 @@ def _divisible_terms(alpha: int, beta: int, modulus: int) -> tuple[int, int] | N
     return -(beta // g) * pow(alpha // g, -1, stride) % stride, stride
 
 
-def progression_counts(kind: str, step: int, offset: int, count: int, window: int):
+def progression_counts(kind: str, sides, count: int, window: int):
     """The closed-form counts of ``kind`` at n = step*i + offset for
-    0 <= i < count (step >= 1, offset >= 0), yielded as lists of ``window``
-    consecutive terms, the last one shorter.
+    0 <= i < count and each (step, offset) in ``sides`` (step >= 1,
+    offset >= 0), window by window: each run of ``window`` consecutive i, the
+    last one shorter, is yielded as one list per side, in the order of
+    ``sides``.
 
-    The count at n is multiplicative in m = a*n + b = alpha*i + beta, so a
-    progression is one segmented sieve over m (after Gries and Misra, CACM
-    1978).  Each window has every prime p <= sqrt(top) divided out of the
-    terms it divides; what is left above 1 is one prime.  alpha and beta
-    need not be coprime: the terms that p**k divides form the progression
-    of stride p**k / gcd(alpha, p**k), empty unless that gcd divides beta.
-    Beyond one window the working memory is the primes up to sqrt(top).
-    Where those primes and the sieve's setup cost more than the terms (the
-    rule at _SIEVE_CROSSOVER), the point counter of ``kind``, looked up by
-    name when called, answers each term instead.
+    The count at n is multiplicative in m = a*n + b = g*(alpha*i + beta),
+    where g is the gcd of the side's slope and intercept, so the sides that
+    share one primitive form alpha*i + beta are read from one segmented
+    sieve over it (after Gries and Misra, CACM 1978), and a side of another
+    form gets a sieve of its own.  Each window has every prime p <= sqrt(top)
+    divided out of the terms it divides, top being the form's last term;
+    what is left above 1 is one prime.  The primes q of the cofactors g are
+    sieved too, above sqrt(top) as well, and kept apart: the sieve records
+    each term's exponent e of q, and each side reads rule(q, v_q(g) + e)
+    from a table per exponent.  The terms that p**k divides form one
+    progression of stride p**k, empty when p divides alpha.  Beyond one
+    window the working memory is the primes up to sqrt(top).  Where those
+    primes and the sieve's setup cost more than the terms of the sides that
+    share them (the rule at _SIEVE_CROSSOVER), the point counter of
+    ``kind``, looked up by name when called, answers each of their terms
+    instead.
     """
     if count <= 0:
         return
-    a, b, rule_name, divisor = _PROGRESSIONS[kind]
-    alpha, beta = a * step, a * offset + b
-    top = alpha * (count - 1) + beta
-    if isqrt(top) + _SIEVE_SETUP > _SIEVE_CROSSOVER * count:
-        counter = globals()[COUNTERS[kind]]
-        for lo in range(0, count, window):
-            yield [counter(step * i + offset) for i in range(lo, min(lo + window, count))]
+    a, b = _PROGRESSIONS[kind][:2]
+    # (alpha, beta) -> [(index of the side in sides, its cofactor g)]
+    forms = {}
+    for j, (step, offset) in enumerate(sides):
+        alpha, beta = a * step, a * offset + b
+        g = gcd(alpha, beta)
+        forms.setdefault((alpha // g, beta // g), []).append((j, g))
+    readers = []
+    for (alpha, beta), members in forms.items():
+        own = [sides[j] for j, _ in members]
+        if isqrt(alpha * (count - 1) + beta) + _SIEVE_SETUP > _SIEVE_CROSSOVER * count * len(own):
+            reader = _point_windows(kind, own, count, window)
+        else:
+            reader = _sieve_windows(kind, alpha, beta, [g for _, g in members], own,
+                                    count, window)
+        readers.append(([j for j, _ in members], reader))
+    if len(readers) == 1:
+        # one form: its sides are already in the callers' order
+        yield from readers[0][1]
         return
+    for _ in range(0, count, window):
+        values = [None] * len(sides)
+        for indices, reader in readers:
+            for j, side in zip(indices, next(reader)):
+                values[j] = side
+        yield values
+
+
+def _point_windows(kind: str, sides, count: int, window: int):
+    """progression_counts by one point count per term of each side."""
+    counter = globals()[COUNTERS[kind]]
+    for lo in range(0, count, window):
+        terms = range(lo, min(lo + window, count))
+        yield [[counter(step * i + offset) for i in terms] for step, offset in sides]
+
+
+def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: int,
+                   window: int):
+    """progression_counts of the sides at m = g*(alpha*i + beta), g the
+    side's entry in ``cofactors``, as one segmented sieve over the primitive
+    form alpha*i + beta."""
+    rule_name, divisor = _PROGRESSIONS[kind][2:]
     rule = globals()[rule_name]
-    # per prime p: (stride, first i, rule(p, k)) for each p**k that divides
-    # some term; each level's terms lie within the level before it, so the
-    # first level with no term below count ends the list
+    # each prime q of a cofactor -> its exponent in each cofactor
+    split = {}
+    for j, g in enumerate(cofactors):
+        for q, e in factorize(g).factors:
+            split.setdefault(q, [0] * len(cofactors))[j] = e
+    bound = isqrt(alpha * (count - 1) + beta)
+    # per prime p: (stride, first i, value) for each p**k that divides some
+    # term below count, where value is rule(p, k), or k for a cofactor prime;
+    # each level's terms lie within the level before it, so the first level
+    # with no term below count ends the list.  A cofactor prime also carries,
+    # per side, rule(q, v + e) for the side's exponent v at each e the terms
+    # take, 1 where v + e = 0
     primes = []
-    for p in _primes_upto(isqrt(top)):
+    for p in chain(_primes_upto(bound), sorted(q for q in split if q > bound)):
         levels = []
         pk, k = p, 1
         while (hits := _divisible_terms(alpha, beta, pk)) and hits[0] < count:
             first, stride = hits
-            levels.append((stride, first, rule(p, k)))
+            levels.append((stride, first, k))
             pk *= p
             k += 1
-        if levels:
-            primes.append((p, levels))
+        if p in split:
+            primes.append((p, levels, [[rule(p, v + e) if v + e else 1
+                                         for e in range(len(levels) + 1)]
+                                        for v in split[p]]))
+        elif levels:
+            primes.append((p, [(stride, first, rule(p, k)) for stride, first, k in levels],
+                           None))
     for lo in range(0, count, window):
         width = min(window, count - lo)
         rem = list(range(alpha * lo + beta, alpha * (lo + width) + beta, alpha))
         val = [1] * width
         # factor[i] ends as rule(p, e) for the exponent e of p in term i
         factor = [0] * width
-        for p, levels in primes:
-            stride_1, first, _ = levels[0]
-            first = (first - lo) % stride_1
-            if first >= width:
-                continue
+        # per side: its cofactor primes' tables read at the terms' exponents,
+        # each a factor of the side on top of val
+        reads = [[] for _ in sides]
+        for p, levels, tables in primes:
+            hit = None
+            # for a cofactor prime, the exponent e of p in term i, or 0
+            marks = factor if tables is None else [0] * width
             for stride, start, value in levels:
                 start = (start - lo) % stride
                 if start >= width:
                     break
+                hit = hit or (start, stride)
                 rem[start::stride] = map(floordiv, rem[start::stride], repeat(p))
-                factor[start::stride] = repeat(value, len(range(start, width, stride)))
-            val[first::stride_1] = map(mul, val[first::stride_1], factor[first::stride_1])
+                marks[start::stride] = repeat(value, len(range(start, width, stride)))
+            if tables is None:
+                if hit:
+                    first, stride = hit
+                    val[first::stride] = map(mul, val[first::stride], factor[first::stride])
+            elif hit:
+                for j, table in enumerate(tables):
+                    reads[j].append(map(table.__getitem__, marks))
+            else:
+                for j, table in enumerate(tables):
+                    if table[0] != 1:
+                        reads[j].append(repeat(table[0]))
         val = [v * rule(r, 1) if r > 1 else v for v, r in zip(val, rem)]
-        if divisor > 1:
-            for i, v in enumerate(val):
-                if v % divisor:
-                    raise ArithmeticError(
-                        f"{kind} closed form at n={step * (lo + i) + offset} is {v}, "
-                        f"not divisible by {divisor}; implementation bug")
-            val = [v // divisor for v in val]
-        yield val
+        yield [_side(kind, divisor, val, factors, step, offset, lo)
+               for (step, offset), factors in zip(sides, reads)]
+
+
+def _side(kind: str, divisor: int, val, factors, step: int, offset: int,
+          lo: int) -> list[int]:
+    """One side's window: val times each factor, divided exactly by divisor;
+    the first term it does not divide is named by its n."""
+    side = val
+    for factor in factors:
+        side = map(mul, side, factor)
+    if divisor == 1:
+        return side if side is val else list(side)
+    side = list(side)
+    if any(map(mod, side, repeat(divisor))):
+        i = next(i for i, v in enumerate(side) if v % divisor)
+        raise ArithmeticError(
+            f"{kind} closed form at n={step * (lo + i) + offset} is {side[i]}, "
+            f"not divisible by {divisor}; implementation bug")
+    return list(map(floordiv, side, repeat(divisor)))
 
 
 def count_table(kind: str, n_max: int) -> list[int]:
     """The closed-form counts of ``kind`` for 0 <= n < n_max, in one pass:
     ``progression_counts`` at step 1 and offset 0, in windows of _WINDOW."""
-    return list(chain.from_iterable(progression_counts(kind, 1, 0, n_max, _WINDOW)))
+    return list(chain.from_iterable(
+        map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max, _WINDOW))))

@@ -24,11 +24,13 @@ from . import arith, lambert, routes, series
 
 # counterexamples a report keeps; failures past them are only counted
 MAX_FAILURES = 100
-# terms of each side a sweep holds at once.  Measured on a 2-core Xeon:
-# verify lin --nmax 100000 peaks at 15.7 MB of RSS at 2**10 (15.1 MB with
-# one point count per argument), 16.0 MB at 2**11, 16.8 MB at 2**12 and
-# 30.4 MB at 2**16; check_lin(100000) takes 0.14 s in process at 2**10 and
-# 0.09 s at 2**12.
+# terms of each side a sweep holds at once.  Measured on a 2-core Xeon, with
+# both sides of lin read from one sieve: verify lin --nmax 100000 peaks at
+# 15.8-15.9 MB of RSS at 2**10 (15.6-15.9 MB with one point count per
+# argument), 16.0-16.1 MB at 2**11, 16.5 MB at 2**12 and 29.8 MB at 2**16;
+# a first check_lin(100000) in a fresh interpreter takes 0.15 s at 2**10,
+# 0.12 s at 2**11 and 0.11 s at 2**12 and 2**16 (medians of 9, interleaved).
+# 2**10 keeps the sweeps' peak RSS where one sieve per side had it.
 _SIDE_WINDOW = 1 << 10
 
 
@@ -162,12 +164,14 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     """One timed report over every instance of the relations, in order.
 
     The instance count is Relation.count, so a sweep that checks nothing
-    reads no value.  Each side of each (k, r) is read window by window from
-    ``arith.progression_counts``, looked up when called (as it looks up the
-    point counters), so a tracer's or a test's rebinding of either reaches
-    every sweep; the sides' windows are walked in lockstep.  Private, so a
-    tracer wrapping public functions charges the work to the check_*
-    function that asked for it."""
+    reads no value.  All sides of one (k, r) are read together, window by
+    window, from one call of ``arith.progression_counts``, looked up when
+    called (as it looks up the point counters), so a tracer's or a test's
+    rebinding of either reaches every sweep.  Every relation here takes its
+    sides of one (k, r) at one primitive form, so that call runs at most one
+    sieve.
+    Private, so a tracer wrapping public functions charges the work to the
+    check_* function that asked for it."""
     started = time.perf_counter()
     checked = sum(rel.count(n_max) for rel in relations)
 
@@ -181,9 +185,10 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
                 index = {"k": k, "r": r}
                 labels = {**(rel.labels or {}), **{key: v for key, v in index.items() if v is not None}}
                 lo = 0
-                read = (arith.progression_counts(rel.kind, step, offset, n_max + 1, _SIDE_WINDOW)
-                        for _, step, offset in sides)
-                for lhs, *terms in zip(*read):
+                read = arith.progression_counts(
+                    rel.kind, [(step, offset) for _, step, offset in sides], n_max + 1,
+                    _SIDE_WINDOW)
+                for lhs, *terms in read:
                     rhs = [0] * len(lhs)
                     for c, values in zip(coefficients, terms):
                         rhs = list(map(add, rhs, map(mul, repeat(c), values)))

@@ -1,7 +1,7 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import core3
@@ -221,16 +221,68 @@ def test_progression_counts_sieve_the_point_counts(window, kind, step, offset, c
     count_at = getattr(arith, COUNTERS[kind])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
-        windows = list(arith.progression_counts(kind, step, offset, count, window))
+        windows = [w for w, in arith.progression_counts(kind, [(step, offset)], count, window)]
     assert [len(w) for w in windows] == [min(window, count - lo) for lo in range(0, count, window)]
     assert sum(windows, []) == [count_at(step * i + offset) for i in range(count)]
+
+
+# 10007 is prime, and above sqrt(top) for every form drawn below once it is
+# the intercept: it divides the form's first term and no other
+_BIG = 10007
+
+
+@pytest.mark.parametrize("window", [16, identities._SIDE_WINDOW, arith._WINDOW])
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(COUNTERS)), st.integers(1, 60), st.integers(1, 10**4),
+       st.booleans(),
+       st.lists(st.lists(st.sampled_from([2, 5, 7, 11, _BIG]), max_size=3),
+                min_size=1, max_size=4),
+       st.integers(1, 300))
+# 2 divides every other term of 3*5i + 7, 4 and 8 some of them, and a side
+# with cofactor 2**3 reads exponents 3 to 6 of 2; 5 divides the slope, so
+# no term
+@example("A3", 5, 7, False, [[], [2, 2, 2], [5, 2]], 300)
+# the first term of 3i + 10007 is the prime 10007, past sqrt(top)
+@example("A3", 1, _BIG, True, [[], [_BIG], [_BIG, _BIG]], 300)
+@example("B3", 1, _BIG, True, [[_BIG], []], 1)
+def test_sides_of_one_primitive_form_share_its_sieve(window, kind, slope, intercept, big,
+                                                     cofactors, count):
+    # the sides at g*(alpha*i + beta), for one primitive form alpha*i + beta
+    # of kind's progression a*n + b and cofactors g made of primes that
+    # divide some of its terms, some of them past sqrt(top)
+    a, b = arith._PROGRESSIONS[kind][:2]
+    alpha, beta = a * slope, _BIG if big else intercept
+    assume(gcd(alpha, beta) == 1)
+    gs = [prod(primes) for primes in cofactors]
+    if a == 3:
+        # a*n + b = g*beta (mod 3) for every side: 2, which swaps the
+        # residues 1 and 2, moves each g to the one that beta allows
+        gs = [g if g * beta % 3 == b else 2 * g for g in gs]
+    sides = [(g * alpha // a, (g * beta - b) // a) for g in gs]
+    assert all(a * step == g * alpha and a * offset + b == g * beta
+               for (step, offset), g in zip(sides, gs))
+    forms = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
+        sieve = arith._sieve_windows
+        patch.setattr(arith, "_sieve_windows",
+                      lambda kind, alpha, beta, *args: forms.append((alpha, beta))
+                      or sieve(kind, alpha, beta, *args))
+        windows = list(arith.progression_counts(kind, sides, count, window))
+    assert forms == [(alpha, beta)]
+    assert [[len(side) for side in w] for w in windows] == [
+        [min(window, count - lo)] * len(sides) for lo in range(0, count, window)]
+    count_at = getattr(arith, COUNTERS[kind])
+    for j, (step, offset) in enumerate(sides):
+        assert sum((w[j] for w in windows), []) == [count_at(step * i + offset)
+                                                    for i in range(count)], j
 
 
 def test_progression_counts_take_the_point_path_past_the_crossover(monkeypatch):
     # 13**8 * 200 is about 1.6e11: the primes to its square root would cost
     # far more than 201 point counts
     monkeypatch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("sieved"))
-    values = sum(arith.progression_counts("A3", 13**8, 3, 201, 64), [])
+    values = sum((w for w, in arith.progression_counts("A3", [(13**8, 3)], 201, 64)), [])
     assert values == [pair_count(13**8 * i + 3) for i in range(201)]
 
 
@@ -265,8 +317,10 @@ def test_broken_prime_power_rule_is_an_internal_error(capsys, monkeypatch):
 def test_broken_rule_names_the_argument_of_the_progression(monkeypatch):
     monkeypatch.setattr(arith, "_sigma_prime_power",
                         lambda p, a: (p ** (a + 1) - 1) // (p - 1) + 1)
-    # the first term is A3 at 8*0 + 6, on either path
-    for crossover in (0, float("inf")):
-        monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", crossover)
-        with pytest.raises(ArithmeticError, match="^A3 closed form at n=6 is"):
-            list(arith.progression_counts("A3", 8, 6, 10, 4))
+    # the first side's first term, A3 at step*0 + offset, on either path; two
+    # sides read one sieve over 6i + 5, and each is named by its own n
+    for sides, n in (([(8, 6)], 6), ([(8, 6), (2, 1)], 6), ([(2, 1), (8, 6)], 1)):
+        for crossover in (0, float("inf")):
+            monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", crossover)
+            with pytest.raises(ArithmeticError, match=f"^A3 closed form at n={n} is"):
+                list(arith.progression_counts("A3", sides, 10, 4))

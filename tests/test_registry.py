@@ -4,6 +4,7 @@ batteries, and the documents that read the registries."""
 import json
 import re
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -161,9 +162,9 @@ def test_reports_do_not_depend_on_the_path_a_side_takes(broken, monkeypatch):
     tops = []
     progression_counts = arith.progression_counts
 
-    def logged(kind, step, offset, count, window):
-        tops.append(step * (count - 1) + offset)
-        return progression_counts(kind, step, offset, count, window)
+    def logged(kind, sides, count, window):
+        tops.extend(step * (count - 1) + offset for step, offset in sides)
+        return progression_counts(kind, sides, count, window)
 
     monkeypatch.setattr(arith, "progression_counts", logged)
     reference = reports()
@@ -179,6 +180,57 @@ def test_reports_do_not_depend_on_the_path_a_side_takes(broken, monkeypatch):
         patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
         patch.setattr(arith, "_closed_form", lambda *args: pytest.fail("a point count ran"))
         assert reports() == reference
+
+
+def test_the_sides_of_each_k_r_share_one_primitive_form(monkeypatch):
+    # each family's sides of one (k, r) are g*(alpha*n + beta) for one
+    # primitive form alpha*n + beta, so a sweep reads one sieve per (k, r)
+    forms = []
+    progression_counts = arith.progression_counts
+
+    def logged(kind, sides, count, window):
+        a, b = arith._PROGRESSIONS[kind][:2]
+        forms.append({(a * step // gcd(a * step, a * offset + b),
+                       (a * offset + b) // gcd(a * step, a * offset + b))
+                      for step, offset in sides})
+        return progression_counts(kind, sides, count, window)
+
+    monkeypatch.setattr(arith, "progression_counts", logged)
+    wide = [(name, options) for name, options in identities.wide_battery(4, 5, 40)
+            if name not in ("cross-validate", "structural", "xia-conjecture")]
+    for name, options in _SWEEPS + wide:
+        run_family(name, options)
+    assert forms and all(len(f) == 1 for f in forms)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_sides_of_two_forms_are_read_from_two_sieves(broken, monkeypatch):
+    # A3(8n+6) and A3(2n+1) are sigma at 4(6n+5) and 6n+5, A3(n) and A3(4n+2)
+    # at 3n+2 and 4(3n+2); 7*A3(n) == A3(4n+2) holds for odd n only, so the
+    # even n fail
+    relation = Relation("two-forms", "A3",
+                        lambda k, r: ((8, 6), ((7, 2, 1), (7, 1, 0), (-1, 4, 2))))
+    if broken:
+        # 3 more at 2**2 keeps sigma's divisibility by 3 and breaks the
+        # relation at other n; 3 more at 2**0, an exponent no argument has,
+        # shows if a side reads the rule where its power of 2 is absent
+        rule = arith._sigma_prime_power
+        monkeypatch.setattr(arith, "_sigma_prime_power",
+                            lambda p, a: rule(p, a) + 3 * (p == 2 and a in (0, 2)))
+    forms = []
+    sieve = arith._sieve_windows
+    monkeypatch.setattr(arith, "_sieve_windows",
+                        lambda kind, alpha, beta, *args: forms.append((alpha, beta))
+                        or sieve(kind, alpha, beta, *args))
+    report = _sweep({}, 300, relation)
+    assert forms == [(6, 5), (3, 2)]
+    assert report.checked == 301 and report.failed >= 151
+    assert report.failures[0].inputs == {"n": 0}
+    with monkeypatch.context() as patch:
+        patch.setattr(arith, "_SIEVE_CROSSOVER", 0)
+        patch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("a side was sieved"))
+        assert _sweep({}, 300, relation) == report
+    assert forms == [(6, 5), (3, 2)]
 
 
 def test_reports_are_timed_one_by_one():
@@ -245,9 +297,9 @@ def test_registries_look_functions_up_when_called(monkeypatch):
 
     monkeypatch.setattr(arith, "progression_counts", counted_sides)
     assert run_family("lin", {"nmax": 3})[0].passed
-    # one read per side: A3(8n + 6) and A3(2n + 1) for n = 0..3
+    # one read carries both sides: A3(8n + 6) and A3(2n + 1) for n = 0..3
     window = identities._SIDE_WINDOW
-    assert sides == [("A3", 8, 6, 4, window), ("A3", 2, 1, 4, window)]
+    assert sides == [("A3", [(8, 6), (2, 1)], 4, window)]
     calls = []
     original = arith.pair_count
 
@@ -259,7 +311,7 @@ def test_registries_look_functions_up_when_called(monkeypatch):
     # on the point path the engine reaches the rebound counter, 2 calls per n
     monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", 0)
     assert run_family("lin", {"nmax": 3})[0].passed
-    assert len(calls) == 8 and len(sides) == 4
+    assert len(calls) == 8 and len(sides) == 2
     assert point_value("A3", "formula", 6) == original(6)
     assert len(calls) == 8 + 1
     # the formula table route is one count_table call, not one counter per row
@@ -351,13 +403,13 @@ def test_selfcheck_refuses_before_any_family_runs(argv, message, capsys, monkeyp
 def test_selfcheck_prints_at_most_five_counterexamples(capsys, monkeypatch):
     original = arith.progression_counts
 
-    def wrong_at_6(kind, step, offset, count, window):
+    def wrong_at_6(kind, sides, count, window):
         # A3(6) one too large, wherever a sweep side reads it
         lo = 0
-        for values in original(kind, step, offset, count, window):
-            yield [v + (kind == "A3" and step * (lo + i) + offset == 6)
-                   for i, v in enumerate(values)]
-            lo += len(values)
+        for values in original(kind, sides, count, window):
+            yield [[v + (kind == "A3" and step * (lo + i) + offset == 6)
+                    for i, v in enumerate(side)] for side, (step, offset) in zip(values, sides)]
+            lo += len(values[0])
 
     monkeypatch.setattr(arith, "progression_counts", wrong_at_6)
     assert main(["selfcheck", "--nmax", "10", "--brute-cap", "10"]) == 1
