@@ -23,10 +23,10 @@ n = A*i + B for several (A, B) at once.  The closed form is taken at
 a*n + b = g*(alpha*i + beta) with alpha*i + beta primitive, so every
 (A, B) of one primitive form is read from one segmented sieve over it, or
 point by point where the sieve's primes would cost more than the terms of
-those sides (``_SIEVE_CROSSOVER``).  A whole table, ``count_table``, is the
-engine at the one side A = 1, B = 0; an identity sweep reads every side of
-one (k, r) of a relation in one call, and those sides share one primitive
-form.
+those sides (``_SIEVE_CROSSOVER``).  A table, ``count_windows`` window by
+window or ``count_table`` whole, is the engine at the one side A = 1, B = 0;
+an identity sweep reads every side of one (k, r) of a relation in one call,
+and those sides share one primitive form.
 """
 
 from itertools import chain, compress, repeat
@@ -46,8 +46,15 @@ _PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
                  "A3": (3, 2, "_sigma_prime_power", 3),
                  "B3": (1, 1, "weighted_divisor_sum_prime_power", 1)}
 
-# terms of the progression held in memory at once by count_table
-_WINDOW = 1 << 16
+# terms of a table computed at once by count_windows, and so held in memory
+# at once by a table that is written as it comes.  Measured on a 2-core Xeon:
+# `table A3 --nmax 345500` peaks at 15.9 MB of RSS in windows of 2**12, 16.5
+# at 2**13, 17.8 at 2**14, 21.4 at 2**15 and 26.6 at 2**16, and 18.0 MB at
+# 2**14 for --nmax 10**6 and 3*10**6 alike (`compute A3 6`: 15.0 MB).  The
+# four table commands of the benchmark at 345500 took 1.72, 1.63, 1.61, 1.63
+# and 1.73 s in all at 2**12..2**16 (in process, medians of 9, interleaved);
+# the windows of A3 to 3*10**6 took 2.5 s at 2**14 and 2.6 s at 2**16.
+_WINDOW = 1 << 14
 # progression_counts sieves a primitive form alpha*i + beta of count terms up
 # to top, read by s sides, when isqrt(top) + _SIEVE_SETUP <=
 # _SIEVE_CROSSOVER * count * s, and takes a point count per term of each side
@@ -505,8 +512,14 @@ def _side(kind: str, divisor: int, val, factors, step: int, offset: int,
     return list(map(floordiv, side, repeat(divisor)))
 
 
+def count_windows(kind: str, n_max: int):
+    """The closed-form counts of ``kind`` for 0 <= n < n_max, as an iterator
+    of windows of _WINDOW counts, the last one shorter: ``progression_counts``
+    at step 1 and offset 0, each window computed when it is asked for."""
+    return map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max, _WINDOW))
+
+
 def count_table(kind: str, n_max: int) -> list[int]:
-    """The closed-form counts of ``kind`` for 0 <= n < n_max, in one pass:
-    ``progression_counts`` at step 1 and offset 0, in windows of _WINDOW."""
-    return list(chain.from_iterable(
-        map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max, _WINDOW))))
+    """The closed-form counts of ``kind`` for 0 <= n < n_max: the windows of
+    ``count_windows`` joined."""
+    return list(chain.from_iterable(count_windows(kind, n_max)))

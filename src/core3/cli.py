@@ -19,7 +19,7 @@ import sys
 from . import __version__, arith
 from .identities import FAMILIES, run_family, selfcheck_battery, wide_battery
 from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, MAX_BRUTE_CAP, METHODS, Config,
-                     UsageError, point_value, table_values)
+                     UsageError, point_value, table_windows)
 
 ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
 
@@ -28,9 +28,10 @@ ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
 _VERIFY_FLAGS = ("p", "j", "kmax", "nmax", "alphamax")
 # table rows joined into one write.  Measured on a 2-core Xeon, writing 345 500
 # rows to a file in process: A3 CSV 157 ms and B3 JSONL 170 ms in blocks of
-# 2**12, against 245 and 270 ms with one write per row.  Blocks of 2**14 raise
-# the peak RSS of that B3 JSONL table from 33.1 to 35.2 MB; at 2**12 it stays
-# at the per-row writes' 33-34 MB.
+# 2**12, against 245 and 270 ms with one write per row.  Written window by
+# window (arith._WINDOW rows), that B3 JSONL table peaks at 16.8 MB of RSS in
+# blocks of 2**10, 17.6 MB at 2**12 and 20.9 MB at 2**14, each in 0.49-0.52 s
+# (in process, to /dev/null).
 _BLOCK = 1 << 12
 
 
@@ -76,14 +77,21 @@ def _cmd_compute(args, cfg: Config) -> int:
 
 
 def _cmd_table(args, cfg: Config) -> int:
-    values = table_values(args.kind, args.method, args.nmax, cfg)
+    windows = table_windows(args.kind, args.method, args.nmax, cfg)
     lines = _csv_lines if args.format == "csv" else _jsonl_lines
     out = sys.stdout
-    if args.format == "csv":
-        out.write("kind,n,value,method\n")
-    for start in range(0, len(values), _BLOCK):
-        rows = enumerate(values[start:start + _BLOCK], start)
-        out.write("".join(lines(args.kind, rows, args.method)))
+    # written with the first window, so a table whose first window fails
+    # leaves stdout empty; one that fails later ends after the windows before
+    header = "kind,n,value,method\n" if args.format == "csv" else ""
+    n = 0
+    for values in windows:
+        out.write(header)
+        header = ""
+        for start in range(0, len(values), _BLOCK):
+            rows = enumerate(values[start:start + _BLOCK], n + start)
+            out.write("".join(lines(args.kind, rows, args.method)))
+        n += len(values)
+    out.write(header)
     return 0
 
 

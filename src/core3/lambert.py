@@ -33,12 +33,15 @@ no step exceeds about sqrt(3*order).  Each progression is one C-level
 slice operation, ``c[start:hi:step] = map(add, c[start:hi:step], weights)``,
 per window of _WINDOW coefficients: the work is the O(order*log(order))
 lattice points, added in C, plus O(sqrt(order)) Python steps per window.
-No slice spans more than one window, so the memory beyond the output is
-O(_WINDOW + sqrt(order)): the slice temporaries and the progressions'
-states.  Only exponents
-below the bound are reached, so the output is exact to its order.  This
-route never touches the Euler-product engine, making it an independent
-oracle for the series module.
+No slice spans more than one window, and each progression's next index is
+never below the window being filled, so a window is final once every
+progression has passed it.  ``tuple_windows`` yields each window as it is
+finished, so a caller that is done with a window before asking for the
+next holds O(_WINDOW + sqrt(order)) in all: the window, its slice
+temporaries and the progressions' states.  Only exponents below the bound
+are reached, so the output is exact to its order.  This route never
+touches the Euler-product engine, making it an independent oracle for the
+series module.
 """
 
 from itertools import accumulate, chain, count, islice, repeat
@@ -47,27 +50,40 @@ from operator import add
 
 from .series import TruncatedSeries, div, from_coeffs, monomial, mul, one
 
-_WINDOW = 1 << 16  # coefficients per window, as in arith.count_table
+# coefficients per window, and so held in memory at once by a table that is
+# written as it comes.  Measured on a 2-core Xeon: `table A3 --method lambert
+# --nmax 345500` peaks at 15.8 MB of RSS in windows of 2**12, 16.1 at 2**13,
+# 16.6 at 2**14, 18.5 at 2**15 and 22.0 at 2**16 (`compute A3 6`: 15.0 MB),
+# and at 16.7 MB at 2**14 for --nmax 10**6.  In process it took 0.39, 0.35,
+# 0.35, 0.35 and 0.37 s (medians of 9, interleaved).  Each window costs a
+# Python step per progression, O(sqrt(order)), so smaller windows cost more
+# at large orders: the windows of A3 to 3*10**6 took 2.1 s at 2**13, 2.0 s at
+# 2**14 and 1.9 s at 2**16, and to 10**7 9.0 s at 2**14 against 7.0 s at 2**16.
+_WINDOW = 1 << 14
 
 
-def _accumulate(order: int, progressions: list[list]) -> TruncatedSeries:
-    """The series whose coefficient n sums the weights that land on n.
+def _windows(order: int, progressions: list[list]):
+    """The coefficients below ``order`` whose n sums the weights that land on
+    n, window by window: each run of _WINDOW coefficients, the last one
+    shorter, is yielded as a fresh list.
 
     A progression [start, step, weights] adds the j-th item of the iterator
     ``weights`` to coefficient start + j*step, for every such index below
-    ``order``.  Windows are filled in ascending order, and each progression
-    keeps its next index and its partly consumed weights across them.
+    ``order``.  Each progression keeps its next index and its partly consumed
+    weights across windows.  That index is never below the current window's
+    start, so a window is final once every progression has passed its end.
     """
-    coeffs = [0] * order
     for lo in range(0, order, _WINDOW):
         hi = min(lo + _WINDOW, order)
+        window = [0] * (hi - lo)
         for progression in progressions:
             start, step, weights = progression
             if start < hi:
                 terms = len(range(start, hi, step))
-                coeffs[start:hi:step] = map(add, coeffs[start:hi:step], islice(weights, terms))
+                window[start - lo::step] = map(add, window[start - lo::step],
+                                               islice(weights, terms))
                 progression[0] = start + terms * step
-    return TruncatedSeries(tuple(coeffs))
+        yield window
 
 
 def _check_order(order: int) -> None:
@@ -75,9 +91,8 @@ def _check_order(order: int) -> None:
         raise ValueError("order must be >= 1")
 
 
-def core_series(order: int) -> TruncatedSeries:
-    """Series of 3-core partition counts from the folded single-pole sum."""
-    _check_order(order)
+def _core_progressions(order: int) -> list[list]:
+    """The progressions of the folded single-pole sum of 3-cores."""
     # (3m+1)(3k+1) = 3n+1 at n = m + (3m+1)k, (3m+2)(3k+2) = 3n+1 at
     # n = 2m+1 + (3m+2)k; the row of m starts on the diagonal k = m
     progressions = []
@@ -86,12 +101,11 @@ def core_series(order: int) -> TruncatedSeries:
         while (diagonal := (c * m + offset) + (3 * m + c) * m) < order:
             progressions.append([diagonal, 3 * m + c, chain((sign,), repeat(2 * sign))])
             m += 1
-    return _accumulate(order, progressions)
+    return progressions
 
 
-def pair_series(order: int) -> TruncatedSeries:
-    """Series of 3-core pair counts from the folded weighted sum."""
-    _check_order(order)
+def _pair_progressions(order: int) -> list[list]:
+    """The progressions of the folded weighted sum of 3-core pairs."""
     # (3m+1)(3k+2) = 3n+2 at n = 2m + (3m+1)k = k + (3k+2)m, weight m+k+1:
     # rows m < split, then columns k over m >= split
     split = isqrt(order // 3) + 1
@@ -100,12 +114,11 @@ def pair_series(order: int) -> TruncatedSeries:
     while (start := k + (3 * k + 2) * split) < order:
         progressions.append([start, 3 * k + 2, count(split + k + 1)])
         k += 1
-    return _accumulate(order, progressions)
+    return progressions
 
 
-def triple_series(order: int) -> TruncatedSeries:
-    """Series of 3-core triple counts from the k^2-kernel expansion."""
-    _check_order(order)
+def _triple_progressions(order: int) -> list[list]:
+    """The progressions of the k^2-kernel expansion of 3-core triples."""
     # d*k = n+1 with weight k^2 for d = 1 mod 3, -k^2 for d = 2 mod 3:
     # rows d <= split, then columns k over d > split
     split = isqrt(3 * order)
@@ -120,7 +133,42 @@ def triple_series(order: int) -> TruncatedSeries:
         d = split + 1 + (residue - split - 1) % 3  # the least d > split in the class
         for k in range(1, order // d + 1):
             progressions.append([k * d - 1, 3 * k, repeat(sign * k * k)])
-    return _accumulate(order, progressions)
+    return progressions
+
+
+# k -> the progressions of the k-tuple series
+_TUPLE_PROGRESSIONS = {1: _core_progressions, 2: _pair_progressions,
+                       3: _triple_progressions}
+
+
+def tuple_windows(k: int, order: int):
+    """The coefficients of the k-tuple series, k in {1, 2, 3}, below ``order``,
+    as an iterator of windows of _WINDOW coefficients, the last one shorter.
+    Bad arguments are refused here, before the first window is asked for."""
+    if k not in _TUPLE_PROGRESSIONS:
+        raise ValueError("k must be 1, 2 or 3")
+    _check_order(order)
+    return _windows(order, _TUPLE_PROGRESSIONS[k](order))
+
+
+def tuple_series(k: int, order: int) -> TruncatedSeries:
+    """The k-tuple series, k in {1, 2, 3}: its windows joined."""
+    return TruncatedSeries(tuple(chain.from_iterable(tuple_windows(k, order))))
+
+
+def core_series(order: int) -> TruncatedSeries:
+    """Series of 3-core partition counts from the folded single-pole sum."""
+    return tuple_series(1, order)
+
+
+def pair_series(order: int) -> TruncatedSeries:
+    """Series of 3-core pair counts from the folded weighted sum."""
+    return tuple_series(2, order)
+
+
+def triple_series(order: int) -> TruncatedSeries:
+    """Series of 3-core triple counts from the k^2-kernel expansion."""
+    return tuple_series(3, order)
 
 
 def pair_fold_cross_term(order: int) -> TruncatedSeries:
@@ -150,11 +198,3 @@ def square_kernel_check(order: int) -> bool:
     denominator = mul(mul(one_minus_x, one_minus_x), one_minus_x)
     quotient = div(numerator, denominator)
     return all(quotient[k] == k * k for k in range(order))
-
-
-def tuple_series(k: int, order: int) -> TruncatedSeries:
-    """Dispatch to the k-tuple builder, k in {1, 2, 3}."""
-    builders = {1: core_series, 2: pair_series, 3: triple_series}
-    if k not in builders:
-        raise ValueError("k must be 1, 2 or 3")
-    return builders[k](order)

@@ -5,6 +5,8 @@ never at import, so rebinding a module attribute (as a tracer does) reaches
 every caller.
 """
 
+from itertools import chain
+
 from . import arith, lambert, partitions, series
 
 KINDS = ("a3", "A3", "B3")
@@ -65,23 +67,33 @@ def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
         raise UsageError(f"{what} exceeds the brute-force cap {cfg.brute_cap}; {hint}")
 
 
-def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
-    """The counts of ``kind`` for 0 <= n < n_max by ``method``."""
+def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
+    """The counts of ``kind`` for 0 <= n < n_max by ``method``, as an iterator
+    of lists whose concatenation is the table.  The formula and Lambert
+    routes yield one window at a time, each computed when it is asked for;
+    series and brute, whose arithmetic needs the whole table, yield it as
+    one list.  A request is refused here, before the first window."""
     if n_max < 0:
         raise UsageError("--nmax must be >= 0")
     if n_max == 0:
-        return []
+        return iter(())
     _check_budget(method, n_max - 1, f"--nmax {n_max}", cfg)
     k = TUPLE_SIZE[kind]
     if method == "formula":
-        return arith.count_table(kind, n_max)
+        return arith.count_windows(kind, n_max)
     if method == "series":
-        return list(series.core_tuple_series(3, k, n_max).coeffs)
+        return iter((list(series.core_tuple_series(3, k, n_max).coeffs),))
     if method == "lambert":
-        return list(lambert.tuple_series(k, n_max).coeffs)
+        return lambert.tuple_windows(k, n_max)
     if method == "brute":
-        return partitions.brute_tuple_table(n_max, 3, k, cap=cfg.brute_cap)
+        return iter((partitions.brute_tuple_table(n_max, 3, k, cap=cfg.brute_cap),))
     raise UsageError(f"unknown method {method!r}")
+
+
+def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
+    """The counts of ``kind`` for 0 <= n < n_max by ``method``: the windows of
+    ``table_windows`` joined."""
+    return list(chain.from_iterable(table_windows(kind, method, n_max, cfg)))
 
 
 def point_value(kind: str, method: str, n: int, cfg: Config = Config()) -> int:

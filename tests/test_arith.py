@@ -1,3 +1,4 @@
+import re
 from math import gcd, prod
 
 import pytest
@@ -312,6 +313,23 @@ def test_broken_prime_power_rule_is_an_internal_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")
+
+
+def test_a_table_failing_past_its_first_window_keeps_the_windows_before(capsys,
+                                                                       monkeypatch):
+    window = arith._WINDOW
+    assert main(["table", "A3", "--nmax", str(window)]) == 0
+    before = capsys.readouterr().out
+    sigma = arith._sigma_prime_power
+    # every prime factor of 3n + 2 for n < window is below 3 * window, so
+    # the first window is right, and the second holds primes above it
+    monkeypatch.setattr(arith, "_sigma_prime_power",
+                        lambda p, a: sigma(p, a) + (p > 3 * window))
+    assert main(["table", "A3", "--nmax", str(3 * window)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == before
+    n = int(re.match(r"internal error: A3 closed form at n=(\d+) ", captured.err)[1])
+    assert window <= n < 2 * window
 
 
 def test_broken_rule_names_the_argument_of_the_progression(monkeypatch):

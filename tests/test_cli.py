@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from core3 import cli
+from core3 import arith, cli, lambert
 from core3.cli import KINDS, METHODS, main
 
 
@@ -78,6 +79,25 @@ def test_table_empty_range(capsys):
     code, out, _ = run_cli(capsys, "table", "A3", "--nmax", "0")
     assert code == 0
     assert out == "kind,n,value,method\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("method", ["formula", "lambert"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_table_bytes_do_not_depend_on_the_windows(capsys, monkeypatch, kind, method, fmt):
+    def tables():
+        return [run_cli(capsys, "table", kind, "--nmax", str(n), "--method", method,
+                        "--format", fmt, "--order", str(max(n, 1)))
+                for n in (0, 1, 15, 16, 17, 33, 50)]
+
+    default = tables()
+    # windows of 16 cross 0 to 3 boundaries above, each in one block and then
+    # in blocks of 5 rows
+    monkeypatch.setattr(arith, "_WINDOW", 16)
+    monkeypatch.setattr(lambert, "_WINDOW", 16)
+    assert tables() == default
+    monkeypatch.setattr(cli, "_BLOCK", 5)
+    assert tables() == default
 
 
 def test_table_deterministic(capsys):
@@ -310,3 +330,60 @@ def test_closed_pipe_exits_quietly():
     assert proc.wait(timeout=60) == 141
     assert json.loads(first)["n"] == 0
     assert b"Traceback" not in err
+
+
+def test_closing_the_pipe_after_one_line_of_a_huge_table_ends_it_at_once():
+    # the table is written window by window, so the reader's close is met
+    # after the first window, not after ten million rows are computed
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "core3", "table", "A3", "--nmax", "10000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"kind,n,value,method\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=5)
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 141
+    assert time.perf_counter() - start < 5
+    assert b"Traceback" not in err
+
+
+# runs the CLI on its argv, then reports the process's peak RSS in kB on stderr
+_PEAK_RSS = """
+import sys
+from core3.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
+          file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _reports_peak_rss() -> bool:
+    try:
+        with open("/proc/self/status") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
+
+
+def _peak_rss_kb(*argv: str) -> int:
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], check=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return int(result.stderr)
+
+
+@pytest.mark.skipif(not _reports_peak_rss(), reason="no VmHWM in /proc/self/status")
+@pytest.mark.parametrize("method", ["formula", "lambert"])
+def test_a_million_row_table_peaks_near_a_point_query(method):
+    # one window at a time: the rows written leave no trace in memory
+    point = _peak_rss_kb("compute", "A3", "6")
+    table = _peak_rss_kb("table", "A3", "--nmax", "1000000", "--method", method,
+                         "--order", "1000000")
+    assert table - point <= 8 * 1024

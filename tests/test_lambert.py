@@ -1,7 +1,9 @@
 import time
+from itertools import chain
 
 import pytest
 
+from core3 import lambert
 from core3.arith import core_count, pair_count, triple_count
 from core3.lambert import (
     _WINDOW,
@@ -11,6 +13,7 @@ from core3.lambert import (
     square_kernel_check,
     triple_series,
     tuple_series,
+    tuple_windows,
 )
 from core3.series import (
     core_tuple_series, div, from_coeffs, monomial, mul, one)
@@ -71,6 +74,19 @@ def test_builders_match_the_lattice_points_across_windows(builder, points):
     expected = points(2 * _WINDOW + 1)
     for order in (_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 1):
         assert list(builder(order).coeffs) == expected[:order], order
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_windows_join_to_the_series(k, monkeypatch):
+    orders = (1, 15, 16, 17, 31, 32, 33, 48, 49, 60)
+    expected = {order: list(tuple_series(k, order).coeffs) for order in orders}
+    # windows of 16: the orders above cross 0 to 3 window boundaries
+    monkeypatch.setattr(lambert, "_WINDOW", 16)
+    for order in orders:
+        windows = list(tuple_windows(k, order))
+        assert [len(w) for w in windows] == [min(16, order - lo) for lo in range(0, order, 16)]
+        assert len(set(map(id, windows))) == len(windows)  # each a fresh list
+        assert list(chain.from_iterable(windows)) == expected[order], order
 
 
 def test_core_series_spot_values():
@@ -146,9 +162,13 @@ def test_tuple_series_dispatch():
     assert tuple_series(3, 10) == triple_series(10)
     with pytest.raises(ValueError):
         tuple_series(4, 10)
+    # windows are refused at the call, not when the first one is asked for
+    with pytest.raises(ValueError):
+        tuple_windows(4, 10)
 
 
 def test_order_validation():
-    for builder in (core_series, pair_series, triple_series):
+    for builder in (core_series, pair_series, triple_series,
+                    lambda order: tuple_windows(1, order)):
         with pytest.raises(ValueError):
             builder(0)

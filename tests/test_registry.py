@@ -4,15 +4,16 @@ batteries, and the documents that read the registries."""
 import json
 import re
 import time
+from itertools import chain
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 from core3 import arith, cli, identities, lambert, partitions, routes, series
-from core3.cli import (FAMILIES, KINDS, METHODS, Config, main, point_value, run_family,
-                       table_values)
+from core3.cli import FAMILIES, KINDS, METHODS, Config, main, point_value, run_family
 from core3.identities import Relation, _sweep
+from core3.routes import table_values
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -274,10 +275,13 @@ def test_route_budgets():
     cfg = Config(order=10, brute_cap=10)
     assert point_value("a3", "series", 9, cfg) == table_values("a3", "series", 10, cfg)[9]
     assert point_value("a3", "brute", 10, cfg) == arith.core_count(10)
+    # a table's windows are refused at the call, before the first window
     for call in (lambda: point_value("a3", "lambert", 10, cfg),
                  lambda: table_values("a3", "series", 11, cfg),
+                 lambda: routes.table_windows("a3", "lambert", 11, cfg),
                  lambda: point_value("a3", "brute", 11, cfg),
-                 lambda: table_values("a3", "brute", 12, cfg)):
+                 lambda: table_values("a3", "brute", 12, cfg),
+                 lambda: routes.table_windows("a3", "brute", 12, cfg)):
         with pytest.raises(cli.UsageError, match="exceeds"):
             call()
     # the closed form has no budget, and an empty table asks nothing
@@ -314,10 +318,10 @@ def test_registries_look_functions_up_when_called(monkeypatch):
     assert len(calls) == 8 and len(sides) == 2
     assert point_value("A3", "formula", 6) == original(6)
     assert len(calls) == 8 + 1
-    # the formula table route is one count_table call, not one counter per row
+    # the formula table route is one count_windows call, not one counter per row
     tables = []
-    monkeypatch.setattr(arith, "count_table",
-                        lambda kind, n_max: tables.append((kind, n_max)) or [7] * n_max)
+    monkeypatch.setattr(arith, "count_windows",
+                        lambda kind, n_max: tables.append((kind, n_max)) or iter([[7] * n_max]))
     assert table_values("A3", "formula", 4) == [7] * 4
     assert tables == [("A3", 4)]
     stub = identities.IdentityReport("stub", {}, 1)
@@ -328,16 +332,21 @@ def test_registries_look_functions_up_when_called(monkeypatch):
 def _off_by_one_at_7(original):
     def wrong(*args, **kwargs):
         result = original(*args, **kwargs)
-        if isinstance(result, list):  # a table, from n = 0
-            return [value + (n == 7) for n, value in enumerate(result)]
-        return result + series.monomial(result.order, 7)
+        if isinstance(result, series.TruncatedSeries):
+            return result + series.monomial(result.order, 7)
+        # a table from n = 0, whole or as windows; the windows are given back
+        # as one
+        windows = not isinstance(result, list)
+        table = [value + (n == 7) for n, value in
+                 enumerate(chain.from_iterable(result) if windows else result)]
+        return iter([table]) if windows else table
     return wrong
 
 
 @pytest.mark.parametrize("module, name, route", [
-    (arith, "count_table", "formula"),
+    (arith, "count_windows", "formula"),
     (series, "core_tuple_series", "series"),
-    (lambert, "tuple_series", "lambert"),
+    (lambert, "tuple_windows", "lambert"),
     (partitions, "brute_tuple_table", "brute"),
 ])
 def test_cross_validate_reads_every_route_from_the_registry(module, name, route,
