@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .arith import (
     Factorization,
     core_count,
-    count_table,
     factorize,
     pair_count,
     sigma,
@@ -33,13 +32,7 @@ from .identities import (
     check_xia_conjecture,
     cross_validate,
 )
-from .lambert import (
-    core_series,
-    pair_fold_cross_term,
-    pair_series,
-    square_kernel_check,
-    triple_series,
-)
+from .lambert import pair_fold_cross_term, square_kernel_check
 from .partitions import brute_tuple_table
 from .series import (
     TruncatedSeries,
@@ -71,8 +64,6 @@ __all__ = [
     "check_xia_congruences",
     "check_xia_conjecture",
     "core_count",
-    "count_table",
-    "core_series",
     "core_tuple_series",
     "cross_validate",
     "div",
@@ -85,12 +76,10 @@ __all__ = [
     "one",
     "pair_count",
     "pair_fold_cross_term",
-    "pair_series",
     "pentagonal",
     "sigma",
     "square_kernel_check",
     "triple_count",
-    "triple_series",
     "verify_q_split",
     "weighted_divisor_sum_prime_power",
 ]

@@ -20,13 +20,12 @@ either limit factorize refuses with ValueError.
 is stated once, in ``_PROGRESSIONS``: a point count evaluates it over
 ``factorize``, and ``progression_counts`` gives its values at every
 n = A*i + B for several (A, B) at once.  The closed form is taken at
-a*n + b = g*(alpha*i + beta) with alpha*i + beta primitive, so every
-(A, B) of one primitive form is read from one segmented sieve over it, or
-point by point where the sieve's primes would cost more than the terms of
-those sides (``_SIEVE_CROSSOVER``).  A table, ``count_windows`` window by
-window or ``count_table`` whole, is the engine at the one side A = 1, B = 0;
-an identity sweep reads every side of one (k, r) of a relation in one call,
-and those sides share one primitive form.
+a*n + b = g*(alpha*i + beta) with alpha*i + beta primitive; the (A, B) of
+one call share one primitive form and are read from one segmented sieve
+over it, or point by point where the sieve's primes would cost more than
+the terms of those sides (``_SIEVE_CROSSOVER``).  A table,
+``count_windows``, is the engine at the one side A = 1, B = 0; an identity
+sweep reads every side of one (k, r) of a relation in one call.
 """
 
 from itertools import chain, compress, repeat
@@ -369,10 +368,10 @@ def progression_counts(kind: str, sides, count: int, window: int):
     ``sides``.
 
     The count at n is multiplicative in m = a*n + b = g*(alpha*i + beta),
-    where g is the gcd of the side's slope and intercept, so the sides that
-    share one primitive form alpha*i + beta are read from one segmented
-    sieve over it (after Gries and Misra, CACM 1978), and a side of another
-    form gets a sieve of its own.  Each window has every prime p <= sqrt(top)
+    where g is the gcd of the side's slope and intercept.  Every side must
+    share one primitive form alpha*i + beta, else ArithmeticError names the
+    forms; the sides are read from one segmented sieve over it (after Gries
+    and Misra, CACM 1978).  Each window has every prime p <= sqrt(top)
     divided out of the terms it divides, top being the form's last term;
     what is left above 1 is one prime.  The primes q of the cofactors g are
     sieved too, above sqrt(top) as well, and kept apart: the sieve records
@@ -380,39 +379,30 @@ def progression_counts(kind: str, sides, count: int, window: int):
     from a table per exponent.  The terms that p**k divides form one
     progression of stride p**k, empty when p divides alpha.  Beyond one
     window the working memory is the primes up to sqrt(top).  Where those
-    primes and the sieve's setup cost more than the terms of the sides that
-    share them (the rule at _SIEVE_CROSSOVER), the point counter of
+    primes and the sieve's setup cost more than the terms of the sides
+    (the rule at _SIEVE_CROSSOVER), the point counter of
     ``kind``, looked up by name when called, answers each of their terms
     instead.
     """
     if count <= 0:
         return
     a, b = _PROGRESSIONS[kind][:2]
-    # (alpha, beta) -> [(index of the side in sides, its cofactor g)]
-    forms = {}
-    for j, (step, offset) in enumerate(sides):
+    forms, cofactors = [], []
+    for step, offset in sides:
         alpha, beta = a * step, a * offset + b
         g = gcd(alpha, beta)
-        forms.setdefault((alpha // g, beta // g), []).append((j, g))
-    readers = []
-    for (alpha, beta), members in forms.items():
-        own = [sides[j] for j, _ in members]
-        if isqrt(alpha * (count - 1) + beta) + _SIEVE_SETUP > _SIEVE_CROSSOVER * count * len(own):
-            reader = _point_windows(kind, own, count, window)
-        else:
-            reader = _sieve_windows(kind, alpha, beta, [g for _, g in members], own,
-                                    count, window)
-        readers.append(([j for j, _ in members], reader))
-    if len(readers) == 1:
-        # one form: its sides are already in the callers' order
-        yield from readers[0][1]
-        return
-    for _ in range(0, count, window):
-        values = [None] * len(sides)
-        for indices, reader in readers:
-            for j, side in zip(indices, next(reader)):
-                values[j] = side
-        yield values
+        forms.append((alpha // g, beta // g))
+        cofactors.append(g)
+    alpha, beta = forms[0]
+    if len(set(forms)) > 1:
+        raise ArithmeticError(
+            f"{kind} sides {list(sides)} lie on the primitive forms "
+            f"{' and '.join(map(str, dict.fromkeys(forms)))}, not one; "
+            f"implementation bug")
+    if isqrt(alpha * (count - 1) + beta) + _SIEVE_SETUP > _SIEVE_CROSSOVER * count * len(sides):
+        yield from _point_windows(kind, sides, count, window)
+    else:
+        yield from _sieve_windows(kind, alpha, beta, cofactors, sides, count, window)
 
 
 def _point_windows(kind: str, sides, count: int, window: int):
@@ -518,8 +508,3 @@ def count_windows(kind: str, n_max: int):
     at step 1 and offset 0, each window computed when it is asked for."""
     return map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max, _WINDOW))
 
-
-def count_table(kind: str, n_max: int) -> list[int]:
-    """The closed-form counts of ``kind`` for 0 <= n < n_max: the windows of
-    ``count_windows`` joined."""
-    return list(chain.from_iterable(count_windows(kind, n_max)))

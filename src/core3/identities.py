@@ -167,9 +167,9 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     reads no value.  All sides of one (k, r) are read together, window by
     window, from one call of ``arith.progression_counts``, looked up when
     called (as it looks up the point counters), so a tracer's or a test's
-    rebinding of either reaches every sweep.  Every relation here takes its
-    sides of one (k, r) at one primitive form, so that call runs at most one
-    sieve.
+    rebinding of either reaches every sweep.  That call takes sides of one
+    primitive form only, and every relation here puts its sides of one
+    (k, r) on one, so each call runs at most one sieve.
     Private, so a tracer wrapping public functions charges the work to the
     check_* function that asked for it."""
     started = time.perf_counter()

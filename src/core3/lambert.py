@@ -156,21 +156,6 @@ def tuple_series(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(chain.from_iterable(tuple_windows(k, order))))
 
 
-def core_series(order: int) -> TruncatedSeries:
-    """Series of 3-core partition counts from the folded single-pole sum."""
-    return tuple_series(1, order)
-
-
-def pair_series(order: int) -> TruncatedSeries:
-    """Series of 3-core pair counts from the folded weighted sum."""
-    return tuple_series(2, order)
-
-
-def triple_series(order: int) -> TruncatedSeries:
-    """Series of 3-core triple counts from the k^2-kernel expansion."""
-    return tuple_series(3, order)
-
-
 def pair_fold_cross_term(order: int) -> TruncatedSeries:
     """The residual double sum of the pair fold; identically zero.
 

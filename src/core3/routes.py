@@ -6,6 +6,7 @@ every caller.
 """
 
 from itertools import chain
+from typing import NamedTuple
 
 from . import arith, lambert, partitions, series
 
@@ -24,36 +25,27 @@ class UsageError(ValueError):
     pass
 
 
-class Config:
-    """Run-wide knobs; flags win over environment variables over defaults.
-    Immutable, and equal to another Config with the same knobs."""
+class _Budgets(NamedTuple):
+    order: int = DEFAULT_ORDER
+    brute_cap: int = DEFAULT_BRUTE_CAP
 
-    __slots__ = ("order", "brute_cap")
 
-    def __init__(self, order: int = DEFAULT_ORDER, brute_cap: int = DEFAULT_BRUTE_CAP):
+class Config(_Budgets):
+    """Run-wide knobs; flags win over environment variables over defaults."""
+
+    __slots__ = ()
+
+    def __new__(cls, order: int = DEFAULT_ORDER, brute_cap: int = DEFAULT_BRUTE_CAP):
         # every route and family reads its cap from here, so no library call
         # can start a walk past the ceiling either
         if brute_cap > MAX_BRUTE_CAP:
             raise UsageError(f"brute_cap must be at most {MAX_BRUTE_CAP}, got {brute_cap}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "brute_cap", brute_cap)
+        return super().__new__(cls, order, brute_cap)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not Config:
-            return NotImplemented
-        return (self.order, self.brute_cap) == (other.order, other.brute_cap)
-
-    def __hash__(self):
-        return hash((self.order, self.brute_cap))
-
-    def __repr__(self):
-        return f"Config(order={self.order!r}, brute_cap={self.brute_cap!r})"
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: keep the ceiling there too
+        return cls(*iterable)
 
 
 def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:

@@ -6,11 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import core3
-from core3 import arith, identities, lambert
+from core3 import arith, identities, lambert, routes
 from core3.arith import (
     COUNTERS,
     core_count,
-    count_table,
     factorize,
     is_prime,
     pair_count,
@@ -197,13 +196,14 @@ def test_sieve_smallest_prime_factor():
 
 @pytest.mark.parametrize("kind", list(COUNTERS))
 def test_count_table_matches_the_point_counters(kind, monkeypatch):
+    # the formula table of the route registry against the point counter
     count = getattr(arith, COUNTERS[kind])
     for n_max in (0, 1, 2, 5000):
-        assert count_table(kind, n_max) == [count(n) for n in range(n_max)], n_max
+        assert routes.table_values(kind, "formula", n_max) == list(map(count, range(n_max))), n_max
     # around one, two and three windows, and primes larger than a window
     monkeypatch.setattr(arith, "_WINDOW", 16)
     for n_max in (15, 16, 17, 31, 32, 33, 47, 48, 49, 1000):
-        assert count_table(kind, n_max) == [count(n) for n in range(n_max)], n_max
+        assert routes.table_values(kind, "formula", n_max) == list(map(count, range(n_max))), n_max
 
 
 @pytest.mark.parametrize("window", [16, identities._SIDE_WINDOW, arith._WINDOW])
@@ -289,9 +289,9 @@ def test_progression_counts_take_the_point_path_past_the_crossover(monkeypatch):
 
 def test_count_table_across_windows_matches_lambert():
     n_max = 2 * arith._WINDOW + 1  # both routes cross two window boundaries
-    for kind, builder in (("a3", lambert.core_series), ("A3", lambert.pair_series),
-                          ("B3", lambert.triple_series)):
-        assert count_table(kind, n_max) == list(builder(n_max).coeffs), kind
+    for kind in COUNTERS:
+        lambert_table = lambert.tuple_series(routes.TUPLE_SIZE[kind], n_max).coeffs
+        assert routes.table_values(kind, "formula", n_max) == list(lambert_table), kind
 
 
 def test_no_command_builds_a_factorization_sieve(capsys):
@@ -308,7 +308,7 @@ def test_broken_prime_power_rule_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(arith, "_sigma_prime_power",
                         lambda p, a: (p ** (a + 1) - 1) // (p - 1) + 1)
     with pytest.raises(ArithmeticError, match="n=0"):
-        count_table("A3", 10)
+        routes.table_values("A3", "formula", 10)
     assert main(["table", "A3", "--nmax", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

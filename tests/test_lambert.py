@@ -7,11 +7,8 @@ from core3 import lambert
 from core3.arith import core_count, pair_count, triple_count
 from core3.lambert import (
     _WINDOW,
-    core_series,
     pair_fold_cross_term,
-    pair_series,
     square_kernel_check,
-    triple_series,
     tuple_series,
     tuple_windows,
 )
@@ -57,23 +54,26 @@ def triple_points(order):
     return acc[1:]
 
 
-BUILDERS = [(core_series, core_points), (pair_series, pair_points),
-            (triple_series, triple_points)]
+# the k-tuple series against its lattice points
+BUILDERS = pytest.mark.parametrize("k, points", [(1, core_points), (2, pair_points),
+                                                 (3, triple_points)],
+                                   ids=["core_series-core_points", "pair_series-pair_points",
+                                        "triple_series-triple_points"])
 
 
-@pytest.mark.parametrize("builder, points", BUILDERS)
-def test_builders_match_the_lattice_points_at_every_small_order(builder, points):
+@BUILDERS
+def test_builders_match_the_lattice_points_at_every_small_order(k, points):
     # every split, diagonal and column start below 300 comes and goes
     expected = points(300)
     for order in range(1, 301):
-        assert list(builder(order).coeffs) == expected[:order], order
+        assert list(tuple_series(k, order).coeffs) == expected[:order], order
 
 
-@pytest.mark.parametrize("builder, points", BUILDERS)
-def test_builders_match_the_lattice_points_across_windows(builder, points):
+@BUILDERS
+def test_builders_match_the_lattice_points_across_windows(k, points):
     expected = points(2 * _WINDOW + 1)
     for order in (_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 1):
-        assert list(builder(order).coeffs) == expected[:order], order
+        assert list(tuple_series(k, order).coeffs) == expected[:order], order
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -90,23 +90,23 @@ def test_windows_join_to_the_series(k, monkeypatch):
 
 
 def test_core_series_spot_values():
-    assert core_series(1)[0] == 1
-    assert core_series(5).coeffs == (1, 1, 2, 0, 2)
+    assert tuple_series(1, 1)[0] == 1
+    assert tuple_series(1, 5).coeffs == (1, 1, 2, 0, 2)
 
 
 def test_pair_series_spot_values():
-    assert pair_series(1)[0] == 1
-    assert pair_series(3).coeffs == (1, 2, 5)
+    assert tuple_series(2, 1)[0] == 1
+    assert tuple_series(2, 3).coeffs == (1, 2, 5)
 
 
 def test_triple_series_spot_values():
-    assert triple_series(1)[0] == 1
-    assert triple_series(4).coeffs == (1, 3, 9, 13)
+    assert tuple_series(3, 1)[0] == 1
+    assert tuple_series(3, 4).coeffs == (1, 3, 9, 13)
 
 
 def test_core_series_counts_divisor_classes():
     # coefficient n must be d_{1,3}(3n+1) - d_{2,3}(3n+1)
-    s = core_series(200)
+    s = tuple_series(1, 200)
     for n in range(200):
         m = 3 * n + 1
         divs = [d for d in range(1, m + 1) if m % d == 0]
@@ -117,9 +117,9 @@ def test_core_series_counts_divisor_classes():
 
 def test_lambert_matches_euler_quotient():
     n = 300
-    assert core_series(n) == core_tuple_series(3, 1, n)
-    assert pair_series(n) == core_tuple_series(3, 2, n)
-    assert triple_series(n) == core_tuple_series(3, 3, n)
+    assert tuple_series(1, n) == core_tuple_series(3, 1, n)
+    assert tuple_series(2, n) == core_tuple_series(3, 2, n)
+    assert tuple_series(3, n) == core_tuple_series(3, 3, n)
 
 
 def test_lambert_matches_euler_quotient_to_6000():
@@ -133,9 +133,9 @@ def test_lambert_matches_euler_quotient_to_6000():
 
 def test_lambert_matches_closed_forms():
     n = 300
-    assert list(core_series(n).coeffs) == [core_count(i) for i in range(n)]
-    assert list(pair_series(n).coeffs) == [pair_count(i) for i in range(n)]
-    assert list(triple_series(n).coeffs) == [triple_count(i) for i in range(n)]
+    assert list(tuple_series(1, n).coeffs) == [core_count(i) for i in range(n)]
+    assert list(tuple_series(2, n).coeffs) == [pair_count(i) for i in range(n)]
+    assert list(tuple_series(3, n).coeffs) == [triple_count(i) for i in range(n)]
 
 
 def test_pair_fold_cross_term_vanishes():
@@ -157,9 +157,10 @@ def test_square_kernel_check():
 
 
 def test_tuple_series_dispatch():
-    assert tuple_series(1, 10) == core_series(10)
-    assert tuple_series(2, 10) == pair_series(10)
-    assert tuple_series(3, 10) == triple_series(10)
+    # each k reaches its own lattice
+    assert list(tuple_series(1, 10).coeffs) == core_points(10)
+    assert list(tuple_series(2, 10).coeffs) == pair_points(10)
+    assert list(tuple_series(3, 10).coeffs) == triple_points(10)
     with pytest.raises(ValueError):
         tuple_series(4, 10)
     # windows are refused at the call, not when the first one is asked for
@@ -168,7 +169,8 @@ def test_tuple_series_dispatch():
 
 
 def test_order_validation():
-    for builder in (core_series, pair_series, triple_series,
-                    lambda order: tuple_windows(1, order)):
+    for k in (1, 2, 3):
         with pytest.raises(ValueError):
-            builder(0)
+            tuple_series(k, 0)
+        with pytest.raises(ValueError):
+            tuple_windows(k, 0)

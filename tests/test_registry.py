@@ -204,16 +204,22 @@ def test_the_sides_of_each_k_r_share_one_primitive_form(monkeypatch):
     assert forms and all(len(f) == 1 for f in forms)
 
 
-@pytest.mark.parametrize("broken", [False, True])
-def test_sides_of_two_forms_are_read_from_two_sieves(broken, monkeypatch):
+def test_sides_of_two_forms_are_an_implementation_bug():
     # A3(8n+6) and A3(2n+1) are sigma at 4(6n+5) and 6n+5, A3(n) and A3(4n+2)
-    # at 3n+2 and 4(3n+2); 7*A3(n) == A3(4n+2) holds for odd n only, so the
-    # even n fail
-    relation = Relation("two-forms", "A3",
-                        lambda k, r: ((8, 6), ((7, 2, 1), (7, 1, 0), (-1, 4, 2))))
+    # at 3n+2 and 4(3n+2): sides on two primitive forms, which no relation has
+    sides = [(8, 6), (2, 1), (1, 0), (4, 2)]
+    with pytest.raises(ArithmeticError, match=r"forms \(6, 5\) and \(3, 2\), not one"):
+        next(arith.progression_counts("A3", sides, 301, identities._SIDE_WINDOW))
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_the_sieve_reads_a_cofactor_prime_where_a_side_lacks_it(broken, monkeypatch):
+    # lin, A3(8n+6) == 7 * A3(2n+1), is sigma at 4(6n+5) and 6n+5: one form,
+    # whose first side has 2 at exponent 2 and whose second has none
+    relation = Relation("lin", "A3", lambda k, r: ((8, 6), ((7, 2, 1),)))
     if broken:
         # 3 more at 2**2 keeps sigma's divisibility by 3 and breaks the
-        # relation at other n; 3 more at 2**0, an exponent no argument has,
+        # relation at every n; 3 more at 2**0, an exponent no argument has,
         # shows if a side reads the rule where its power of 2 is absent
         rule = arith._sigma_prime_power
         monkeypatch.setattr(arith, "_sigma_prime_power",
@@ -224,14 +230,13 @@ def test_sides_of_two_forms_are_read_from_two_sieves(broken, monkeypatch):
                         lambda kind, alpha, beta, *args: forms.append((alpha, beta))
                         or sieve(kind, alpha, beta, *args))
     report = _sweep({}, 300, relation)
-    assert forms == [(6, 5), (3, 2)]
-    assert report.checked == 301 and report.failed >= 151
-    assert report.failures[0].inputs == {"n": 0}
+    assert forms == [(6, 5)]
+    assert report.checked == 301 and report.failed == (301 if broken else 0)
     with monkeypatch.context() as patch:
         patch.setattr(arith, "_SIEVE_CROSSOVER", 0)
         patch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("a side was sieved"))
         assert _sweep({}, 300, relation) == report
-    assert forms == [(6, 5), (3, 2)]
+    assert forms == [(6, 5)]
 
 
 def test_reports_are_timed_one_by_one():
@@ -377,7 +382,10 @@ def test_brute_lane_is_one_walk(run, tables, walks):
     lambda: identities.cross_validate(62, brute_cap=61),
     lambda: table_values("a3", "brute", 62, Config(brute_cap=61)),
     lambda: point_value("B3", "brute", 61, Config(brute_cap=61)),
-], ids=["run_family", "run_family-dropped", "cross_validate", "table_values", "point_value"])
+    # a Config is a NamedTuple: _replace builds a new one and meets the check too
+    lambda: table_values("a3", "brute", 62, Config()._replace(brute_cap=61)),
+], ids=["run_family", "run_family-dropped", "cross_validate", "table_values", "point_value",
+        "Config._replace"])
 def test_library_callers_meet_the_brute_cap_ceiling(call, walks):
     # the ceiling of the command line, refused before any walk starts
     with pytest.raises(routes.UsageError,
