@@ -10,11 +10,18 @@ closed early by its reader (128 + SIGPIPE).  Values are
 always printed as decimal strings so downstream JSON consumers never hit
 the 53-bit number limit.  Output ordering is deterministic: ascending n,
 JSON keys fixed as kind, n, value, method.
+
+Each subcommand's arguments are one table, ``_COMMANDS``.  A well-formed
+argv (exact flag names, each with its value, every value valid and every
+required argument present) is parsed from it directly; anything else, help
+and ``--version`` included, goes to the argparse parser built from the same
+table, which writes every usage line, help text and error.  So argparse, and
+the gettext and locale modules it loads, are imported only when needed.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__, arith
 from .identities import FAMILIES, run_family, selfcheck_battery, wide_battery
@@ -64,8 +71,9 @@ def _csv_lines(kind: str, rows, method: str) -> list[str]:
 def _jsonl_lines(kind: str, rows, method: str) -> list[str]:
     """The JSON object {"kind", "n", "value", "method"} of each (n, value) of
     ``rows`` as ``json.dumps`` writes it, plus a newline, formatted directly:
-    kind and method are argparse choices, which need no JSON escaping, and
-    the value is written as the decimal string of the int."""
+    kind and method are choices of the argument table, which either parser
+    checks, so they need no JSON escaping, and the value is written as the
+    decimal string of the int."""
     return [f'{{"kind": "{kind}", "n": {n}, "value": "{value}", "method": "{method}"}}\n'
             for n, value in rows]
 
@@ -137,7 +145,45 @@ def _cmd_selfcheck(args, cfg: Config) -> int:
     return 1 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# each subcommand's help, handler and arguments, the arguments as the keyword
+# arguments of argparse's add_argument: _build_parser hands them to argparse,
+# and _parse_well_formed reads them for an argv that needs no argparse
+_ORDER = ("--order", {"type": int, "default": DEFAULT_ORDER,
+                      "help": f"series order budget (default {DEFAULT_ORDER})"})
+_BRUTE_CAP = ("--brute-cap", {"type": int, "default": None,
+                              "help": f"brute-force cap (default {DEFAULT_BRUTE_CAP}, "
+                                      f"at most {MAX_BRUTE_CAP})"})
+_COMMANDS = {
+    "compute": ("compute one value", _cmd_compute, (
+        ("kind", {"choices": KINDS}),
+        ("n", {"type": int}),
+        ("--method", {"choices": METHODS, "default": "formula"}),
+        _ORDER, _BRUTE_CAP)),
+    "table": ("emit values for 0 <= n < nmax", _cmd_table, (
+        ("kind", {"choices": KINDS}),
+        ("--nmax", {"type": int, "required": True}),
+        ("--method", {"choices": METHODS, "default": "formula"}),
+        ("--format", {"choices": ("csv", "jsonl"), "default": "csv"}),
+        _ORDER, _BRUTE_CAP)),
+    "verify": ("verify one identity family", _cmd_verify, (
+        ("family", {"help": "one of: " + ", ".join(FAMILIES)}),
+        *((f"--{flag}", {"type": int, "default": None}) for flag in _VERIFY_FLAGS),
+        _BRUTE_CAP)),
+    "selfcheck": ("cross-validate all methods and run every family", _cmd_selfcheck, (
+        ("--nmax", {"type": int, "default": 200}),
+        ("--wide", {"action": "store_true", "default": False,
+                    "help": "the long-form battery: wider ranges, more primes"}),
+        ("--kmax", {"type": int, "default": None,
+                    "help": "largest k of the --wide battery (default 4)"}),
+        _BRUTE_CAP)),
+}
+
+
+def _build_parser():
+    # argparse, and the gettext and locale its messages load, cost a point
+    # query about 6 ms; only help, --version and usage errors pay for them
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="core3",
         description=("Count 3-core partitions (a3), pairs (A3) and triples (B3) "
@@ -152,55 +198,67 @@ def _build_parser() -> argparse.ArgumentParser:
                 "refused with exit code 2."))
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, order=True):
-        if order:
-            p.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                           help=f"series order budget (default {DEFAULT_ORDER})")
-        p.add_argument("--brute-cap", type=int, default=None, dest="brute_cap",
-                       help=f"brute-force cap (default {DEFAULT_BRUTE_CAP}, "
-                            f"at most {MAX_BRUTE_CAP})")
-
-    p_compute = sub.add_parser("compute", help="compute one value")
-    p_compute.add_argument("kind", choices=KINDS)
-    p_compute.add_argument("n", type=int)
-    p_compute.add_argument("--method", choices=METHODS, default="formula")
-    common(p_compute)
-    p_compute.set_defaults(handler=_cmd_compute, parser=p_compute)
-
-    p_table = sub.add_parser("table", help="emit values for 0 <= n < nmax")
-    p_table.add_argument("kind", choices=KINDS)
-    p_table.add_argument("--nmax", type=int, required=True)
-    p_table.add_argument("--method", choices=METHODS, default="formula")
-    p_table.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    common(p_table)
-    p_table.set_defaults(handler=_cmd_table, parser=p_table)
-
-    p_verify = sub.add_parser("verify", help="verify one identity family")
-    p_verify.add_argument("family", help="one of: " + ", ".join(FAMILIES))
-    for flag in _VERIFY_FLAGS:
-        p_verify.add_argument(f"--{flag}", type=int, default=None)
-    common(p_verify, order=False)
-    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
-
-    p_self = sub.add_parser("selfcheck",
-                            help="cross-validate all methods and run every family")
-    p_self.add_argument("--nmax", type=int, default=200)
-    p_self.add_argument("--wide", action="store_true",
-                        help="the long-form battery: wider ranges, more primes")
-    p_self.add_argument("--kmax", type=int, default=None,
-                        help="largest k of the --wide battery (default 4)")
-    common(p_self, order=False)
-    p_self.set_defaults(handler=_cmd_selfcheck, parser=p_self)
-
+    for command, (help_, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        p.set_defaults(handler=handler, parser=p)
     return parser
 
 
+def _parse_well_formed(argv: list[str]):
+    """The attributes argparse sets for ``argv`` (its ``parser`` aside), or
+    None unless argv is a subcommand followed by exact flag names, each but
+    ``--wide`` with its value as the next token, and its positionals, every
+    value converted and checked as argparse would and every required argument
+    present.  Any token that starts with "-" and is not a flag declines, as
+    does one in a value or positional slot: argparse decides those."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    flags = {name: options for name, options in arguments if name.startswith("-")}
+    slots = iter([argument for argument in arguments if argument[0] not in flags])
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            name, options = token, flags.get(token)
+            if options is None:
+                return None
+            if options.get("action") == "store_true":
+                given[name] = True
+                continue
+            token = next(tokens, "-")  # a flag with no value declines below
+            if token.startswith("-"):
+                return None
+        else:
+            name, options = next(slots, (None, None))
+            if name is None:
+                return None
+        try:
+            value = options.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        given[name] = value
+    if next(slots, None) is not None or any(
+            options.get("required") and name not in given for name, options in flags.items()):
+        return None
+    # each dest as argparse derives it from the positional or --long-flag
+    attrs = {name.lstrip("-").replace("-", "_"): given.get(name, options.get("default"))
+             for name, options in arguments}
+    return SimpleNamespace(command=argv[0], **attrs, handler=handler)
+
+
 def main(argv=None) -> int:
-    args, extras = _build_parser().parse_known_args(argv)
-    if extras:
-        # the subcommand's parser reports them, with its own usage line
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_well_formed(argv)
+    if args is None:
+        args, extras = _build_parser().parse_known_args(argv)
+        if extras:
+            # the subcommand's parser reports them, with its own usage line
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         cfg = _make_config(args)
         return args.handler(args, cfg)

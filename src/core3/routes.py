@@ -19,6 +19,12 @@ DEFAULT_BRUTE_CAP = 40
 # the largest brute-force cap a front end accepts; the pruned walk to 60
 # takes about 0.3 ms
 MAX_BRUTE_CAP = partitions.DEFAULT_CAP
+# the most terms the series route computes, whatever --order allows: its time
+# grows as N^1.5.  On a 2-core Xeon, in process, the a3/A3/B3 series tables
+# take 2.4/4.1/4.7 s and peak at 18/25/23 MB of RSS at N = 10^5, and
+# 8.5/14.2/15.4 s and 23/36/32 MB at 2*10^5.  cross_validate(10^5) needs 10^5
+# terms; the Lambert route computes the same tables window by window.
+MAX_SERIES_ORDER = 200_000
 
 
 class UsageError(ValueError):
@@ -50,6 +56,10 @@ class Config(_Budgets):
 
 def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
     """Refuse a request whose largest n, ``top``, is past the method's budget."""
+    if method == "series" and top >= MAX_SERIES_ORDER:
+        raise UsageError(
+            f"{what} exceeds the series route's ceiling of {MAX_SERIES_ORDER} terms; "
+            "--method lambert streams the same table")
     if method in ("series", "lambert") and top >= cfg.order:
         raise UsageError(
             f"{what} exceeds the series order budget {cfg.order}; raise --order")
@@ -90,10 +100,13 @@ def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> 
 
 def point_value(kind: str, method: str, n: int, cfg: Config = Config()) -> int:
     """The count of ``kind`` at n by ``method``; every route but the closed
-    form answers from its table up to n."""
+    form answers from the last window of its table up to n."""
     if n < 0:
         raise UsageError("n must be >= 0")
     if method == "formula":
         return getattr(arith, arith.COUNTERS[kind])(n)
     _check_budget(method, n, f"n={n}", cfg)
-    return table_values(kind, method, n + 1, cfg)[n]
+    # n is the last entry of the table, so only its last window is kept
+    for values in table_windows(kind, method, n + 1, cfg):
+        pass
+    return values[-1]

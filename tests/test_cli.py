@@ -1,12 +1,20 @@
+import contextlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from core3 import arith, cli, lambert
-from core3.cli import KINDS, METHODS, main
+from core3 import arith, cli, lambert, routes, series
+from core3.cli import KINDS, METHODS, Config, UsageError, main
+from core3.routes import MAX_SERIES_ORDER
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +143,25 @@ def test_table_respects_order_budget(capsys):
                            "--method", "series", "--order", "10")
     assert code == 2
     assert "order budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "B3", "--nmax", str(MAX_SERIES_ORDER + 1)],
+    ["compute", "B3", str(MAX_SERIES_ORDER)],
+], ids=["table", "compute"])
+def test_series_route_past_its_ceiling_is_refused_before_it_starts(capsys, monkeypatch, argv):
+    def refused(*args):
+        raise AssertionError("the series route ran past its ceiling")
+
+    monkeypatch.setattr(series, "core_tuple_series", refused)
+    order = str(MAX_SERIES_ORDER + 1)
+    code, out, err = run_cli(capsys, *argv, "--method", "series", "--order", order)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"ceiling of {MAX_SERIES_ORDER} terms" in err
+    # library callers meet the same ceiling
+    with pytest.raises(UsageError, match=f"ceiling of {MAX_SERIES_ORDER} terms"):
+        routes.table_values("a3", "series", MAX_SERIES_ORDER + 1,
+                            Config(order=MAX_SERIES_ORDER + 1))
 
 
 def test_verify_pass(capsys):
@@ -281,22 +308,37 @@ def test_module_entry_point():
     assert json.loads(result.stdout)["value"] == "2"
 
 
-def _imported_modules(*args: str) -> set[str]:
-    """The modules ``python -X importtime *args`` reports importing."""
+def _imported_modules(*args: str, code: int = 0) -> set[str]:
+    """The modules ``python -X importtime *args`` reports importing; it must
+    exit with ``code``."""
     result = subprocess.run([sys.executable, "-X", "importtime", *args],
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, text=True)
+    assert result.returncode == code, result.stderr[-2000:]
     return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
             if line.startswith("import time:") and not line.endswith("imported package")}
 
 
-@pytest.mark.parametrize("argv", [["compute", "A3", "6"], ["table", "a3", "--nmax", "10"]],
-                         ids=["compute", "table"])
-def test_point_commands_import_only_what_they_run(argv):
-    # dataclasses pulls in inspect (and with it ast, dis and tokenize), and
-    # json is read by verify alone: neither belongs in a point query's start-up
+@pytest.mark.parametrize("argv, reads", [
+    (["compute", "A3", "6"], set()),
+    (["table", "a3", "--nmax", "10"], set()),
+    (["verify", "lin", "--nmax", "10"], {"json"}),
+    (["selfcheck", "--nmax", "5"], set()),
+], ids=["compute", "table", "verify", "selfcheck"])
+def test_point_commands_import_only_what_they_run(argv, reads):
+    # dataclasses pulls in inspect (and with it ast, dis and tokenize), json
+    # is read by verify alone, and a well-formed argv is parsed without
+    # argparse, whose messages load gettext and locale
     own = _imported_modules("-m", "core3", *argv) - _imported_modules("-c", "pass")
     assert "core3.cli" in own
-    assert not own & {"dataclasses", "inspect", "json"}
+    forbidden = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
+    assert own & forbidden == reads
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["table", "a3"], 2)],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_import_argparse(argv, code):
+    # the fallback is real: argparse writes every help text and usage error
+    assert "argparse" in _imported_modules("-m", "core3", *argv, code=code)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -380,10 +422,106 @@ def _peak_rss_kb(*argv: str) -> int:
 
 
 @pytest.mark.skipif(not _reports_peak_rss(), reason="no VmHWM in /proc/self/status")
-@pytest.mark.parametrize("method", ["formula", "lambert"])
-def test_a_million_row_table_peaks_near_a_point_query(method):
-    # one window at a time: the rows written leave no trace in memory
+@pytest.mark.parametrize("argv", [
+    ["table", "A3", "--nmax", "1000000", "--method", "formula", "--order", "1000000"],
+    ["table", "A3", "--nmax", "1000000", "--method", "lambert", "--order", "1000000"],
+    ["compute", "A3", "999999", "--method", "lambert", "--order", "1000000"],
+], ids=["formula", "lambert", "lambert-point"])
+def test_a_million_row_table_peaks_near_a_point_query(argv):
+    # one window at a time: the rows written, or passed on the way to the
+    # last, leave no trace in memory
     point = _peak_rss_kb("compute", "A3", "6")
-    table = _peak_rss_kb("table", "A3", "--nmax", "1000000", "--method", method,
-                         "--order", "1000000")
-    assert table - point <= 8 * 1024
+    assert _peak_rss_kb(*argv) - point <= 8 * 1024
+
+
+def _argparse_attrs(argv: list[str]):
+    """What argparse's ``parse_known_args`` sets for ``argv``, its ``parser``
+    aside, or None where ``main`` would exit on a help text, the version, a
+    usage error or an unrecognized argument."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extras = cli._build_parser().parse_known_args(argv)
+        except SystemExit:
+            return None
+    if extras:
+        return None
+    attrs = vars(args)
+    del attrs["parser"]
+    return attrs
+
+
+_FLAGS = sorted({name for _, _, arguments in cli._COMMANDS.values()
+                 for name, _ in arguments if name.startswith("-")})
+_VALUES = [*KINDS, *METHODS, "csv", "jsonl", "lin", "BN", "nosuch",
+           "0", "5", "12", "-1", "1_000", " 7", "+5", "", "0x10"]
+_TOKENS = st.one_of(
+    st.sampled_from([*cli._COMMANDS, *_FLAGS, *_VALUES, "-h", "--help", "--version", "--",
+                     "-", "--nm", "--meth", "--wid", "--brute", "--order=5", "--nmax=2"]),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_VALUES)),
+    st.text(max_size=6))
+
+
+@st.composite
+def _well_formed_argvs(draw):
+    """A subcommand with its positionals and some of its flags, each given a
+    choice or a value that is often an int, in any order: often well formed,
+    sometimes not."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    groups = []
+    for name, options in cli._COMMANDS[command][2]:
+        if "choices" in options:
+            value = draw(st.sampled_from(options["choices"]))
+        else:
+            value = draw(st.one_of(st.integers(0, 50).map(str), st.sampled_from(_VALUES)))
+        if not name.startswith("-"):
+            groups.append([value])
+        elif options.get("required") or draw(st.booleans()):
+            groups.append([name] if options.get("action") else [name, value])
+    positionals = [g for g in groups if not g[0].startswith("-")]
+    flags = draw(st.permutations([g for g in groups if g[0].startswith("-")]))
+    # the positionals keep their order, the flags go anywhere around them
+    cuts = sorted(draw(st.lists(st.integers(0, len(flags)), min_size=len(positionals),
+                                max_size=len(positionals))))
+    argv, start = [command], 0
+    for cut, positional in zip(cuts, positionals):
+        argv += [token for group in flags[start:cut] for token in group] + positional
+        start = cut
+    return argv + [token for group in flags[start:] for token in group]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_well_formed_argvs(),
+                 st.lists(_TOKENS, max_size=7),
+                 st.builds(lambda argv, extra: argv + extra, _well_formed_argvs(),
+                           st.lists(_TOKENS, min_size=1, max_size=2))))
+def test_the_fast_parser_sets_what_argparse_sets_or_declines(argv):
+    ours = cli._parse_well_formed(argv)
+    if ours is not None:
+        # argparse accepts it too, with the same attributes and no others
+        assert vars(ours) == _argparse_attrs(argv)
+
+
+def _perfbench_argvs() -> list[list[str]]:
+    """Every argv of every perfbench workload at seed 0, each pass."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    # the oracle values only judge outputs; the argvs do not read them
+    stub = SimpleNamespace(lambert=SimpleNamespace(
+        tuple_series=lambda k, order: SimpleNamespace(coeffs=(0,) * order)))
+    argvs = []
+    for workload in workloads.WORKLOADS.values():
+        bench = workload(0, stub)
+        for index in range(workload.MIN_PASSES):
+            argvs += [command.argv for command in bench.pass_commands(index)]
+    return argvs
+
+
+def test_every_perfbench_argv_is_parsed_without_argparse():
+    argvs = _perfbench_argvs()
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
+    for argv in argvs:
+        ours = cli._parse_well_formed(argv)
+        assert ours is not None, argv
+        assert vars(ours) == _argparse_attrs(argv)
