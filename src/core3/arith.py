@@ -30,7 +30,7 @@ sweep reads every side of one (k, r) of a relation in one call.
 
 from itertools import chain, compress, repeat
 from math import gcd, isqrt, prod
-from operator import floordiv, itemgetter, mod, mul
+from operator import floordiv, itemgetter, mul
 from typing import NamedTuple
 
 # kind -> name of its closed-form counter in this module.  Callers look the
@@ -479,7 +479,8 @@ def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: in
                 for j, table in enumerate(tables):
                     if table[0] != 1:
                         reads[j].append(repeat(table[0]))
-        val = [v * rule(r, 1) if r > 1 else v for v, r in zip(val, rem)]
+        # a product already 0 stays 0 whatever the rule gives: no call for it
+        val = [v * rule(r, 1) if v and r > 1 else v for v, r in zip(val, rem)]
         yield [_side(kind, divisor, val, factors, step, offset, lo)
                for (step, offset), factors in zip(sides, reads)]
 
@@ -494,12 +495,14 @@ def _side(kind: str, divisor: int, val, factors, step: int, offset: int,
     if divisor == 1:
         return side if side is val else list(side)
     side = list(side)
-    if any(map(mod, side, repeat(divisor))):
+    quotients = list(map(floordiv, side, repeat(divisor)))
+    # exact: the sums differ by the remainders' sum, each in [0, divisor)
+    if divisor * sum(quotients) != sum(side):
         i = next(i for i, v in enumerate(side) if v % divisor)
         raise ArithmeticError(
             f"{kind} closed form at n={step * (lo + i) + offset} is {side[i]}, "
             f"not divisible by {divisor}; implementation bug")
-    return list(map(floordiv, side, repeat(divisor)))
+    return quotients
 
 
 def count_windows(kind: str, n_max: int):

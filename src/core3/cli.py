@@ -6,10 +6,9 @@ whole identity battery, with per-family timing; ``--wide`` runs the
 long-form battery).  Both batteries are data in ``identities``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
-closed early by its reader (128 + SIGPIPE).  Values are
-always printed as decimal strings so downstream JSON consumers never hit
-the 53-bit number limit.  Output ordering is deterministic: ascending n,
-JSON keys fixed as kind, n, value, method.
+closed early by its reader (128 + SIGPIPE).  Rows, in ascending n, fill one
+template per format, one %-format per block of rows; values are decimal
+strings, so JSON readers never hit the 53-bit limit; keys are kind, n, value, method.
 
 Each subcommand's arguments are one table, ``_COMMANDS``.  A well-formed
 argv (exact flag names, each with its value, every value valid and every
@@ -33,13 +32,13 @@ ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
 
 # the verify flags, each an option of some family in identities.FAMILIES
 _VERIFY_FLAGS = ("p", "j", "kmax", "nmax", "alphamax")
-# table rows joined into one write.  Measured on a 2-core Xeon, writing 345 500
-# rows to a file in process: A3 CSV 157 ms and B3 JSONL 170 ms in blocks of
-# 2**12, against 245 and 270 ms with one write per row.  Written window by
-# window (arith._WINDOW rows), that B3 JSONL table peaks at 16.8 MB of RSS in
-# blocks of 2**10, 17.6 MB at 2**12 and 20.9 MB at 2**14, each in 0.49-0.52 s
-# (in process, to /dev/null).
-_BLOCK = 1 << 12
+# table rows written by one %-format and one write.  Measured on a 2-core Xeon,
+# writing 345 500 rows window by window to /dev/null in process, medians of 11
+# interleaved runs: in blocks of 2**10, the a3 CSV, A3 CSV, B3 JSONL and A3
+# Lambert tables took 0.27, 0.38, 0.47 and 0.30 s and peaked at 15.6, 16.9,
+# 16.4 and 15.6 MB of RSS; at 2**12, 0.27, 0.39, 0.49 and 0.30 s and 15.7,
+# 16.8, 17.2, 15.8 MB; at 2**14, 0.28, 0.41, 0.51, 0.31 s and 17.3, 19.4, 21.3, 17.6 MB.
+_BLOCK = 1 << 10
 
 
 def _make_config(args) -> Config:
@@ -63,41 +62,39 @@ def _make_config(args) -> Config:
     return Config(order=order, brute_cap=cap)
 
 
-def _csv_lines(kind: str, rows, method: str) -> list[str]:
-    """The CSV line of each (n, value) of ``rows``."""
-    return [f"{kind},{n},{value},{method}\n" for n, value in rows]
-
-
-def _jsonl_lines(kind: str, rows, method: str) -> list[str]:
-    """The JSON object {"kind", "n", "value", "method"} of each (n, value) of
-    ``rows`` as ``json.dumps`` writes it, plus a newline, formatted directly:
-    kind and method are choices of the argument table, which either parser
-    checks, so they need no JSON escaping, and the value is written as the
-    decimal string of the int."""
-    return [f'{{"kind": "{kind}", "n": {n}, "value": "{value}", "method": "{method}"}}\n'
-            for n, value in rows]
+def _row(fmt: str, kind: str, method: str) -> str:
+    """A table row in ``fmt``, %d for its n and value; a JSONL row as json.dumps writes
+    it, plus a newline: kind and method, choices the parsers check, need no escaping."""
+    if fmt == "csv":
+        return f"{kind},%d,%d,{method}\n"
+    return f'{{"kind": "{kind}", "n": %d, "value": "%d", "method": "{method}"}}\n'
 
 
 def _cmd_compute(args, cfg: Config) -> int:
     value = point_value(args.kind, args.method, args.n, cfg)
-    sys.stdout.write("".join(_jsonl_lines(args.kind, [(args.n, value)], args.method)))
+    sys.stdout.write(_row("jsonl", args.kind, args.method) % (args.n, value))
     return 0
 
 
 def _cmd_table(args, cfg: Config) -> int:
     windows = table_windows(args.kind, args.method, args.nmax, cfg)
-    lines = _csv_lines if args.format == "csv" else _jsonl_lines
+    row = _row(args.format, args.kind, args.method)
     out = sys.stdout
     # written with the first window, so a table whose first window fails
     # leaves stdout empty; one that fails later ends after the windows before
     header = "kind,n,value,method\n" if args.format == "csv" else ""
+    # one %-format per block on n and value interleaved; a full block's made once
+    full = (row * _BLOCK, [0] * (2 * _BLOCK))
     n = 0
     for values in windows:
         out.write(header)
         header = ""
         for start in range(0, len(values), _BLOCK):
-            rows = enumerate(values[start:start + _BLOCK], n + start)
-            out.write("".join(lines(args.kind, rows, args.method)))
+            size = min(_BLOCK, len(values) - start)
+            template, fields = full if size == _BLOCK else (row * size, [0] * (2 * size))
+            fields[::2] = range(n + start, n + start + size)
+            fields[1::2] = values[start:start + size]
+            out.write(template % tuple(fields))
         n += len(values)
     out.write(header)
     return 0

@@ -332,6 +332,26 @@ def test_a_table_failing_past_its_first_window_keeps_the_windows_before(capsys,
     assert window <= n < 2 * window
 
 
+@pytest.mark.parametrize("crossover", [0, float("inf")], ids=["point", "sieve"])
+def test_a_lone_term_the_divisor_misses_is_named(capsys, monkeypatch, crossover):
+    window = arith._WINDOW
+    monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", crossover)
+    assert main(["table", "A3", "--nmax", str(window)]) == 0
+    before = capsys.readouterr().out
+    # 3n + 2 = prime near the middle of the second window; the prime divides
+    # no other term below 2 * window, and sigma at it, raised by 1, is
+    # the one term of the table that 3 does not divide
+    n = next(n for n in range(window + window // 2, 2 * window) if is_prime(3 * n + 2))
+    prime = 3 * n + 2
+    sigma = arith._sigma_prime_power
+    monkeypatch.setattr(arith, "_sigma_prime_power", lambda p, a: sigma(p, a) + (p == prime))
+    assert main(["table", "A3", "--nmax", str(2 * window)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == before
+    assert captured.err == (f"internal error: A3 closed form at n={n} is {prime + 2}, "
+                            f"not divisible by 3; implementation bug\n")
+
+
 def test_broken_rule_names_the_argument_of_the_progression(monkeypatch):
     monkeypatch.setattr(arith, "_sigma_prime_power",
                         lambda p, a: (p ** (a + 1) - 1) // (p - 1) + 1)

@@ -1,10 +1,12 @@
 import contextlib
+import csv
 import importlib.util
 import io
 import json
 import subprocess
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -341,15 +343,60 @@ def test_help_and_usage_errors_import_argparse(argv, code):
     assert "argparse" in _imported_modules("-m", "core3", *argv, code=code)
 
 
+_VALUES = st.one_of(st.sampled_from([0, -1, 2**53 + 1, -(2**53 + 1), 10**30 - 1, -(3**63)]),
+                    st.integers())
+_WINDOWS = st.lists(st.lists(_VALUES, max_size=12), max_size=4)
+
+
+def _stdout_of(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _written_tables(kind, method, fmt, windows) -> set:
+    """The exit code and stdout of ``table`` over the rows of ``windows``, in
+    blocks of 1 row, of 5 rows (full and partial) and of the default size,
+    larger than any window here."""
+    argv = ["table", kind, "--nmax", str(sum(map(len, windows))), "--method", method,
+            "--format", fmt]
+    written = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "table_windows", lambda *args: iter(windows))
+        for block in (1, 5, cli._BLOCK):
+            patch.setattr(cli, "_BLOCK", block)
+            written.add(_stdout_of(argv))
+    return written
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_jsonl_lines_equal_json_dumps(kind, method):
-    rows = [(0, 0), (1, 1), (2, 2**53 + 1), (3, -(3**40)), (10**30, 7)]
-    lines = "".join(cli._jsonl_lines(kind, rows, method)).encode()
-    expected = "".join(
-        json.dumps({"kind": kind, "n": n, "value": str(value), "method": method}) + "\n"
-        for n, value in rows).encode()
-    assert lines == expected
+@settings(max_examples=30, deadline=None)
+@given(windows=_WINDOWS, value=_VALUES,
+       n=st.one_of(st.just(10**30), st.integers(min_value=0)))
+def test_jsonl_lines_equal_json_dumps(kind, method, windows, value, n):
+    def line(n, value):
+        return json.dumps({"kind": kind, "n": n, "value": str(value), "method": method}) + "\n"
+
+    rows = enumerate(chain.from_iterable(windows))
+    expected = "".join(line(n, v) for n, v in rows)
+    assert _written_tables(kind, method, "jsonl", windows) == {(0, expected)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "point_value", lambda *args: value)
+        assert _stdout_of(["compute", kind, str(n), "--method", method]) == (0, line(n, value))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None)
+@given(windows=_WINDOWS)
+def test_csv_lines_equal_csv_writer(kind, method, windows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["kind", "n", "value", "method"])
+    writer.writerows([kind, n, v, method] for n, v in enumerate(chain.from_iterable(windows)))
+    assert _written_tables(kind, method, "csv", windows) == {(0, buffer.getvalue())}
 
 
 @pytest.mark.parametrize("family", ["lin", "BN", "xia-congruence", "relation-general"])
