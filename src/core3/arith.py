@@ -19,13 +19,14 @@ either limit factorize refuses with ValueError.
 ``is_prime`` makes the same decision for one number.  Each closed form
 is stated once, in ``_PROGRESSIONS``: a point count evaluates it over
 ``factorize``, and ``progression_counts`` gives its values at every
-n = A*i + B for several (A, B) at once.  The closed form is taken at
-a*n + b = g*(alpha*i + beta) with alpha*i + beta primitive; the (A, B) of
-one call share one primitive form and are read from one segmented sieve
-over it, or point by point where the sieve's primes would cost more than
-the terms of those sides (``_SIEVE_CROSSOVER``).  A table,
-``count_windows``, is the engine at the one side A = 1, B = 0; an identity
-sweep reads every side of one (k, r) of a relation in one call.
+n = A*i + B for several sides (A, B) at once.  ``_form`` is the one
+decomposition of a side, the value a*n + b = g*(alpha*i + beta) with
+alpha*i + beta primitive; ``divisible_terms`` reads off it the i whose value
+a modulus divides.  The sides of one call share one primitive form and are
+read from one segmented sieve over it, or point by point where the sieve's
+primes would cost more than their terms (``_SIEVE_CROSSOVER``).  A table,
+``count_windows``, is the one side A = 1, B = 0; an identity sweep reads
+every side of one (k, r) of a relation in one call.
 """
 
 from itertools import chain, compress, repeat
@@ -298,15 +299,8 @@ def _closed_form(kind: str, n: int) -> int:
         raise ValueError("n must be >= 0")
     a, b, rule_name, divisor = _PROGRESSIONS[kind]
     rule = globals()[rule_name]
-    value = 1
-    for p, e in factorize(a * n + b).factors:
-        value *= rule(p, e)
-    q, rem = divmod(value, divisor)
-    if rem:
-        raise ArithmeticError(
-            f"{kind} closed form at n={n} is {value}, not divisible by "
-            f"{divisor}; implementation bug")
-    return q
+    value = prod(rule(p, e) for p, e in factorize(a * n + b).factors)
+    return _side(kind, divisor, [value], (), 1, n, 0)[0]
 
 
 def _core_prime_power(p: int, a: int) -> int:
@@ -348,57 +342,65 @@ def triple_count(n: int) -> int:
     return _closed_form("B3", n)
 
 
-def _divisible_terms(alpha: int, beta: int, modulus: int) -> tuple[int, int] | None:
-    """(first, stride) with modulus | alpha*i + beta, for i >= 0, exactly at
-    i = first, first + stride, ...; None when no i qualifies.  Those i form one
-    progression of stride modulus / gcd(alpha, modulus), and exist only where
-    that gcd divides beta."""
+def _form(kind: str, step: int, offset: int) -> tuple[int, int, int]:
+    """(alpha, beta, g): the closed form of ``kind`` at n = step*i + offset is
+    taken at a*n + b = g*(alpha*i + beta), with alpha*i + beta primitive."""
+    a, b = _PROGRESSIONS[kind][:2]
+    alpha, beta = a * step, a * offset + b
+    g = gcd(alpha, beta)
+    return alpha // g, beta // g, g
+
+
+def _divisible_terms(alpha: int, beta: int, modulus: int, count: int) -> range:
+    """The i in [0, count) with modulus | alpha*i + beta: one progression of
+    stride modulus / gcd(alpha, modulus), empty unless that gcd divides beta."""
     g = gcd(alpha, modulus)
     if beta % g:
-        return None
+        return range(0)
     stride = modulus // g
-    return -(beta // g) * pow(alpha // g, -1, stride) % stride, stride
+    return range(-(beta // g) * pow(alpha // g, -1, stride) % stride, count, stride)
+
+
+def divisible_terms(kind: str, step: int, offset: int, modulus: int, count: int) -> range:
+    """The i in [0, count) where ``modulus`` divides the progression value of
+    ``kind`` at n = step*i + offset, g*(alpha*i + beta) by ``_form``: M | g*x
+    exactly when M / gcd(M, g) | x."""
+    alpha, beta, g = _form(kind, step, offset)
+    return _divisible_terms(alpha, beta, modulus // gcd(modulus, g), count)
 
 
 def progression_counts(kind: str, sides, count: int, window: int):
     """The closed-form counts of ``kind`` at n = step*i + offset for
     0 <= i < count and each (step, offset) in ``sides`` (step >= 1,
-    offset >= 0), window by window: each run of ``window`` consecutive i, the
-    last one shorter, is yielded as one list per side, in the order of
-    ``sides``.
+    offset >= 0), yielded per run of ``window`` consecutive i, the last one
+    shorter, as one list per side in the order of ``sides``.
 
-    The count at n is multiplicative in m = a*n + b = g*(alpha*i + beta),
-    where g is the gcd of the side's slope and intercept.  Every side must
-    share one primitive form alpha*i + beta, else ArithmeticError names the
-    forms; the sides are read from one segmented sieve over it (after Gries
-    and Misra, CACM 1978).  Each window has every prime p <= sqrt(top)
-    divided out of the terms it divides, top being the form's last term;
-    what is left above 1 is one prime.  The primes q of the cofactors g are
-    sieved too, above sqrt(top) as well, and kept apart: the sieve records
-    each term's exponent e of q, and each side reads rule(q, v_q(g) + e)
-    from a table per exponent.  The terms that p**k divides form one
-    progression of stride p**k, empty when p divides alpha.  Beyond one
-    window the working memory is the primes up to sqrt(top).  Where those
-    primes and the sieve's setup cost more than the terms of the sides
-    (the rule at _SIEVE_CROSSOVER), the point counter of
-    ``kind``, looked up by name when called, answers each of their terms
-    instead.
+    ``_form`` puts each side at g*(alpha*i + beta).  Every side must share
+    one primitive form alpha*i + beta, else ArithmeticError names the forms;
+    the sides are read from one segmented sieve over it (after Gries and
+    Misra, CACM 1978).  Each window has every prime p <= sqrt(top), top the
+    form's last term, divided out of the terms that p**k divides, the range
+    ``_divisible_terms`` gives as ``divisible_terms`` does for a side; what
+    is left above 1 is one prime.  The primes q of the cofactors g are
+    sieved too, above sqrt(top) as well, and kept apart: each side reads
+    rule(q, v_q(g) + e) at each term's exponent e of q from a table per
+    exponent.  Beyond one window the working memory is the primes up to
+    sqrt(top).  Where those primes and the sieve's setup cost more than the
+    terms of the sides (_SIEVE_CROSSOVER), the point counter of ``kind``,
+    looked up by name when called, answers each term instead.
     """
     if count <= 0:
         return
-    a, b = _PROGRESSIONS[kind][:2]
-    forms, cofactors = [], []
+    forms = {}
+    cofactors = []
     for step, offset in sides:
-        alpha, beta = a * step, a * offset + b
-        g = gcd(alpha, beta)
-        forms.append((alpha // g, beta // g))
+        alpha, beta, g = _form(kind, step, offset)
+        forms[alpha, beta] = None
         cofactors.append(g)
-    alpha, beta = forms[0]
-    if len(set(forms)) > 1:
+    if len(forms) > 1:
         raise ArithmeticError(
             f"{kind} sides {list(sides)} lie on the primitive forms "
-            f"{' and '.join(map(str, dict.fromkeys(forms)))}, not one; "
-            f"implementation bug")
+            f"{' and '.join(map(str, forms))}, not one; implementation bug")
     if isqrt(alpha * (count - 1) + beta) + _SIEVE_SETUP > _SIEVE_CROSSOVER * count * len(sides):
         yield from _point_windows(kind, sides, count, window)
     else:
@@ -436,9 +438,8 @@ def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: in
     for p in chain(_primes_upto(bound), sorted(q for q in split if q > bound)):
         levels = []
         pk, k = p, 1
-        while (hits := _divisible_terms(alpha, beta, pk)) and hits[0] < count:
-            first, stride = hits
-            levels.append((stride, first, k))
+        while hits := _divisible_terms(alpha, beta, pk, count):
+            levels.append((hits.step, hits.start, k))
             pk *= p
             k += 1
         if p in split:

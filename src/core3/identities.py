@@ -32,6 +32,11 @@ MAX_FAILURES = 100
 # 0.12 s at 2**11 and 0.11 s at 2**12 and 2**16 (medians of 9, interleaved).
 # 2**10 keeps the sweeps' peak RSS where one sieve per side had it.
 _SIDE_WINDOW = 1 << 10
+# bits of p^j past which check_xia_conjecture refuses.  In process on a 2-core
+# Xeon, at p = 3 and 1000003 alike, one alpha at nmax 0 takes 0.03/0.17/0.55/1.4 s
+# at 2**11/2**12/6144/2**13 bits, alphamax 1 with nmax 50 twice that.  The
+# report's k0 stays far inside CPython's 4300-digit int-to-str limit (~14 000 bits).
+XIA_MAX_BITS = 1 << 13
 
 
 class Failure(NamedTuple):
@@ -100,9 +105,10 @@ class Relation(NamedTuple):
 
     For k in ``ks`` and r in ``residues``, ``terms(k, r)`` gives ``(a, b)``
     and ``((c, a_i, b_i), ...)``; m = base*n + r for n = 0..n_max, less the
-    m where ``coprime_to`` divides the progression value of ``kind`` at m
-    (3m+2 for A3, m+1 for B3, as ``arith._PROGRESSIONS`` states them).  A
-    ``modulus`` compares both sides modulo it.
+    n of ``skipped``, where ``coprime_to`` divides the progression value of
+    ``kind`` at m (3m+2 for A3, m+1 for B3): ``arith.divisible_terms`` reads
+    them off the side's decomposition by arith's ``_form``.  A ``modulus``
+    compares both sides modulo it.
     A None index is unused: r counts as 0, and a failure's inputs (``labels``
     first, when given) leave it out.
     """
@@ -135,22 +141,20 @@ class Relation(NamedTuple):
         return max((step * n_max + offset for _, _, sides in self.sides()
                     for _, step, offset in sides), default=None)
 
+    def skipped(self, r: int | None, n_max: int) -> range:
+        """The n in 0..n_max of residue r whose value ``coprime_to`` divides, if any."""
+        if self.coprime_to is None:
+            return range(0)
+        return arith.divisible_terms(self.kind, self.base, r or 0, self.coprime_to,
+                                     n_max + 1)
+
     def count(self, n_max: int) -> int:
         """The instances a sweep to n_max checks, found without evaluating
-        any side: n = 0..n_max for every (k, r), less the n whose progression
-        value ``coprime_to`` divides."""
+        any side: n = 0..n_max for every (k, r), less the ``skipped`` ones."""
         if n_max < 0:
             return 0
-        s, t = arith._PROGRESSIONS[self.kind][:2]
-        kept = 0
-        for r in self.residues:
-            kept += n_max + 1
-            if self.coprime_to is not None and (hits := arith._divisible_terms(
-                    s * self.base, s * (r or 0) + t, self.coprime_to)):
-                first, stride = hits
-                if first <= n_max:
-                    kept -= (n_max - first) // stride + 1
-        return kept * len(self.ks)
+        return len(self.ks) * sum(n_max + 1 - len(self.skipped(r, n_max))
+                                  for r in self.residues)
 
 
 def _tally(failing) -> tuple[list[Failure], int]:
@@ -164,41 +168,35 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     """One timed report over every instance of the relations, in order.
 
     The instance count is Relation.count, so a sweep that checks nothing
-    reads no value.  All sides of one (k, r) are read together, window by
-    window, from one call of ``arith.progression_counts``, looked up when
-    called (as it looks up the point counters), so a tracer's or a test's
-    rebinding of either reaches every sweep.  That call takes sides of one
-    primitive form only, and every relation here puts its sides of one
-    (k, r) on one, so each call runs at most one sieve.
-    Private, so a tracer wrapping public functions charges the work to the
-    check_* function that asked for it."""
+    reads no value.  All sides of one (k, r), which every relation here puts
+    on one primitive form, are read window by window from one call of
+    ``arith.progression_counts``, looked up when called (as it looks up the
+    point counters), so a tracer's or a test's rebinding of either reaches
+    every sweep.  Private, so a tracer wrapping public functions charges the
+    work to the check_* function that asked for it."""
     started = time.perf_counter()
     checked = sum(rel.count(n_max) for rel in relations)
 
     def failing():
         for rel in relations if checked else ():
-            s, t = arith._PROGRESSIONS[rel.kind][:2]
-            base, coprime_to, modulus = rel.base, rel.coprime_to, rel.modulus
             for k, r, sides in rel.sides():
                 coefficients = [c for c, _, _ in sides[1:]]
-                residue = r or 0
+                skipped = rel.skipped(r, n_max)
                 index = {"k": k, "r": r}
                 labels = {**(rel.labels or {}), **{key: v for key, v in index.items() if v is not None}}
                 lo = 0
-                read = arith.progression_counts(
-                    rel.kind, [(step, offset) for _, step, offset in sides], n_max + 1,
-                    _SIDE_WINDOW)
-                for lhs, *terms in read:
+                for lhs, *terms in arith.progression_counts(
+                        rel.kind, [(step, offset) for _, step, offset in sides], n_max + 1,
+                        _SIDE_WINDOW):
                     rhs = [0] * len(lhs)
                     for c, values in zip(coefficients, terms):
                         rhs = list(map(add, rhs, map(mul, repeat(c), values)))
-                    if modulus is not None:
-                        lhs = [v % modulus for v in lhs]
-                        rhs = [v % modulus for v in rhs]
+                    if rel.modulus is not None:
+                        lhs = [v % rel.modulus for v in lhs]
+                        rhs = [v % rel.modulus for v in rhs]
                     for i in compress(range(len(lhs)), map(ne, lhs, rhs)):
-                        n = lo + i
-                        if coprime_to is None or (s * (base * n + residue) + t) % coprime_to:
-                            yield {**labels, "n": n}, lhs[i], rhs[i]
+                        if lo + i not in skipped:
+                            yield {**labels, "n": lo + i}, lhs[i], rhs[i]
                     lo += len(lhs)
 
     failures, dropped = _tally(failing())
@@ -422,9 +420,8 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     the value equals (2^e-1)/3 * sigma(6n+1).  The check runs modularly:
     2^e is reduced mod 3p^j, which recovers (2^e-1)/3 mod p^j without ever
     building the power.  Instances whose direct argument 3N+2 stays below
-    2^63 are additionally evaluated outright and compared against the
-    modular residue; since 3N+2 >= 2^(e-1), that needs e <= 63, which is
-    decided before any power of two is built.
+    2^63 (so e <= 63) are also evaluated outright against the modular
+    residue.  A p^j of more than XIA_MAX_BITS bits is refused.
     """
     if p == 2:
         raise ValueError(
@@ -435,7 +432,9 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
         raise ValueError("j must be >= 1")
     if alpha_max < 0 or n_max < 0:
         raise ValueError("alpha_max and n_max must be >= 0")
-    pj = p**j
+    # j * (bits of p, less one) bounds p^j's bits from below without building it
+    if j * (p.bit_length() - 1) > XIA_MAX_BITS or (pj := p**j).bit_length() > XIA_MAX_BITS:
+        raise ValueError(f"p^j = {p}^{j} is past this check's ceiling of {XIA_MAX_BITS} bits")
     k0 = pj * (p - 1) // 2
     modulus = 3 * pj
 

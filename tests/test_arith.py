@@ -227,6 +227,26 @@ def test_progression_counts_sieve_the_point_counts(window, kind, step, offset, c
     assert sum(windows, []) == [count_at(step * i + offset) for i in range(count)]
 
 
+# each kind's closed form is read at a*n + b, stated here apart from arith
+_AT = {"a3": (3, 1), "A3": (3, 2), "B3": (1, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(COUNTERS)), st.integers(1, 10**4), st.integers(0, 10**4),
+       st.integers(1, 200), st.integers(0, 300))
+# 3(2i) + 2 = 2(3i + 1): a modulus that divides the cofactor g = 2 hits every i
+@example("A3", 2, 0, 2, 300)
+# 3(8i + 6) + 2 = 4(6i + 5): 20 shares only 4 with g = 4, and 5 | 6i + 5 at 5 | i
+@example("A3", 8, 6, 20, 300)
+def test_divisible_terms_are_the_terms_the_modulus_divides(kind, step, offset, modulus,
+                                                           count):
+    a, b = _AT[kind]
+    terms = arith.divisible_terms(kind, step, offset, modulus, count)
+    assert isinstance(terms, range)
+    assert list(terms) == [i for i in range(count)
+                           if (a * (step * i + offset) + b) % modulus == 0]
+
+
 # 10007 is prime, and above sqrt(top) for every form drawn below once it is
 # the intercept: it divides the form's first term and no other
 _BIG = 10007

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from core3 import arith, cli, lambert, routes, series
+from core3 import arith, cli, identities, lambert, routes, series
 from core3.cli import KINDS, METHODS, Config, UsageError, main
 from core3.routes import MAX_SERIES_ORDER
 
@@ -200,6 +200,19 @@ def test_verify_with_no_instance_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: A3-relation-coprime-p2 checked no instance; raise --nmax\n"
+
+
+@pytest.mark.parametrize("j", ["5169", "9100", str(10**12)])
+def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, monkeypatch,
+                                                                        j):
+    # 3^5169 is the first power of 3 past XIA_MAX_BITS; at j = 9100 the report's
+    # k0 would pass CPython's 4300-digit limit on writing an int in decimal
+    monkeypatch.setattr(identities, "_collect", lambda *args: pytest.fail("an instance ran"))
+    code, out, err = run_cli(capsys, "verify", "xia-conjecture", "--p", "3", "--j", j,
+                             "--alphamax", "0", "--nmax", "0")
+    assert (code, out) == (2, "")
+    assert err == (f"error: p^j = 3^{j} is past this check's ceiling of "
+                   f"{identities.XIA_MAX_BITS} bits\n")
 
 
 @pytest.mark.parametrize("family, flag, value", [

@@ -1,9 +1,11 @@
+import json
 import time
 
 import pytest
 
 from core3.arith import pair_count, triple_count
 from core3.identities import (
+    XIA_MAX_BITS,
     IdentityReport,
     check_A3_relations,
     check_A3_residue_families,
@@ -151,6 +153,20 @@ def test_xia_conjecture_large_prime_builds_no_power():
     assert time.perf_counter() - start < 2.0
     assert_clean(report)
     assert report.checked == 51
+
+
+def test_xia_conjecture_at_its_largest_admitted_power():
+    # 3^5168 has XIA_MAX_BITS bits, and its report, k0 and all, is written as JSON
+    j = 5168
+    assert (3**j).bit_length() == XIA_MAX_BITS < (3 ** (j + 1)).bit_length()
+    report = check_xia_conjecture(3, j, 0, 0)
+    assert_clean(report)
+    assert json.loads(json.dumps(report.as_dict()))["params"]["k0"] == 3**j
+    # past it, whether p^j is built to be measured (1000003^412 has 8212 bits)
+    # or refused from j alone
+    for p, past in ((3, j + 1), (1000003, 412), (3, 10**12)):
+        with pytest.raises(ValueError, match=f"ceiling of {XIA_MAX_BITS} bits"):
+            check_xia_conjecture(p, past, 0, 0)
 
 
 def test_cross_validate_with_brute_lane():

@@ -5,7 +5,9 @@ off ``routes``, ``identities`` and ``cli``, which reach ``arith``);
 brute-force enumeration stays off all three counting routes.  Above them,
 the route registry ``routes`` is the one module that dispatches to the
 routes: ``identities`` reads it without importing ``cli``, and ``cli``
-reaches the routes only through it.
+reaches the routes only through it.  No module but ``arith`` reads an
+underscore name of it: how a side falls on a kind's progression is
+``arith``'s to decide.
 """
 
 import ast
@@ -64,3 +66,33 @@ def test_import_scan_sees_every_form(tmp_path, monkeypatch):
     (tmp_path / "sample.py").write_text(sample)
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert core3_imports("sample") == {"arith", "identities", "cli", "lambert", "series"}
+
+
+def arith_private_reads(module: str) -> list[tuple[int, str]]:
+    """(line, name) for each underscore name of ``arith`` that ``module``
+    reads, as ``arith._x`` or ``from .arith import _x``."""
+    reads = []
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            if node.attr.startswith("_") and ast.unparse(node.value).split(".")[-1] == "arith":
+                reads.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "arith":
+            reads += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")
+                                          if path.stem != "arith"))
+def test_no_module_reads_a_private_name_of_arith(module):
+    assert arith_private_reads(module) == []
+
+
+def test_private_read_scan_sees_every_form(tmp_path, monkeypatch):
+    sample = ("from . import arith\nfrom .arith import _form, gcd\n"
+              "from core3.arith import _side\nimport core3.arith\n"
+              "a = arith._PROGRESSIONS[kind]\nb = core3.arith._WINDOW\n"
+              "c = arith.divisible_terms\nd = other._x\n")
+    (tmp_path / "sample.py").write_text(sample)
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert arith_private_reads("sample") == [(2, "_form"), (3, "_side"),
+                                             (5, "_PROGRESSIONS"), (6, "_WINDOW")]
