@@ -21,8 +21,8 @@ DEFAULT_BRUTE_CAP = 40
 MAX_BRUTE_CAP = partitions.DEFAULT_CAP
 # the most terms the series route computes, whatever --order allows: its time
 # grows as N^1.5.  On a 2-core Xeon, in process, the a3/A3/B3 series tables
-# take 2.4/4.1/4.7 s and peak at 18/25/23 MB of RSS at N = 10^5, and
-# 8.5/14.2/15.4 s and 23/36/32 MB at 2*10^5.  cross_validate(10^5) needs 10^5
+# take 1.0/2.0/2.7 s and peak at 18/24/23 MB of RSS at N = 10^5, and
+# 2.8/6.3/9.0 s and 22/34/34 MB at 2*10^5 (medians of 3; runs vary by 20%).  cross_validate(10^5) needs 10^5
 # terms; the Lambert route computes the same tables window by window.
 MAX_SERIES_ORDER = 200_000
 

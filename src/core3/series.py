@@ -8,14 +8,17 @@ arithmetic is exact at any magnitude and silent wraparound cannot occur.
 The infinite products come from classical identities rather than factor by
 factor: ``pentagonal`` and ``jacobi_cube`` write (q^m; q^m) and its cube
 down term by term (O(sqrt N) nonzero terms each), and ``euler_product``
-sums any (q^a; q^m) in O(N^1.5).
+sums any (q^a; q^m) in O(N^1.5).  ``div`` by such a sparse divisor is
+O(N^1.5) too: each coefficient gathers the divisor's live terms in C, and
+the +-1 terms of (q; q) are summed with no multiplication.
 
 All functions here are pure and all series immutable, so concurrent use
 needs no synchronisation.
 """
 
+import operator
 from itertools import accumulate
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 
 class TruncatedSeries:
@@ -116,24 +119,64 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """The unique series c with mul(b, c) == a to the common order.
 
-    Requires constant term +1 or -1 in b; solves for one coefficient at a
-    time, so no intermediate grows beyond the result and divisor terms.
+    Requires constant term +1 or -1 in b; since a/b == (-a)/(-b), a lead of
+    -1 is negated away first.  Solves for one coefficient at a time,
+    c[k] = a[k] - sum over taps j of b[j] * c[k-j], into a list that grows
+    by one, so tap j always reads ``out[-j]``.  The live taps (j <= k)
+    change only where k reaches the next tap, so each run of k between two
+    taps gathers them with prebuilt ``itemgetter``s of negative indices, in
+    C.  Taps of +1 and -1 (every tap of (q; q), by the pentagonal theorem)
+    are added with a bare ``sum``; only the others, such as the +-(2n+1) of
+    (q; q)^3, are weighted by ``sum(map(operator.mul, ...))``.  A divisor
+    with T taps costs at most three gathers and sums of at most T terms per
+    coefficient, and no intermediate grows beyond the result.
     """
     _check_orders(a, b)
-    lead = b.coeffs[0]
+    num, den = a.coeffs, b.coeffs
+    lead = den[0]
     if lead not in (1, -1):
         raise ValueError(f"divisor constant term must be +1 or -1, got {lead}")
+    if lead == -1:
+        num = [-c for c in num]
+        den = [-c for c in den]
     n = a.order
-    tail = [(j, c) for j, c in enumerate(b.coeffs) if j > 0 and c]
-    out = [0] * n
-    for k in range(n):
-        acc = a.coeffs[k]
-        for j, c in tail:
-            if j > k:
-                break
-            acc -= c * out[k - j]
-        out[k] = acc if lead == 1 else -acc
+    taps = [j for j in range(1, n) if den[j]]
+    out = list(num[:taps[0]] if taps else num)  # no tap is live before the first
+    append, times = out.append, operator.mul  # ``mul`` here is the series product
+    plus, minus, weighted, weights = [], [], [], []
+    get_plus = get_minus = get_weighted = None
+    for j, stop in zip(taps, taps[1:] + [n]):
+        c = den[j]
+        if c == 1:
+            plus.append(-j)
+            get_plus = _gather(plus)
+        elif c == -1:
+            minus.append(-j)
+            get_minus = _gather(minus)
+        else:
+            weighted.append(-j)
+            weights.append(c)
+            get_weighted = _gather(weighted)
+        for k in range(j, stop):
+            acc = num[k]
+            if get_plus:
+                acc -= sum(get_plus(out))
+            if get_minus:
+                acc += sum(get_minus(out))
+            if get_weighted:
+                acc -= sum(map(times, weights, get_weighted(out)))
+            append(acc)
     return TruncatedSeries(tuple(out))
+
+
+def _gather(indices: list[int]):
+    """A C-level callable taking a sequence to the tuple or list of its items at
+    the given negative indices; a single index gathers through a one-item slice,
+    since ``itemgetter(i)`` would return the bare item."""
+    if len(indices) == 1:
+        i = indices[0]
+        return itemgetter(slice(i, i + 1 or None))
+    return itemgetter(*indices)
 
 
 def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
@@ -232,9 +275,12 @@ def core_tuple_series(t: int, k: int, order: int) -> TruncatedSeries:
     k-tuples of t-core partitions whose weights sum to n.  With
     k*t = 3a + b and k = 3c + d, the numerator is J(q^t)^a P(q^t)^b and the
     denominator J(q)^c P(q)^d, where J = (q; q)^3 (``jacobi_cube``) and
-    P = (q; q) (``pentagonal``) are both sparse.  For d = 2 the quotient
-    uses 1/P^2 = P/J, so the whole expansion takes c + 1 divisions when
-    d > 0 and c when d = 0: one for every k <= 3.
+    P = (q; q) (``pentagonal``) are both sparse: about sqrt(2N) and
+    sqrt(8N/3) nonzero terms.  The numerator takes a + b sparse products;
+    the quotient takes c divisions by J and d by P, each about N^1.5
+    integer operations, the P ones unweighted (every tap of P is +-1).
+    For t = 3 that is J(q^3)/P(q), J(q^3)^2/P(q)^2 and J(q^3)^3/J(q) for
+    k = 1, 2, 3.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -242,17 +288,11 @@ def core_tuple_series(t: int, k: int, order: int) -> TruncatedSeries:
         raise ValueError("need k >= 1")
     a, b = divmod(k * t, 3)
     c, d = divmod(k, 3)
-    factors = [jacobi_cube(t, order)] * a + [pentagonal(t, order)] * b
-    if d == 2:
-        factors.append(pentagonal(1, order))
-        c, d = c + 1, 0
     result = one(order)
-    for factor in factors:
-        result = mul(result, factor)
-    for _ in range(c):
-        result = div(result, jacobi_cube(1, order))
-    if d:
-        result = div(result, pentagonal(1, order))
+    for build in [jacobi_cube] * a + [pentagonal] * b:
+        result = mul(result, build(t, order))
+    for build in [jacobi_cube] * c + [pentagonal] * d:
+        result = div(result, build(1, order))
     return result
 
 

@@ -7,6 +7,9 @@ against, stated literally and called by no library code.
   ``is_t_core`` state the t-core definition on partition objects, and
   ``unpruned_walk`` is the bitmask walk of ``core3.partitions`` without its
   pruning: it visits and tests every partition of every m <= n.
+* ``long_division`` divides power series one coefficient at a time, a
+  Python loop over every divisor term, where ``core3.series.div`` gathers
+  the divisor's terms in runs.
 """
 
 from dataclasses import dataclass
@@ -60,6 +63,31 @@ def _chi3(d: int) -> int:
     if r == 2:
         return -1
     return 0
+
+
+def long_division(numerator, divisor) -> tuple[int, ...]:
+    """Coefficients of numerator / divisor as power series, to their common
+    length, by long division:
+
+        c[k] = (a[k] - sum over 0 < j <= k of b[j] * c[k-j]) / b[0],
+
+    the divisor's constant term b[0] being +1 or -1.
+    """
+    if len(numerator) != len(divisor):
+        raise ValueError("numerator and divisor differ in length")
+    lead = divisor[0]
+    if lead not in (1, -1):
+        raise ValueError(f"divisor constant term must be +1 or -1, got {lead}")
+    tail = [(j, c) for j, c in enumerate(divisor) if j > 0 and c]
+    out = [0] * len(numerator)
+    for k in range(len(numerator)):
+        acc = numerator[k]
+        for j, c in tail:
+            if j > k:
+                break
+            acc -= c * out[k - j]
+        out[k] = acc if lead == 1 else -acc
+    return tuple(out)
 
 
 @dataclass(frozen=True)

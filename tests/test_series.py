@@ -14,7 +14,7 @@ from core3.series import (
     pentagonal,
     verify_q_split,
 )
-from oracles import enumerate_partitions
+from oracles import enumerate_partitions, long_division
 
 
 def pentagonal_coeffs(order):
@@ -49,15 +49,31 @@ def _literal_euler_product(a, m, order):
 
 def _euler_quotient(t, k, order):
     """Oracle: (q^t; q^t)^(k*t) / (q; q)^k from the Euler products, one
-    factor per multiplication and one division per power of (q; q)."""
+    factor per multiplication and one long division per power of (q; q)."""
     numerator_factor = euler_product(t, t, order)
     result = one(order)
     for _ in range(k * t):
         result = mul(result, numerator_factor)
-    denominator_factor = euler_product(1, 1, order)
+    denominator = euler_product(1, 1, order).coeffs
     for _ in range(k):
-        result = div(result, denominator_factor)
+        result = TruncatedSeries(long_division(result.coeffs, denominator))
     return result
+
+
+@st.composite
+def divisions(draw):
+    """A numerator and a divisor of one order in 1..300: the divisor's lead
+    +1 or -1, its taps in -3..3 between zero runs of up to 80 terms."""
+    order = draw(st.integers(1, 300))
+    numerator = from_coeffs(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=order)), order)
+    divisor = [draw(st.sampled_from((1, -1)))] + [0] * (order - 1)
+    j = 0
+    for gap, tap in draw(st.lists(st.tuples(st.integers(0, 80), st.integers(-3, 3)), max_size=40)):
+        j += gap + 1
+        if j >= order:
+            break
+        divisor[j] = tap
+    return numerator, TruncatedSeries(tuple(divisor))
 
 
 small_series = st.builds(
@@ -133,6 +149,28 @@ def test_mul_associative(a, b, c):
 def test_div_round_trip(a, b, lead):
     b = from_coeffs((lead,) + b.coeffs[1:], 10)
     assert div(mul(a, b), b) == a
+
+
+_NEAR_WORD = from_coeffs([2**64 - 1, -2**64, 2**64 + 1, -2**63, 2**63 - 1] * 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisions())
+@example((from_coeffs([3, -1, 4], 5), one(5)))  # no taps at all
+@example((from_coeffs([3, -1, 4], 5), from_coeffs([-1], 5)))
+@example((from_coeffs([1, 2, 3], 50), from_coeffs([1] + [0] * 48 + [2])))  # one tap at order-1
+@example((one(6), from_coeffs([-1, 1], 6)))  # one -1 tap after the lead is negated away
+@example((one(400), pentagonal(1, 400)))
+@example((jacobi_cube(3, 400), pentagonal(1, 400)))
+@example((jacobi_cube(3, 400), jacobi_cube(1, 400)))
+@example((one(400), jacobi_cube(1, 400)))
+# coefficients past a machine word, in sums of +-1 taps and of weighted ones
+@example((_NEAR_WORD, pentagonal(1, 40)))
+@example((_NEAR_WORD, jacobi_cube(1, 40)))
+@example((_NEAR_WORD, from_coeffs([-1, 1, -1, 3, 0, -2], 40)))
+def test_div_matches_long_division(division):
+    a, b = division
+    assert div(a, b).coeffs == long_division(a.coeffs, b.coeffs)
 
 
 def test_euler_product_pentagonal():
