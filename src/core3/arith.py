@@ -10,15 +10,15 @@ forms:
 * ``triple_count(n)``: number of ordered triples, equal to the weighted
   divisor sum f(n+1) evaluated multiplicatively over the factorization.
 
-A point query factorizes its one argument without a sieve: the primes
-below 2**10 are divided out, a larger cofactor is proved prime by the
-strong-probable-prime test on the prime bases 2..41 (deterministic below
-PSI_13 ~ 3.3e24), taken apart by its exact root if it is a perfect
-power, or split by Pollard-Brent rho within RHO_BUDGET iterations; past
-either limit factorize refuses with ValueError.
-``is_prime`` makes the same decision for one number.  Each closed form
-is stated once, in ``_PROGRESSIONS``: a point count evaluates it over
-``factorize``, and ``progression_counts`` gives its values at every
+A point query factorizes its one argument without a sieve, in one pass:
+one loop divides out the primes below 2**10, then each cofactor above 1 is
+classified once, as proved prime by the strong-probable-prime test on the
+13 prime bases 2..41 (deterministic below PSI_13 ~ 3.3e24), as a perfect
+power by its exact root, or as composite to be split by Pollard-Brent rho
+within RHO_BUDGET iterations; past either limit factorize refuses with
+ValueError.  ``is_prime`` makes the same decision for one number.  Each
+closed form is stated once, in ``_PROGRESSIONS``: a point count evaluates
+it over ``factorize``, and ``progression_counts`` gives its values at every
 n = A*i + B for several sides (A, B) at once.  ``_form`` is the one
 decomposition of a side, the value a*n + b = g*(alpha*i + beta) with
 alpha*i + beta primitive; ``divisible_terms`` reads off it the i whose value
@@ -100,14 +100,6 @@ _SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 # test on those bases proves primality.
 PSI_13 = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# (psi_k, k): below psi_k, the least strong pseudoprime to the first k prime
-# bases, those k bases suffice (Jaeschke, Math. Comp. 1993, up to psi_8;
-# Jiang and Deng, Math. Comp. 2014, psi_9 = psi_10 = psi_11; Sorenson and
-# Webster, psi_12 and psi_13); psi_7 = psi_8, so k = 8, 10, 11 never help
-_BASE_BOUNDS = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
-                (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
-                (3825123056546413051, 9), (318665857834031151167461, 12),
-                (PSI_13, 13))
 
 # Pollard-Brent rho iterations one factorization may spend in all, enough for
 # a second-largest prime factor of 10**10 many times over (about 10**5 expected)
@@ -135,19 +127,20 @@ def _is_strong_probable_prime(m: int, bases) -> bool:
 
 
 def _is_proved_prime(m: int) -> bool:
-    """Whether m, free of prime factors below _SMALL, is prime.  An m at or
-    past PSI_13 that no base shows composite could be a strong pseudoprime,
-    so it is refused with ValueError."""
+    """Whether m, free of prime factors below _SMALL, is prime: below
+    _SMALL**2 it is, and below PSI_13 the strong-probable-prime test on the
+    13 bases 2..41 decides it.  An m at or past PSI_13 that no base shows
+    composite could be a strong pseudoprime, so it is refused with
+    ValueError; a test for m past PSI_13, such as BPSW, would go in that branch."""
     if m < _SMALL * _SMALL:
         return True
-    for bound, k in _BASE_BOUNDS:
-        if m < bound:
-            return _is_strong_probable_prime(m, _BASES[:k])
-    if _is_strong_probable_prime(m, _BASES):
-        raise ValueError(
-            f"{m} passes the strong-probable-prime test to every base 2..41, "
-            f"which proves primality only below {PSI_13}")
-    return False
+    if not _is_strong_probable_prime(m, _BASES):
+        return False
+    if m < PSI_13:
+        return True
+    raise ValueError(
+        f"{m} passes the strong-probable-prime test to every base 2..41, "
+        f"which proves primality only below {PSI_13}")
 
 
 def is_prime(n: int) -> bool:
@@ -217,59 +210,46 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     m = n
     # g: the product of the primes below _SMALL that divide m, not yet divided out
     g = gcd(m, _SMALL_PRIMORIAL)
-    if g > 1:
-        for p in _SMALL_PRIMES:
-            if g % p == 0:
-                g //= p
-                a = 0
-                while m % p == 0:
-                    m //= p
-                    a += 1
-                factors.append((p, a))
-                if g == 1:
-                    break
-            elif p * p > g:
-                # every prime factor of g is above p, so g is one prime
-                a = 0
-                while m % g == 0:
-                    m //= g
-                    a += 1
-                factors.append((g, a))
-                break
-    if m == 1:
-        return factors
-    if _is_proved_prime(m):
-        factors.append((m, 1))
-        return factors
-    # m is composite with no prime factor below _SMALL: take a perfect power
-    # apart by its exact root (rho takes about sqrt(p) steps on p**2) and split
-    # anything else by rho
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            a = 0
+            while m % p == 0:
+                m //= p
+                a += 1
+            factors.append((p, a))
+    # each cofactor above 1, with its multiplicity, has no prime factor below
+    # _SMALL: it is proved prime, or taken apart by its exact root if it is a
+    # perfect power (rho takes about sqrt(p) steps on p**2), or split by rho
     large = {}
-    pending = [m]
+    pending = [(m, 1)] if m > 1 else []
     budget = RHO_BUDGET
     while pending:
-        m = pending.pop()
+        m, e = pending.pop()
         if _is_proved_prime(m):
-            large[m] = large.get(m, 0) + 1
+            large[m] = large.get(m, 0) + e
             continue
         root, k = _exact_root(m)
         if k > 1:
-            pending += [root] * k
+            pending.append((root, k * e))
         else:
             d, budget = _rho_split(m, budget)
-            pending += (d, m // d)
+            pending += ((d, e), (m // d, e))
     return factors + sorted(large.items())
 
 
 def factorize(n: int) -> Factorization:
     """Canonical prime factorization, without a sieve.
 
-    Divide out the primes below 2**10, prove a larger cofactor prime by the
-    strong-probable-prime test on bases 2..41 (deterministic below PSI_13),
-    take a composite cofactor that is a perfect power apart by its exact
-    integer root, and split the rest by Pollard-Brent rho.  Raises
-    ValueError, naming n, for a cofactor at or past PSI_13 that passes every
-    base, or when rho spends RHO_BUDGET iterations.
+    Divide out the primes below 2**10 in one loop, then classify each
+    cofactor above 1 once: proved prime by the strong-probable-prime test on
+    bases 2..41 (deterministic below PSI_13), taken apart by its exact
+    integer root if it is a perfect power, or split by Pollard-Brent rho,
+    its parts classified in turn.  Raises ValueError, naming n, for a
+    cofactor at or past PSI_13 that passes every base, or when rho spends
+    RHO_BUDGET iterations.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need n >= 1")

@@ -37,6 +37,13 @@ _SIDE_WINDOW = 1 << 10
 # at 2**11/2**12/6144/2**13 bits, alphamax 1 with nmax 50 twice that.  The
 # report's k0 stays far inside CPython's 4300-digit int-to-str limit (~14 000 bits).
 XIA_MAX_BITS = 1 << 13
+# bits of the largest argument past which a Relation sweep is refused, before
+# any instance.  In process on a 2-core Xeon at nmax 0, with kmax as large as
+# the ceiling admits, the slowest families (BN, B3-residues, B3-ids) take
+# 0.2-0.3 s at 2**10 bits, 1.0-1.5 s at 2**11 and 6-8.5 s at 2**12 (two runs
+# each).  A B3 value has about twice its argument's bits, so a report stays
+# far inside CPython's 4300-digit int-to-str limit (~14 000 bits).
+SWEEP_MAX_BITS = 1 << 11
 
 
 class Failure(NamedTuple):
@@ -135,11 +142,15 @@ class Relation(NamedTuple):
 
     def extent(self, n_max: int) -> int | None:
         """The largest argument a sweep to n_max reads, the top of its highest
-        side; None when it reads none."""
-        if n_max < 0:
-            return None
-        return max((step * n_max + offset for _, _, sides in self.sides()
-                    for _, step, offset in sides), default=None)
+        side; None when it reads none.  The walk over (k, r) in sweep order
+        stops at the first side past SWEEP_MAX_BITS bits and gives its top,
+        so a huge k_max builds no power much past the ceiling."""
+        top = None
+        for _, _, sides in self.sides() if n_max >= 0 else ():
+            top = max(top or 0, *(step * n_max + offset for _, step, offset in sides))
+            if top.bit_length() > SWEEP_MAX_BITS:
+                break
+        return top
 
     def skipped(self, r: int | None, n_max: int) -> range:
         """The n in 0..n_max of residue r whose value ``coprime_to`` divides, if any."""
@@ -173,8 +184,14 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     ``arith.progression_counts``, looked up when called (as it looks up the
     point counters), so a tracer's or a test's rebinding of either reaches
     every sweep.  Private, so a tracer wrapping public functions charges the
-    work to the check_* function that asked for it."""
+    work to the check_* function that asked for it.  A relation whose
+    ``extent`` is past SWEEP_MAX_BITS bits is refused with ValueError."""
     started = time.perf_counter()
+    for rel in relations:
+        bits = (rel.extent(n_max) or 0).bit_length()
+        if bits > SWEEP_MAX_BITS:
+            raise ValueError(f"{rel.family} reads an argument of {bits} bits, past the "
+                             f"sweep ceiling of {SWEEP_MAX_BITS} bits")
     checked = sum(rel.count(n_max) for rel in relations)
 
     def failing():

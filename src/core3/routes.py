@@ -71,10 +71,10 @@ def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
 
 def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
     """The counts of ``kind`` for 0 <= n < n_max by ``method``, as an iterator
-    of lists whose concatenation is the table.  The formula and Lambert
+    of sequences whose concatenation is the table.  The formula and Lambert
     routes yield one window at a time, each computed when it is asked for;
     series and brute, whose arithmetic needs the whole table, yield it as
-    one list.  A request is refused here, before the first window."""
+    one sequence.  A request is refused here, before the first window."""
     if n_max < 0:
         raise UsageError("--nmax must be >= 0")
     if n_max == 0:
@@ -84,7 +84,7 @@ def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
     if method == "formula":
         return arith.count_windows(kind, n_max)
     if method == "series":
-        return iter((list(series.core_tuple_series(3, k, n_max).coeffs),))
+        return iter((series.core_tuple_series(3, k, n_max).coeffs,))
     if method == "lambert":
         return lambert.tuple_windows(k, n_max)
     if method == "brute":

@@ -215,6 +215,21 @@ def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, 
                    f"{identities.XIA_MAX_BITS} bits\n")
 
 
+@pytest.mark.parametrize("argv, family", [
+    (["BN", "--kmax", str(10**12)], "BN-1"),
+    (["relation-general", "--p", "5", "--kmax", "3000"], "A3-relation-general-p5"),
+    (["B3-ids", "--kmax", "4095"], "B3-1"),
+])
+def test_sweep_past_its_ceiling_is_refused_before_any_instance(capsys, monkeypatch, argv,
+                                                               family):
+    monkeypatch.setattr(arith, "progression_counts",
+                        lambda *args: pytest.fail("an instance ran"))
+    code, out, err = run_cli(capsys, "verify", *argv, "--nmax", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {family} reads an argument of ")
+    assert err.endswith(f" bits, past the sweep ceiling of {identities.SWEEP_MAX_BITS} bits\n")
+
+
 @pytest.mark.parametrize("family, flag, value", [
     ("lin", "--p", "7"), ("BN", "--alphamax", "2"), ("xia-congruence", "--kmax", "9")])
 def test_verify_refuses_an_option_its_family_does_not_take(capsys, family, flag, value):

@@ -20,6 +20,12 @@ from spf_sieve import SpfSieve
 PSI_4 = 3215031751
 PSI_9 = 3825123056546413051
 PSI_12 = 318665857834031151167461
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k prime bases
+# (Jaeschke, Math. Comp. 1993, up to psi_8; Jiang and Deng, Math. Comp. 2014,
+# psi_9 = psi_10 = psi_11; Sorenson and Webster, psi_12 and psi_13); psi_7 = psi_8
+STRONG_PSEUDOPRIMES = ((2047, 1), (1373653, 2), (25326001, 3), (PSI_4, 4),
+                       (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+                       (PSI_9, 9), (PSI_12, 12), (PSI_13, 13))
 # a prime below PSI_13 whose square and higher powers are past it
 P_24 = 10**24 + 7
 
@@ -81,12 +87,12 @@ def test_squares_and_cubes_past_the_small_primes(p):
 
 
 def test_base_bounds_are_strong_pseudoprimes():
-    # each psi_k passes the first k prime bases and is composite, so the
-    # bounds are tight; factorize still splits every one of them
-    for bound, k in arith._BASE_BOUNDS:
-        assert arith._is_strong_probable_prime(bound, arith._BASES[:k]), bound
-        if bound != PSI_13:
-            assert len(factorize(bound).factors) > 1, bound
+    # each psi_k passes the first k prime bases and is composite; factorize,
+    # which tests every cofactor on all 13 bases, still splits each one
+    for psi, k in STRONG_PSEUDOPRIMES:
+        assert arith._is_strong_probable_prime(psi, arith._BASES[:k]), psi
+        if psi != PSI_13:
+            assert len(factorize(psi).factors) > 1, psi
 
 
 @pytest.mark.parametrize("n, factors", [
@@ -99,9 +105,9 @@ def test_strong_pseudoprimes_are_split(n, factors):
 
 
 def test_is_prime_reports_every_bound_below_psi_13_composite():
-    for bound, _ in arith._BASE_BOUNDS:
-        if bound != PSI_13:
-            assert not is_prime(bound), bound
+    for psi, _ in STRONG_PSEUDOPRIMES:
+        if psi != PSI_13:
+            assert not is_prime(psi), psi
     # and PSI_12's two prime factors are prime
     assert is_prime(399165290221) and is_prime(798330580441)
 
@@ -159,6 +165,21 @@ def test_point_query_on_a_product_of_two_primes_past_10_to_the_6(capsys):
     p, q = 2_000_003, 2_000_029
     assert main(["compute", "A3", str((p * q - 2) // 3)]) == 0
     assert f'"value": "{(1 + p + q + p * q) // 3}"' in capsys.readouterr().out
+
+
+def test_each_cofactor_is_tested_once(monkeypatch):
+    # the composite cofactor p*q goes through Miller-Rabin once, then rho
+    p, q = 2_000_003, 2_000_029
+    tested = []
+    real = arith._is_strong_probable_prime
+
+    def counting(m, bases):
+        tested.append(m)
+        return real(m, bases)
+
+    monkeypatch.setattr(arith, "_is_strong_probable_prime", counting)
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert tested.count(p * q) == 1
 
 
 def test_exhausted_rho_budget_is_a_usage_error(capsys, monkeypatch):

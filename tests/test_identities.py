@@ -5,6 +5,7 @@ import pytest
 
 from core3.arith import pair_count, triple_count
 from core3.identities import (
+    SWEEP_MAX_BITS,
     XIA_MAX_BITS,
     IdentityReport,
     check_A3_relations,
@@ -167,6 +168,14 @@ def test_xia_conjecture_at_its_largest_admitted_power():
     for p, past in ((3, j + 1), (1000003, 412), (3, 10**12)):
         with pytest.raises(ValueError, match=f"ceiling of {XIA_MAX_BITS} bits"):
             check_xia_conjecture(p, past, 0, 0)
+
+
+def test_relation_sweep_at_its_largest_admitted_argument():
+    # at p = 5, k = 441 and nmax 0 the largest argument, (2*5^882 - 2)/3, has
+    # SWEEP_MAX_BITS bits; one k more is refused before any instance
+    assert_clean(check_A3_relations(5, 441, 0))
+    with pytest.raises(ValueError, match=f"sweep ceiling of {SWEEP_MAX_BITS} bits"):
+        check_A3_relations(5, 442, 0)
 
 
 def test_cross_validate_with_brute_lane():

@@ -4,10 +4,11 @@ The series and Lambert routes stay off the closed forms in ``arith`` (and
 off ``routes``, ``identities`` and ``cli``, which reach ``arith``);
 brute-force enumeration stays off all three counting routes.  Above them,
 the route registry ``routes`` is the one module that dispatches to the
-routes: ``identities`` reads it without importing ``cli``, and ``cli``
-reaches the routes only through it.  No module but ``arith`` reads an
-underscore name of it: how a side falls on a kind's progression is
-``arith``'s to decide.
+routes, and it imports neither ``identities`` nor ``cli``: ``identities``
+reads it without importing ``cli``, and ``cli`` reaches the routes only
+through it.  ``arith`` imports no other core3 module, and no module but
+``arith`` reads an underscore name of it: how a side falls on a kind's
+progression is ``arith``'s to decide.
 """
 
 import ast
@@ -27,6 +28,8 @@ FORBIDDEN = {
 LAYERS = {
     "identities": {"cli"},
     "cli": {"series", "lambert", "partitions"},
+    "routes": {"identities", "cli"},
+    "arith": {path.stem for path in SRC.glob("*.py")} - {"arith"},
 }
 
 

@@ -127,6 +127,19 @@ def test_relation_count_and_extent_are_the_sweep_box(relation):
         assert _sweep({}, n_max, relation).checked == kept, n_max
 
 
+def test_extent_stops_at_the_first_side_past_the_ceiling():
+    # so a sweep with a huge k_max is refused without building 2**k_max
+    built = []
+
+    def terms(k, r):
+        built.append(k)
+        return (2**k, 0), ((1, 1, 0),)
+
+    relation = Relation("powers", "A3", terms, range(10**12))
+    assert relation.extent(1) == 2**identities.SWEEP_MAX_BITS
+    assert built == list(range(identities.SWEEP_MAX_BITS + 1))
+
+
 def test_a_sweep_that_checks_nothing_reads_no_value(capsys, monkeypatch):
     for name in ("progression_counts", "core_count", "pair_count", "triple_count",
                  "_closed_form", "factorize"):
