@@ -11,7 +11,8 @@ forms:
   divisor sum f(n+1) evaluated multiplicatively over the factorization.
 
 A point query factorizes its one argument without a sieve, in one pass:
-one loop divides out the primes below 2**10, then each cofactor above 1 is
+one loop divides out the primes below 2**10 (2 by its lowest set bit, any
+other by doubling powers of it), then each cofactor above 1 is
 classified once, as proved prime by the strong-probable-prime test on the
 13 prime bases 2..41 (deterministic below PSI_13 ~ 3.3e24), as a perfect
 power by its exact root, or as composite to be split by Pollard-Brent rho
@@ -26,7 +27,9 @@ a modulus divides.  The sides of one call share one primitive form and are
 read from one segmented sieve over it, or point by point where the sieve's
 primes would cost more than their terms (``_SIEVE_CROSSOVER``).  A table,
 ``count_windows``, is the one side A = 1, B = 0; an identity sweep reads
-every side of one (k, r) of a relation in one call.
+the sides of several k of one (relation, r) in one call, since every k of
+it lies on one primitive form, and the crossover then weighs the sieve
+against the sides of all of them.
 """
 
 from itertools import chain, compress, repeat
@@ -215,10 +218,24 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
             break
         if g % p == 0:
             g //= p
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
+            if p == 2:
+                a = (m & -m).bit_length() - 1
+                m >>= a
+            else:
+                # divide by p, p**2, p**4, ... while each divides; what is left
+                # has fewer than 2**len(powers) factors p: one try per bit
+                a = 0
+                powers = []
+                q = p
+                while not m % q:
+                    m //= q
+                    a += 1 << len(powers)
+                    powers.append(q)
+                    q *= q
+                for bit in range(len(powers) - 1, -1, -1):
+                    if not m % powers[bit]:
+                        m //= powers[bit]
+                        a += 1 << bit
             factors.append((p, a))
     # each cofactor above 1, with its multiplicity, has no prime factor below
     # _SMALL: it is proved prime, or taken apart by its exact root if it is a

@@ -14,8 +14,9 @@ The ``verify`` family registry closes the module, with the two batteries of
 """
 
 import time
+from bisect import insort
 from collections.abc import Callable, Sequence
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, mul, ne
 from typing import NamedTuple
 
@@ -32,6 +33,16 @@ MAX_FAILURES = 100
 # 0.12 s at 2**11 and 0.11 s at 2**12 and 2**16 (medians of 9, interleaved).
 # 2**10 keeps the sweeps' peak RSS where one sieve per side had it.
 _SIDE_WINDOW = 1 << 10
+# ks of one relation whose sides one engine call reads at a residue; its
+# working memory grows with the sides of every k of the call.  Measured end to
+# end on a 2-core Xeon, at 1/2/4/8/16/32/64 ks per call: verify A3-residues
+# --kmax 400 --nmax 2000 peaks at 16.8/17.7/18.7/20.7/25.7/34.6/52.5 MB of RSS
+# in 11.8/10.6/8.5/7.7/9.5/8.7/9.2 s, and verify B3-residues --kmax 100
+# --nmax 2000 at 15.6/15.7/16.2/17.1/18.7/22.7/23.7 MB in
+# 2.3/1.7/1.3/1.0/0.95/0.94/0.90 s (one run each; one call per (k, r) peaked
+# at 17.1 and 15.7 MB).  verify B3-residues --nmax 20000 takes 0.88/0.65/0.62 s
+# at 4/8/16 against 1.63 s at one call per (k, r) (medians of 9, interleaved).
+_KS_PER_CALL = 8
 # bits of p^j past which check_xia_conjecture refuses.  In process on a 2-core
 # Xeon, at p = 3 and 1000003 alike, one alpha at nmax 0 takes 0.03/0.17/0.55/1.4 s
 # at 2**11/2**12/6144/2**13 bits, alphamax 1 with nmax 50 twice that.  The
@@ -168,57 +179,99 @@ class Relation(NamedTuple):
                                   for r in self.residues)
 
 
-def _tally(failing) -> tuple[list[Failure], int]:
-    """The failing instances of one report, from an iterator of (inputs, lhs,
-    rhs): the first MAX_FAILURES as Failures, and the number of the rest."""
-    failures = [Failure(*instance) for instance in islice(failing, MAX_FAILURES)]
-    return failures, sum(1 for _ in failing)
+def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
+    """The number of failing instances of ``rel``, the relation at ``position``
+    in its report.  ``kept`` holds the report's first MAX_FAILURES failures
+    so far, in order, as (position, e, n, labels, lhs, rhs), e the index of
+    the (k, r) in sweep order; each failure is inserted in its place.
+
+    The sides of up to _KS_PER_CALL ks at one residue are read in one call
+    of ``arith.progression_counts``, and each window is split back per k."""
+    residues = len(rel.residues)
+    skipped = [rel.skipped(r, n_max) for r in rel.residues]
+    walk = enumerate(rel.sides())
+    failed = 0
+    # the (k, r) of _KS_PER_CALL ks at every residue, walked once, in sweep order
+    for chunk in iter(lambda: list(islice(walk, _KS_PER_CALL * residues)), []):
+        for at_r in range(residues):
+            plan, sides = [], []
+            for e, (k, r, k_sides) in chunk[at_r::residues]:
+                index = {"k": k, "r": r}
+                labels = {**(rel.labels or {}),
+                          **{key: v for key, v in index.items() if v is not None}}
+                plan.append((e, labels, [c for c, _, _ in k_sides[1:]]))
+                sides += [(step, offset) for _, step, offset in k_sides]
+            lo = 0
+            for values in arith.progression_counts(rel.kind, sides, n_max + 1,
+                                                   _SIDE_WINDOW):
+                at = 0
+                for e, labels, coefficients in plan:
+                    lhs = values[at]
+                    rhs = [0] * len(lhs)
+                    for c, terms in zip(coefficients, values[at + 1:]):
+                        rhs = map(add, rhs, map(mul, repeat(c), terms))
+                    rhs = list(rhs)
+                    at += 1 + len(coefficients)
+                    if rel.modulus is not None:
+                        lhs = [v % rel.modulus for v in lhs]
+                        rhs = [v % rel.modulus for v in rhs]
+                    if lhs == rhs:
+                        continue
+                    bad = [i for i in compress(range(len(lhs)), map(ne, lhs, rhs))
+                           if lo + i not in skipped[at_r]]
+                    failed += len(bad)
+                    # past a failure that kept cannot take, no later n of this (k, r) fits
+                    for i in bad:
+                        failure = (position, e, lo + i, labels, lhs[i], rhs[i])
+                        if len(kept) == MAX_FAILURES:
+                            if failure > kept[-1]:
+                                break
+                            kept.pop()
+                        insort(kept, failure)
+                lo += len(values[0])
+    return failed
 
 
-def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
-    """One timed report over every instance of the relations, in order.
+def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
+    """One timed report per group of relations, over every instance of its
+    relations in order; each report's seconds run from the end of the one
+    before it.  Every relation of every group is held to the ceiling before
+    any is swept: one whose ``extent`` is past SWEEP_MAX_BITS bits is refused
+    with ValueError, so a family is refused before any of its reports.
 
     The instance count is Relation.count, so a sweep that checks nothing
-    reads no value.  All sides of one (k, r), which every relation here puts
-    on one primitive form, are read window by window from one call of
-    ``arith.progression_counts``, looked up when called (as it looks up the
-    point counters), so a tracer's or a test's rebinding of either reaches
-    every sweep.  Private, so a tracer wrapping public functions charges the
-    work to the check_* function that asked for it.  A relation whose
-    ``extent`` is past SWEEP_MAX_BITS bits is refused with ValueError."""
+    reads no value.  Every k of one (relation, r) lies on one primitive form:
+    the sides of up to _KS_PER_CALL ks are read window by window from one
+    call of ``arith.progression_counts``, looked up when called (as it looks
+    up the point counters), so a tracer's or a test's rebinding of either
+    reaches every sweep.  The failures kept are the first MAX_FAILURES in
+    (relation, k, r, n) order, and no more are held at once.  Private, so a
+    tracer wrapping public functions charges the work to the check_*
+    function that asked for it."""
     started = time.perf_counter()
-    for rel in relations:
+    for rel in chain.from_iterable(groups):
         bits = (rel.extent(n_max) or 0).bit_length()
         if bits > SWEEP_MAX_BITS:
             raise ValueError(f"{rel.family} reads an argument of {bits} bits, past the "
                              f"sweep ceiling of {SWEEP_MAX_BITS} bits")
-    checked = sum(rel.count(n_max) for rel in relations)
+    reports = []
+    for relations in groups:
+        checked = sum(rel.count(n_max) for rel in relations)
+        kept = []
+        failed = sum(_compare(rel, position, n_max, kept)
+                     for position, rel in enumerate(relations if checked else ()))
+        failures = [Failure({**labels, "n": n}, lhs, rhs)
+                    for _, _, n, labels, lhs, rhs in kept]
+        ended = time.perf_counter()
+        reports.append(IdentityReport(relations[0].family, params, checked, failures,
+                                      ended - started, failed - len(kept)))
+        started = ended
+    return reports
 
-    def failing():
-        for rel in relations if checked else ():
-            for k, r, sides in rel.sides():
-                coefficients = [c for c, _, _ in sides[1:]]
-                skipped = rel.skipped(r, n_max)
-                index = {"k": k, "r": r}
-                labels = {**(rel.labels or {}), **{key: v for key, v in index.items() if v is not None}}
-                lo = 0
-                for lhs, *terms in arith.progression_counts(
-                        rel.kind, [(step, offset) for _, step, offset in sides], n_max + 1,
-                        _SIDE_WINDOW):
-                    rhs = [0] * len(lhs)
-                    for c, values in zip(coefficients, terms):
-                        rhs = list(map(add, rhs, map(mul, repeat(c), values)))
-                    if rel.modulus is not None:
-                        lhs = [v % rel.modulus for v in lhs]
-                        rhs = [v % rel.modulus for v in rhs]
-                    for i in compress(range(len(lhs)), map(ne, lhs, rhs)):
-                        if lo + i not in skipped:
-                            yield {**labels, "n": lo + i}, lhs[i], rhs[i]
-                    lo += len(lhs)
 
-    failures, dropped = _tally(failing())
-    return IdentityReport(relations[0].family, params, checked, failures,
-                          time.perf_counter() - started, dropped)
+def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
+    """One timed report over every instance of the relations, in order: ``_sweeps``."""
+    return _sweeps(params, n_max, [relations])[0]
 
 
 def _collect(family: str, params: dict, instances) -> IdentityReport:
@@ -233,7 +286,9 @@ def _collect(family: str, params: dict, instances) -> IdentityReport:
             if lhs != rhs:
                 yield inputs, lhs, rhs
 
-    failures, dropped = _tally(failing())
+    found = failing()
+    failures = [Failure(*instance) for instance in islice(found, MAX_FAILURES)]
+    dropped = sum(1 for _ in found)
     return IdentityReport(family, params, checked, failures,
                           time.perf_counter() - started, dropped)
 
@@ -304,9 +359,9 @@ def _residues(kind: str, terms, classes, k_max: int, n_max: int) -> list[Identit
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     params = {"k_max": k_max, "n_max": n_max}
-    return [_sweep(params, n_max, Relation(f"{kind}-residues-{p}", kind, terms(p, True),
-                                           range(k_max + 1), residues=residues, base=p))
-            for p, residues in classes]
+    return _sweeps(params, n_max, [(Relation(f"{kind}-residues-{p}", kind, terms(p, True),
+                                             range(k_max + 1), residues=residues, base=p),)
+                                   for p, residues in classes])
 
 
 def check_a3_even_power(p: int, k_max: int, n_max: int) -> IdentityReport:
@@ -340,8 +395,8 @@ def check_baruah_nath(k_max: int, n_max: int) -> list[IdentityReport]:
                        (-_exact(4 ** (k + 1) - 4, 3), 1, 0))),
         lambda k, r: ((2 * 4**k, _exact(5 * 4**k - 2, 3)), ((2 * 4**k - 1, 2, 1),)),
     )
-    return [_sweep(params, n_max, Relation(f"BN-{i}", "A3", terms, range(1, k_max + 1)))
-            for i, terms in enumerate(families, 1)]
+    return _sweeps(params, n_max, [(Relation(f"BN-{i}", "A3", terms, range(1, k_max + 1)),)
+                                   for i, terms in enumerate(families, 1)])
 
 
 def check_lin(n_max: int) -> IdentityReport:
@@ -393,8 +448,8 @@ def check_b3_power_families(k_max: int, n_max: int) -> list[IdentityReport]:
                       ((_exact(2 ** (2 * k + 2) + (-1) ** k, 5), 2, 0),)),
         lambda k, r: general_2(k + 1, r),
     )
-    return [_sweep(params, n_max, Relation(f"B3-{i}", "B3", terms, range(1, k_max + 1)))
-            for i, terms in enumerate(families, 1)]
+    return _sweeps(params, n_max, [(Relation(f"B3-{i}", "B3", terms, range(1, k_max + 1)),)
+                                   for i, terms in enumerate(families, 1)])
 
 
 def check_B3_relations(p: int, k_max: int, n_max: int,

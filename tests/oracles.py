@@ -10,10 +10,16 @@ against, stated literally and called by no library code.
 * ``long_division`` divides power series one coefficient at a time, a
   Python loop over every divisor term, where ``core3.series.div`` gathers
   the divisor's terms in runs.
+* ``failures_per_k_r`` sweeps relations with one engine call per (k, r),
+  yielding failures in (relation, k, r, n) order as they are found, where
+  ``core3.identities`` reads several k of one residue in one call and
+  splits each window back.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
+from core3 import arith, identities
 from core3.arith import factorize
 from core3.partitions import DEFAULT_CAP, CapExceededError
 
@@ -88,6 +94,34 @@ def long_division(numerator, divisor) -> tuple[int, ...]:
             acc -= c * out[k - j]
         out[k] = acc if lead == 1 else -acc
     return tuple(out)
+
+
+def failures_per_k_r(n_max: int, *relations) -> tuple[list, int]:
+    """The failures a sweep of the relations to n_max keeps, and the number it
+    drops: every (k, r) of each relation in ``Relation.sides`` order is read
+    by its own call of ``arith.progression_counts``, and its failing n are
+    taken in order, the first ``identities.MAX_FAILURES`` of all of them kept."""
+
+    def failing():
+        for rel in relations:
+            for k, r, sides in rel.sides():
+                skipped = rel.skipped(r, n_max)
+                index = {key: v for key, v in (("k", k), ("r", r)) if v is not None}
+                labels = {**(rel.labels or {}), **index}
+                lo = 0
+                for lhs, *terms in arith.progression_counts(
+                        rel.kind, [(step, offset) for _, step, offset in sides], n_max + 1,
+                        identities._SIDE_WINDOW):
+                    for i, value in enumerate(lhs):
+                        rhs = sum(c * values[i] for (c, _, _), values in zip(sides[1:], terms))
+                        if rel.modulus is not None:
+                            value, rhs = value % rel.modulus, rhs % rel.modulus
+                        if value != rhs and lo + i not in skipped:
+                            yield identities.Failure({**labels, "n": lo + i}, value, rhs)
+                    lo += len(lhs)
+
+    found = failing()
+    return list(islice(found, identities.MAX_FAILURES)), sum(1 for _ in found)
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,10 @@ def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, 
     (["BN", "--kmax", str(10**12)], "BN-1"),
     (["relation-general", "--p", "5", "--kmax", "3000"], "A3-relation-general-p5"),
     (["B3-ids", "--kmax", "4095"], "B3-1"),
+    # a family is refused before any of its reports, where its first relation
+    # alone is inside the ceiling
+    (["BN", "--kmax", "1024"], "BN-2"),
+    (["B3-residues", "--kmax", "880"], "B3-residues-7"),
 ])
 def test_sweep_past_its_ceiling_is_refused_before_any_instance(capsys, monkeypatch, argv,
                                                                family):

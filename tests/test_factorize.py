@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from core3 import arith
@@ -77,6 +77,27 @@ def test_products_of_primes_across_the_boundaries(factors):
             kept.append((p, a))
     kept = kept or [(factors[0][0], 1)]
     assert factorize(prod(p**a for p, a in kept)).factors == expected(kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 1021)), st.integers(1, 3000)),
+                min_size=1, max_size=3),
+       st.sampled_from(POOL))
+# exponents at and next to powers of 2, where the doubling powers turn back
+@example([(2, 4096), (3, 2000), (5, 700)], 1031)
+@example([(3, 1023), (5, 1024), (7, 1025)], 2)
+@example([(1021, 2**11 - 1), (2, 1)], 10**12 - 11)
+def test_high_powers_of_small_primes(powers, cofactor):
+    # 2 is read off the lowest set bit, any other small prime divided out by
+    # doubling powers of it
+    factors = [*powers, (cofactor, 1)]
+    assert factorize(prod(p**a for p, a in factors)).factors == expected(factors)
+
+
+def test_every_exponent_of_a_small_prime_is_found():
+    for p in (3, 5, 1021):
+        for a in range(1, 300):
+            assert factorize(2 * p**a * 1031).factors == ((2, 1), (p, a), (1031, 1)), (p, a)
 
 
 @pytest.mark.parametrize("p", [1031, 1033, 2**20 - 3, 2**20 + 7, 10007, 999983])

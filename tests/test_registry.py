@@ -14,6 +14,7 @@ from core3 import arith, cli, identities, lambert, partitions, routes, series
 from core3.cli import FAMILIES, KINDS, METHODS, Config, main, point_value, run_family
 from core3.identities import Relation, _sweep
 from core3.routes import table_values
+from oracles import failures_per_k_r
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -196,9 +197,12 @@ def test_reports_do_not_depend_on_the_path_a_side_takes(broken, monkeypatch):
         assert reports() == reference
 
 
-def test_the_sides_of_each_k_r_share_one_primitive_form(monkeypatch):
-    # each family's sides of one (k, r) are g*(alpha*n + beta) for one
-    # primitive form alpha*n + beta, so a sweep reads one sieve per (k, r)
+def test_every_k_of_each_relation_residue_shares_one_primitive_form(monkeypatch):
+    # each family's sides of every k at one residue r are g*(alpha*n + beta)
+    # for one primitive form alpha*n + beta, so a sweep can read every k of a
+    # (relation, r) from one sieve: with no cap on the ks per call, each call
+    # carries them all, and the engine would refuse sides on two forms
+    monkeypatch.setattr(identities, "_KS_PER_CALL", 10**9)
     forms = []
     progression_counts = arith.progression_counts
 
@@ -215,6 +219,64 @@ def test_the_sides_of_each_k_r_share_one_primitive_form(monkeypatch):
     for name, options in _SWEEPS + wide:
         run_family(name, options)
     assert forms and all(len(f) == 1 for f in forms)
+
+
+@pytest.mark.parametrize("per_call", [1, 3, None])
+@pytest.mark.parametrize("max_failures, n_max", [(None, 300), (300, 30)])
+def test_failures_keep_the_per_k_r_order_across_calls(per_call, max_failures, n_max,
+                                                       monkeypatch):
+    # B3-residues at p reads B3 at p^k*(p*n + r + 1) on its left, which p
+    # divides exactly k times, and p^k's true rule in its coefficient.  A rule
+    # raised at 5**2, 5**3 and 5**dense, past the ks of one call, fails
+    # B3-residues-5 at every n of those k and B3-residues-7 nowhere: more than
+    # MAX_FAILURES at each (k, r) to n = 300, and failures past the first
+    # call's ks kept when MAX_FAILURES is raised to 300 at n = 30.  In windows
+    # of 16 terms, k = 2 and 3 of one call fail window by window, out of
+    # (k, r, n) order.  The reports equal one engine call per (k, r)'s.
+    dense = identities._KS_PER_CALL + 3
+    k_max = 2 * identities._KS_PER_CALL + 1
+    if per_call is not None:
+        monkeypatch.setattr(identities, "_KS_PER_CALL", per_call)
+    if max_failures is not None:
+        monkeypatch.setattr(identities, "MAX_FAILURES", max_failures)
+    monkeypatch.setattr(identities, "_SIDE_WINDOW", 16)
+    rule = arith.weighted_divisor_sum_prime_power
+    monkeypatch.setattr(arith, "weighted_divisor_sum_prime_power",
+                        lambda p, e: rule(p, e) + (p == 5 and e in (2, 3, dense)))
+    reports = identities.check_B3_residue_families(k_max, n_max)
+    for report, (p, residues) in zip(reports, ((5, range(4)), (7, range(6)))):
+        relation = Relation(report.family, "B3", identities._B3_terms(p, True),
+                            range(k_max + 1), residues=residues, base=p)
+        assert (report.failures, report.dropped) == failures_per_k_r(n_max, relation)
+    failing = [(k, r, n) for k in (2, 3, dense) for r in range(4) for n in range(n_max + 1)]
+    assert [(f.inputs["k"], f.inputs["r"], f.inputs["n"])
+            for f in reports[0].failures] == failing[:identities.MAX_FAILURES]
+    assert reports[0].failed == len(failing) and reports[1].failed == 0
+
+
+def test_failures_of_a_report_keep_their_relation_order():
+    # two relations in one report, as xia-congruence sweeps them: to n = 300,
+    # A3(8n+4) is not 0 mod 8 at 73 n and A3(16n+4) not 0 mod 16 at 157
+    relations = [Relation("mod", "A3", lambda k, r, a=a: ((a, 4), ()), modulus=a,
+                          labels={"modulus": a}) for a in (8, 16)]
+    report = _sweep({}, 300, *relations)
+    assert (report.failures, report.dropped) == failures_per_k_r(300, *relations)
+    moduli = [f.inputs["modulus"] for f in report.failures]
+    assert moduli == [8] * 73 + [16] * 27 and report.dropped == 130
+
+
+def test_a_residue_family_makes_one_engine_call_per_residue(monkeypatch):
+    # verify A3-residues at its defaults: k = 0..4 at 4 residues of p = 5 and
+    # 6 of p = 7, each residue's ks in one call rather than one call per (k, r)
+    calls = []
+    progression_counts = arith.progression_counts
+    monkeypatch.setattr(arith, "progression_counts",
+                        lambda kind, sides, *args: calls.append(len(sides))
+                        or progression_counts(kind, sides, *args))
+    reports = run_family("A3-residues", {})
+    assert all(r.passed for r in reports)
+    # each k reads a left side and one right side
+    assert calls == [2 * 5] * (4 + 6)
 
 
 def test_sides_of_two_forms_are_an_implementation_bug():
