@@ -32,7 +32,7 @@ from .identities import (
     check_xia_conjecture,
     cross_validate,
 )
-from .lambert import pair_fold_cross_term, square_kernel_check
+from .lambert import pair_fold_cross_term
 from .partitions import brute_tuple_table
 from .series import (
     TruncatedSeries,
@@ -45,6 +45,7 @@ from .series import (
     mul,
     one,
     pentagonal,
+    square_kernel_check,
     verify_q_split,
 )
 

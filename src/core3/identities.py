@@ -572,7 +572,7 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
 
     return [_collect(family, params, instance(params, check)) for family, params, check in (
         ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
-        ("square-kernel", {"order": 100}, lambda: lambert.square_kernel_check(100)),
+        ("square-kernel", {"order": 100}, lambda: series.square_kernel_check(100)),
         ("pair-fold-cross-term", {"order": order},
          lambda: not any(lambert.pair_fold_cross_term(order).coeffs)))]
 

@@ -41,14 +41,14 @@ next holds O(_WINDOW + sqrt(order)) in all: the window, its slice
 temporaries and the progressions' states.  Only exponents below the bound
 are reached, so the output is exact to its order.  This route never
 touches the Euler-product engine, making it an independent oracle for the
-series module.
+series module: it reads only the container ``series.TruncatedSeries``.
 """
 
 from itertools import accumulate, chain, count, islice, repeat
 from math import isqrt
 from operator import add
 
-from .series import TruncatedSeries, div, from_coeffs, monomial, mul, one
+from .series import TruncatedSeries
 
 # coefficients per window, and so held in memory at once by a table that is
 # written as it comes.  Measured on a 2-core Xeon: `table A3 --method lambert
@@ -153,7 +153,7 @@ def tuple_windows(k: int, order: int):
 
 def tuple_series(k: int, order: int) -> TruncatedSeries:
     """The k-tuple series, k in {1, 2, 3}: its windows joined."""
-    return TruncatedSeries(tuple(chain.from_iterable(tuple_windows(k, order))))
+    return TruncatedSeries(chain.from_iterable(tuple_windows(k, order)))
 
 
 def pair_fold_cross_term(order: int) -> TruncatedSeries:
@@ -170,16 +170,4 @@ def pair_fold_cross_term(order: int) -> TruncatedSeries:
     for d in range(1, order, 3):
         for e in range(2 * d, order, 3 * d):
             coeffs[e] -= 1
-    return TruncatedSeries(tuple(coeffs))
-
-
-def square_kernel_check(order: int) -> bool:
-    """Check x(1+x)/(1-x)^3 == sum of k^2 x^k through the series engine."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    x = monomial(order, 1)
-    numerator = mul(x, one(order) + x)
-    one_minus_x = from_coeffs((1, -1), order)
-    denominator = mul(mul(one_minus_x, one_minus_x), one_minus_x)
-    quotient = div(numerator, denominator)
-    return all(quotient[k] == k * k for k in range(order))
+    return TruncatedSeries(coeffs)

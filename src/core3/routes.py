@@ -42,10 +42,14 @@ class Config(_Budgets):
     __slots__ = ()
 
     def __new__(cls, order: int = DEFAULT_ORDER, brute_cap: int = DEFAULT_BRUTE_CAP):
-        # every route and family reads its cap from here, so no library call
-        # can start a walk past the ceiling either
+        # every route and family reads its budgets from here, so no library
+        # call gets past a bound the command line refuses either
+        if brute_cap < 0:
+            raise UsageError(f"brute_cap must be >= 0, got {brute_cap}")
         if brute_cap > MAX_BRUTE_CAP:
             raise UsageError(f"brute_cap must be at most {MAX_BRUTE_CAP}, got {brute_cap}")
+        if order < 1:
+            raise UsageError(f"order must be >= 1, got {order}")
         return super().__new__(cls, order, brute_cap)
 
     @classmethod

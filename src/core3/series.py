@@ -11,6 +11,8 @@ down term by term (O(sqrt N) nonzero terms each), and ``euler_product``
 sums any (q^a; q^m) in O(N^1.5).  ``div`` by such a sparse divisor is
 O(N^1.5) too: each coefficient gathers the divisor's live terms in C, and
 the +-1 terms of (q; q) are summed with no multiplication.
+``verify_q_split`` and ``square_kernel_check`` test the engine against
+identities that must hold; ``verify structural`` runs them.
 
 All functions here are pure and all series immutable, so concurrent use
 needs no synchronisation.
@@ -22,12 +24,13 @@ from operator import add, itemgetter, sub
 
 
 class TruncatedSeries:
-    """Coefficients ``coeffs[n]`` of q^n for 0 <= n < order; immutable, and
-    equal to another series with the same coefficients."""
+    """Coefficients ``coeffs[n]`` of q^n for 0 <= n < order, as a tuple; immutable,
+    with no arithmetic, and equal to another series with the same coefficients."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]):
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
         if len(coeffs) < 1:
             raise ValueError("a truncated series needs order >= 1")
         object.__setattr__(self, "coeffs", coeffs)
@@ -39,9 +42,7 @@ class TruncatedSeries:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        if type(other) is not TruncatedSeries:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs if type(other) is TruncatedSeries else NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -55,10 +56,6 @@ class TruncatedSeries:
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _check_orders(self, other)
-        return TruncatedSeries(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
 
 def _check_orders(a: TruncatedSeries, b: TruncatedSeries) -> None:
@@ -77,17 +74,16 @@ def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
         raise ValueError(f"exponent {exponent} outside 0..{order - 1}")
     coeffs = [0] * order
     coeffs[exponent] = coeff
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def from_coeffs(values, order: int | None = None) -> TruncatedSeries:
     """Series with the given leading coefficients, zero-padded to ``order``."""
     values = list(values)
-    if order is None:
-        order = len(values)
+    order = len(values) if order is None else order
     if len(values) > order:
         raise ValueError("more coefficients than the requested order")
-    return TruncatedSeries(tuple(values) + (0,) * (order - len(values)))
+    return TruncatedSeries(values + [0] * (order - len(values)))
 
 
 def _nonzero_terms(s: TruncatedSeries) -> list[tuple[int, int]]:
@@ -102,8 +98,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """
     _check_orders(a, b)
     n = a.order
-    ta = _nonzero_terms(a)
-    tb = _nonzero_terms(b)
+    ta, tb = _nonzero_terms(a), _nonzero_terms(b)
     if len(ta) > len(tb):
         ta, tb = tb, ta
     out = [0] * n
@@ -113,7 +108,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             if j >= bound:
                 break
             out[i + j] += ca * cb
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -166,7 +161,7 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             if get_weighted:
                 acc -= sum(map(times, weights, get_weighted(out)))
             append(acc)
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def _gather(indices: list[int]):
@@ -217,7 +212,7 @@ def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
         total[low:] = map(sub if n % 2 else add, total[low:], term)
         low += a + m * n
         n += 1
-    return TruncatedSeries(tuple(total))
+    return TruncatedSeries(total)
 
 
 def _check_base(m: int, order: int) -> None:
@@ -246,7 +241,7 @@ def pentagonal(m: int, order: int) -> TruncatedSeries:
             coeffs[low + m * n] = sign
         low += m * (3 * n + 1)
         n += 1
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def jacobi_cube(m: int, order: int) -> TruncatedSeries:
@@ -265,7 +260,7 @@ def jacobi_cube(m: int, order: int) -> TruncatedSeries:
         coeffs[low] = -(2 * n + 1) if n % 2 else 2 * n + 1
         n += 1
         low += m * n
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(coeffs)
 
 
 def core_tuple_series(t: int, k: int, order: int) -> TruncatedSeries:
@@ -302,9 +297,19 @@ def verify_q_split(order: int) -> bool:
     The three factors split the exponents 1, 2, 3, ... by residue mod 3, so
     this must hold identically; a False return means a series bug.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     lhs = euler_product(1, 1, order)
     rhs = mul(mul(euler_product(1, 3, order), euler_product(2, 3, order)),
               euler_product(3, 3, order))
     return lhs == rhs
+
+
+def square_kernel_check(order: int) -> bool:
+    """Check x(1+x)/(1-x)^3 == sum of k^2 x^k to the given order, through
+    ``mul`` and ``div``: the k^2 kernel of the triple Lambert sum.  A False
+    return means a series bug."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    one_minus_x = from_coeffs((1, -1), order)
+    quotient = div(mul(monomial(order, 1), from_coeffs((1, 1), order)),
+                   mul(mul(one_minus_x, one_minus_x), one_minus_x))
+    return all(quotient[k] == k * k for k in range(order))

@@ -178,6 +178,6 @@ def test_criterion_9_structural_properties():
     assert list(series.euler_product(1, 1, 200).coeffs) == expected
 
     assert series.verify_q_split(500)
-    assert lambert.square_kernel_check(100)
+    assert series.square_kernel_check(100)
     _announce("criterion 9: structural properties", True,
               time.perf_counter() - start)

@@ -5,15 +5,9 @@ import pytest
 
 from core3 import lambert
 from core3.arith import core_count, pair_count, triple_count
-from core3.lambert import (
-    _WINDOW,
-    pair_fold_cross_term,
-    square_kernel_check,
-    tuple_series,
-    tuple_windows,
-)
+from core3.lambert import _WINDOW, pair_fold_cross_term, tuple_series, tuple_windows
 from core3.series import (
-    core_tuple_series, div, from_coeffs, monomial, mul, one)
+    core_tuple_series, div, from_coeffs, monomial, mul, square_kernel_check)
 
 
 # The oracle: the folded double sums of the module docstring, one lattice
@@ -145,7 +139,7 @@ def test_pair_fold_cross_term_vanishes():
 def test_square_kernel_coefficients():
     order = 10
     x = monomial(order, 1)
-    kernel = div(mul(x, one(order) + x),
+    kernel = div(mul(x, from_coeffs([1, 1], order)),
                  mul(mul(from_coeffs([1, -1], order), from_coeffs([1, -1], order)),
                      from_coeffs([1, -1], order)))
     assert kernel[1] == 1

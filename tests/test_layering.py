@@ -6,9 +6,11 @@ brute-force enumeration stays off all three counting routes.  Above them,
 the route registry ``routes`` is the one module that dispatches to the
 routes, and it imports neither ``identities`` nor ``cli``: ``identities``
 reads it without importing ``cli``, and ``cli`` reaches the routes only
-through it.  ``arith`` imports no other core3 module, and no module but
-``arith`` reads an underscore name of it: how a side falls on a kind's
-progression is ``arith``'s to decide.
+through it.  ``arith`` and ``series`` import no other core3 module.  No
+module but ``arith`` reads an underscore name of ``arith``: how a side falls
+on a kind's progression is ``arith``'s to decide.  ``lambert``, the oracle
+of the series route, reads nothing of ``series`` but the container
+``TruncatedSeries``: none of the engine's arithmetic.
 """
 
 import ast
@@ -30,6 +32,7 @@ LAYERS = {
     "cli": {"series", "lambert", "partitions"},
     "routes": {"identities", "cli"},
     "arith": {path.stem for path in SRC.glob("*.py")} - {"arith"},
+    "series": {path.stem for path in SRC.glob("*.py")} - {"series"},
 }
 
 
@@ -71,17 +74,23 @@ def test_import_scan_sees_every_form(tmp_path, monkeypatch):
     assert core3_imports("sample") == {"arith", "identities", "cli", "lambert", "series"}
 
 
-def arith_private_reads(module: str) -> list[tuple[int, str]]:
-    """(line, name) for each underscore name of ``arith`` that ``module``
-    reads, as ``arith._x`` or ``from .arith import _x``."""
+def names_read(module: str, target: str) -> list[tuple[int, str]]:
+    """(line, name) for each name of the core3 module ``target`` that
+    ``module`` reads, as ``target.x``, ``core3.target.x`` or
+    ``from .target import x``."""
     reads = []
     for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(node, ast.Attribute):
-            if node.attr.startswith("_") and ast.unparse(node.value).split(".")[-1] == "arith":
+            if ast.unparse(node.value).split(".")[-1] == target:
                 reads.append((node.lineno, node.attr))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "arith":
-            reads += [(node.lineno, a.name) for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == target:
+            reads += [(node.lineno, a.name) for a in node.names]
     return sorted(reads)
+
+
+def arith_private_reads(module: str) -> list[tuple[int, str]]:
+    """(line, name) for each underscore name of ``arith`` that ``module`` reads."""
+    return [(line, name) for line, name in names_read(module, "arith") if name.startswith("_")]
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")
@@ -99,3 +108,17 @@ def test_private_read_scan_sees_every_form(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert arith_private_reads("sample") == [(2, "_form"), (3, "_side"),
                                              (5, "_PROGRESSIONS"), (6, "_WINDOW")]
+
+
+def test_lambert_reads_only_the_series_container():
+    assert {name for _, name in names_read("lambert", "series")} <= {"TruncatedSeries"}
+
+
+def test_series_read_scan_sees_every_form(tmp_path, monkeypatch):
+    sample = ("from .series import TruncatedSeries, mul\nfrom . import series\n"
+              "import core3.series\nfrom core3.series import div\n"
+              "a = series.one(3)\nb = core3.series.monomial\nc = other.pentagonal\n")
+    (tmp_path / "sample.py").write_text(sample)
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert names_read("sample", "series") == [(1, "TruncatedSeries"), (1, "mul"), (4, "div"),
+                                              (5, "one"), (6, "monomial")]

@@ -413,7 +413,7 @@ def _off_by_one_at_7(original):
     def wrong(*args, **kwargs):
         result = original(*args, **kwargs)
         if isinstance(result, series.TruncatedSeries):
-            return result + series.monomial(result.order, 7)
+            return series.from_coeffs([c + (n == 7) for n, c in enumerate(result.coeffs)])
         # a table from n = 0, whole or as windows; the windows are given back
         # as one
         windows = not isinstance(result, list)
@@ -439,6 +439,14 @@ def test_cross_validate_reads_every_route_from_the_registry(module, name, route,
     named = [other for other in METHODS[1:] if route in ("formula", other)]
     assert [f.inputs for f in report.failures] == [
         {"kind": kind, "n": 7, "route": other} for kind in KINDS for other in named]
+
+
+def test_structural_square_kernel_reads_the_series_engine(monkeypatch):
+    # the k^2 kernel check divides through series.div; the q-split reads only
+    # products, and the pair-fold cross term only the Lambert route
+    monkeypatch.setattr(series, "div", _off_by_one_at_7(series.div))
+    assert [(r.family, r.passed) for r in run_family("structural", {})] == [
+        ("q-split", True), ("square-kernel", False), ("pair-fold-cross-term", True)]
 
 
 @pytest.mark.parametrize("run, tables", [
@@ -525,6 +533,9 @@ def test_selfcheck_prints_at_most_five_counterexamples(capsys, monkeypatch):
      "A3-relation-coprime-p2 checked no instance"),
     (lambda: identities.run_family("lin", {"nmax": 3, "p": 7}), "family 'lin' takes no --p"),
     (lambda: routes.table_values("a3", "formula", -1), "--nmax must be >= 0"),
+    (lambda: identities.run_family("cross-validate", {"nmax": 10, "brute_cap": -1}),
+     "brute_cap must be >= 0, got -1"),
+    (lambda: Config(order=0), "order must be >= 1, got 0"),
 ])
 def test_library_callers_get_the_cli_refusals(call, message):
     with pytest.raises(routes.UsageError, match=re.escape(message)):
@@ -559,8 +570,10 @@ def _lin_terms(k, r):
     (lambda: identities.Family("check_lin", {"nmax": 500}), "check", False),
     (lambda: Config(order=10, brute_cap=20), "brute_cap", True),
     (lambda: series.from_coeffs([1, 2, 3]), "coeffs", True),
+    # built from a list, it keeps a tuple, so it hashes
+    (lambda: series.TruncatedSeries([1, 2, 3]), "coeffs", True),
 ], ids=["Factorization", "Failure", "Relation", "Relation-unlabelled", "Family", "Config",
-        "TruncatedSeries"])
+        "TruncatedSeries", "TruncatedSeries-from-list"])
 def test_value_classes_are_frozen_and_compare_by_value(make, field, hashable):
     value = make()
     with pytest.raises(AttributeError):

@@ -92,6 +92,17 @@ def test_empty_series_rejected():
         TruncatedSeries(())
 
 
+def test_series_is_a_tuple_container():
+    coeffs = [1, 2, 3]
+    s = TruncatedSeries(coeffs)
+    coeffs.append(4)  # the caller's list is not the series
+    assert s.coeffs == (1, 2, 3) and s == TruncatedSeries((1, 2, 3))
+    twin = (1, 2, 3)
+    assert TruncatedSeries(twin).coeffs is twin
+    with pytest.raises(TypeError):  # arithmetic is mul and div, not operators
+        s + s
+
+
 def test_mul_identity():
     s = from_coeffs([2, -1, 0, 7], 4)
     assert mul(one(4), s) == s
