@@ -27,9 +27,6 @@ from .identities import FAMILIES, run_family, selfcheck_battery, wide_battery
 from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, MAX_BRUTE_CAP, METHODS, Config,
                      UsageError, point_value, table_windows)
 
-ENV_BRUTE_CAP = "CORE3_BRUTE_CAP"
-
-
 # the verify flags, each an option of some family in identities.FAMILIES
 _VERIFY_FLAGS = ("p", "j", "kmax", "nmax", "alphamax")
 # table rows written by one %-format and one write.  Measured on a 2-core Xeon,
@@ -39,27 +36,6 @@ _VERIFY_FLAGS = ("p", "j", "kmax", "nmax", "alphamax")
 # 16.4 and 15.6 MB of RSS; at 2**12, 0.27, 0.39, 0.49 and 0.30 s and 15.7,
 # 16.8, 17.2, 15.8 MB; at 2**14, 0.28, 0.41, 0.51, 0.31 s and 17.3, 19.4, 21.3, 17.6 MB.
 _BLOCK = 1 << 10
-
-
-def _make_config(args) -> Config:
-    # every subcommand has --brute-cap; only compute and table, whose routes
-    # read the series order budget, have --order
-    order = getattr(args, "order", DEFAULT_ORDER)
-    if order < 1:
-        raise UsageError("--order must be >= 1")
-    if args.brute_cap is not None:
-        source, raw = "--brute-cap", args.brute_cap
-    else:
-        source, raw = ENV_BRUTE_CAP, os.environ.get(ENV_BRUTE_CAP, DEFAULT_BRUTE_CAP)
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
-        raise UsageError(f"{source} must be an integer >= 0, got {raw!r}")
-    if cap > MAX_BRUTE_CAP:
-        raise UsageError(f"{source} must be at most {MAX_BRUTE_CAP}, got {raw!r}")
-    return Config(order=order, brute_cap=cap)
 
 
 def _row(fmt: str, kind: str, method: str) -> str:
@@ -147,7 +123,7 @@ def _cmd_selfcheck(args, cfg: Config) -> int:
 # and _parse_well_formed reads them for an argv that needs no argparse
 _ORDER = ("--order", {"type": int, "default": DEFAULT_ORDER,
                       "help": f"series order budget (default {DEFAULT_ORDER})"})
-_BRUTE_CAP = ("--brute-cap", {"type": int, "default": None,
+_BRUTE_CAP = ("--brute-cap", {"type": int, "default": DEFAULT_BRUTE_CAP,
                               "help": f"brute-force cap (default {DEFAULT_BRUTE_CAP}, "
                                       f"at most {MAX_BRUTE_CAP})"})
 _COMMANDS = {
@@ -185,10 +161,7 @@ def _build_parser():
         prog="core3",
         description=("Count 3-core partitions (a3), pairs (A3) and triples (B3) "
                      "by independent methods, and verify their identity families."),
-        epilog=(f"Environment: {ENV_BRUTE_CAP} sets the brute-force cap "
-                f"(default {DEFAULT_BRUTE_CAP}, at most {MAX_BRUTE_CAP}); flags take "
-                "precedence over it. "
-                "Formula point queries factorize without a sieve: Miller-Rabin "
+        epilog=("Formula point queries factorize without a sieve: Miller-Rabin "
                 "on the prime bases 2..41 and Pollard-Brent rho.  An argument "
                 f"with a factor of at least {arith.PSI_13} that no base shows "
                 "composite, or one that rho cannot split within its budget, is "
@@ -257,7 +230,9 @@ def main(argv=None) -> int:
             # the subcommand's parser reports them, with its own usage line
             args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        cfg = _make_config(args)
+        # every subcommand has --brute-cap; only compute and table, whose routes
+        # read the series order budget, have --order
+        cfg = Config(getattr(args, "order", DEFAULT_ORDER), args.brute_cap)
         return args.handler(args, cfg)
     except ValueError as exc:
         # precondition violations from the library are usage errors

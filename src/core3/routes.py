@@ -37,25 +37,33 @@ class _Budgets(NamedTuple):
 
 
 class Config(_Budgets):
-    """Run-wide knobs; flags win over environment variables over defaults."""
+    """Run-wide budgets: the series order and the brute-force cap.  Building
+    one is the only range check of either, for the CLI and every library
+    caller alike, so each is refused in the command line's words."""
 
     __slots__ = ()
 
     def __new__(cls, order: int = DEFAULT_ORDER, brute_cap: int = DEFAULT_BRUTE_CAP):
-        # every route and family reads its budgets from here, so no library
-        # call gets past a bound the command line refuses either
-        if brute_cap < 0:
-            raise UsageError(f"brute_cap must be >= 0, got {brute_cap}")
-        if brute_cap > MAX_BRUTE_CAP:
-            raise UsageError(f"brute_cap must be at most {MAX_BRUTE_CAP}, got {brute_cap}")
         if order < 1:
-            raise UsageError(f"order must be >= 1, got {order}")
+            raise UsageError("--order must be >= 1")
+        if brute_cap < 0:
+            raise UsageError(f"--brute-cap must be an integer >= 0, got {brute_cap}")
+        if brute_cap > MAX_BRUTE_CAP:
+            raise UsageError(f"--brute-cap must be at most {MAX_BRUTE_CAP}, got {brute_cap}")
         return super().__new__(cls, order, brute_cap)
 
     @classmethod
     def _make(cls, iterable):
         # _replace builds through _make: keep the ceiling there too
         return cls(*iterable)
+
+
+def _check_route(kind: str, method: str) -> None:
+    """Refuse a kind or method the registry does not know."""
+    if kind not in TUPLE_SIZE:
+        raise UsageError(f"unknown kind {kind!r}; known kinds: {', '.join(KINDS)}")
+    if method not in METHODS:
+        raise UsageError(f"unknown method {method!r}; known methods: {', '.join(METHODS)}")
 
 
 def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
@@ -79,6 +87,7 @@ def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
     routes yield one window at a time, each computed when it is asked for;
     series and brute, whose arithmetic needs the whole table, yield it as
     one sequence.  A request is refused here, before the first window."""
+    _check_route(kind, method)
     if n_max < 0:
         raise UsageError("--nmax must be >= 0")
     if n_max == 0:
@@ -91,9 +100,8 @@ def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
         return iter((series.core_tuple_series(3, k, n_max).coeffs,))
     if method == "lambert":
         return lambert.tuple_windows(k, n_max)
-    if method == "brute":
-        return iter((partitions.brute_tuple_table(n_max, 3, k, cap=cfg.brute_cap),))
-    raise UsageError(f"unknown method {method!r}")
+    # brute, the one method left
+    return iter((partitions.brute_tuple_table(n_max, 3, k, cap=cfg.brute_cap),))
 
 
 def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> list[int]:
@@ -105,6 +113,7 @@ def table_values(kind: str, method: str, n_max: int, cfg: Config = Config()) -> 
 def point_value(kind: str, method: str, n: int, cfg: Config = Config()) -> int:
     """The count of ``kind`` at n by ``method``; every route but the closed
     form answers from the last window of its table up to n."""
+    _check_route(kind, method)
     if n < 0:
         raise UsageError("n must be >= 0")
     if method == "formula":

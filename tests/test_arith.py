@@ -18,7 +18,7 @@ from core3.arith import (
     weighted_divisor_sum_prime_power,
 )
 from core3.cli import main
-from oracles import divisor_count_mod3, weighted_divisor_sum
+from oracles import _chi3, divisor_count_mod3, weighted_divisor_sum
 from spf_sieve import SpfSieve
 
 
@@ -158,6 +158,23 @@ def test_weighted_divisor_sum_prime_power_branches():
     assert weighted_divisor_sum_prime_power(2, 2) == 13
     assert weighted_divisor_sum_prime_power(7, 1) == 50
     assert weighted_divisor_sum_prime_power(5, 0) == 1
+
+
+def test_prime_power_rules_match_their_divisor_sums():
+    # each closed form is a product of rule(p, e) over the factorization;
+    # here each rule meets its defining sum over the divisors p^0..p^e
+    sieve = SpfSieve(999)
+    primes = [p for p in range(2, 1000) if sieve.smallest_prime_factor(p) == p]
+    for p in primes:
+        for e in range(7):
+            divisors = [p ** i for i in range(e + 1)]
+            # 3 never divides 3n+1, so no route asks the a3 rule at p = 3: there
+            # it is 0 at odd e, where d_{1,3} - d_{2,3} of 3^e is 1
+            if p != 3:
+                assert arith._core_prime_power(p, e) == sum(map(_chi3, divisors)), (p, e)
+            assert arith._sigma_prime_power(p, e) == sum(divisors), (p, e)
+            assert weighted_divisor_sum_prime_power(p, e) == sum(
+                _chi3(d) * (p ** e // d) ** 2 for d in divisors), (p, e)
 
 
 def test_triple_count_spot_values():

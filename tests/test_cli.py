@@ -274,64 +274,37 @@ def test_selfcheck_rejects_empty_range(capsys):
     assert run_cli(capsys, "selfcheck", "--nmax", "0")[0] == 2
 
 
-def test_env_brute_cap(capsys, monkeypatch):
-    monkeypatch.setenv("CORE3_BRUTE_CAP", "10")
-    code, _, err = run_cli(capsys, "compute", "a3", "20", "--method", "brute")
-    assert code == 2
-    assert "cap 10" in err
-    # the flag wins over the environment
-    code, out, _ = run_cli(capsys, "compute", "a3", "20", "--method", "brute",
-                           "--brute-cap", "25")
+def test_brute_cap_zero_admits_n_zero_alone(capsys):
+    code, out, _ = run_cli(capsys, "compute", "B3", "0", "--method", "brute", "--brute-cap", "0")
     assert code == 0
-    assert json.loads(out)["value"] == "2"
+    assert json.loads(out)["value"] == "1"
+    code, _, err = run_cli(capsys, "compute", "B3", "1", "--method", "brute", "--brute-cap", "0")
+    assert code == 2
+    assert "cap 0" in err
 
 
-def test_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("CORE3_BRUTE_CAP", "banana")
-    assert run_cli(capsys, "compute", "a3", "1")[0] == 2
+@pytest.mark.parametrize("cap", ["61", "1000"], ids=["flag", "flag-far-past"])
+def test_brute_cap_above_the_walk_ceiling_is_refused(capsys, cap):
+    code, out, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute",
+                             "--brute-cap", cap)
+    assert (code, out, err) == (2, "", f"error: --brute-cap must be at most 60, got {cap}\n")
 
 
-def test_env_brute_cap_zero_is_a_cap_like_the_flag(capsys, monkeypatch):
-    # a cap of 0 admits n = 0 alone, whichever source sets it
-    monkeypatch.setenv("CORE3_BRUTE_CAP", "0")
-    for flags in ((), ("--brute-cap", "0")):
-        code, out, _ = run_cli(capsys, "compute", "B3", "0", "--method", "brute", *flags)
-        assert code == 0
-        assert json.loads(out)["value"] == "1"
-        code, _, err = run_cli(capsys, "compute", "B3", "1", "--method", "brute", *flags)
-        assert code == 2
-        assert "cap 0" in err
-
-
-@pytest.mark.parametrize("flags, env, message", [
-    (("--brute-cap", "61"), None, "--brute-cap must be at most 60, got 61"),
-    ((), "61", "CORE3_BRUTE_CAP must be at most 60, got '61'"),
-    (("--brute-cap", "1000"), "5", "--brute-cap must be at most 60, got 1000"),
-], ids=["flag", "env", "flag-over-env"])
-def test_brute_cap_above_the_walk_ceiling_is_refused(capsys, monkeypatch, flags, env,
-                                                     message):
-    if env is not None:
-        monkeypatch.setenv("CORE3_BRUTE_CAP", env)
-    code, out, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute", *flags)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_brute_cap_at_the_ceiling_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("CORE3_BRUTE_CAP", "60")
-    code, out, _ = run_cli(capsys, "compute", "a3", "6", "--method", "brute")
+def test_brute_cap_at_the_ceiling_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "compute", "a3", "6", "--method", "brute", "--brute-cap", "60")
     assert (code, json.loads(out)["value"]) == (0, "2")
     # at the ceiling the refusal does not ask for a larger cap
-    code, _, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute")
+    code, _, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute", "--brute-cap", "60")
     assert (code, err) == (
         2, "error: n=61 exceeds the brute-force cap 60; --brute-cap is at most 60\n")
 
 
-@pytest.mark.parametrize("raw", ["-1", "banana", ""])
-def test_env_brute_cap_refusal_names_variable_and_value(capsys, monkeypatch, raw):
-    monkeypatch.setenv("CORE3_BRUTE_CAP", raw)
-    code, out, err = run_cli(capsys, "compute", "a3", "1")
-    assert (code, out) == (2, "")
-    assert f"CORE3_BRUTE_CAP must be an integer >= 0, got {raw!r}" in err
+def test_env_brute_cap(capsys, monkeypatch):
+    # CORE3_BRUTE_CAP is not read: whatever it holds, the default cap stands
+    expected = (0, '{"kind": "a3", "n": 20, "value": "2", "method": "brute"}\n', "")
+    for raw in ("10", "banana", "61", "-1"):
+        monkeypatch.setenv("CORE3_BRUTE_CAP", raw)
+        assert run_cli(capsys, "compute", "a3", "20", "--method", "brute") == expected
 
 
 def test_module_entry_point():

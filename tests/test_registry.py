@@ -472,7 +472,7 @@ def test_brute_lane_is_one_walk(run, tables, walks):
 def test_library_callers_meet_the_brute_cap_ceiling(call, walks):
     # the ceiling of the command line, refused before any walk starts
     with pytest.raises(routes.UsageError,
-                       match=f"^brute_cap must be at most {routes.MAX_BRUTE_CAP}, got (61|80)$"):
+                       match=f"^--brute-cap must be at most {routes.MAX_BRUTE_CAP}, got (61|80)$"):
         call()
     assert walks == []
     assert Config(brute_cap=routes.MAX_BRUTE_CAP).brute_cap == routes.MAX_BRUTE_CAP
@@ -534,12 +534,47 @@ def test_selfcheck_prints_at_most_five_counterexamples(capsys, monkeypatch):
     (lambda: identities.run_family("lin", {"nmax": 3, "p": 7}), "family 'lin' takes no --p"),
     (lambda: routes.table_values("a3", "formula", -1), "--nmax must be >= 0"),
     (lambda: identities.run_family("cross-validate", {"nmax": 10, "brute_cap": -1}),
-     "brute_cap must be >= 0, got -1"),
-    (lambda: Config(order=0), "order must be >= 1, got 0"),
+     "--brute-cap must be an integer >= 0, got -1"),
+    (lambda: Config(order=0), "--order must be >= 1"),
 ])
 def test_library_callers_get_the_cli_refusals(call, message):
     with pytest.raises(routes.UsageError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("flags, calls", [
+    (("--brute-cap", "-1"), (
+        lambda: Config(brute_cap=-1),
+        lambda: run_family("lin", {"nmax": 3, "brute_cap": -1}),
+        lambda: table_values("a3", "brute", 5, Config()._replace(brute_cap=-1)))),
+    (("--brute-cap", "61"), (
+        lambda: Config(brute_cap=61),
+        lambda: run_family("lin", {"nmax": 3, "brute_cap": 61}),
+        lambda: table_values("a3", "brute", 5, Config()._replace(brute_cap=61)))),
+    # no family takes an order budget
+    (("--order", "0"), (
+        lambda: Config(order=0),
+        lambda: table_values("a3", "series", 5, Config()._replace(order=0)))),
+], ids=["brute-cap-negative", "brute-cap-past-ceiling", "order-0"])
+def test_budget_refusals_match_the_cli(flags, calls, capsys):
+    assert main(["compute", "a3", "5", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    for call in calls:
+        with pytest.raises(routes.UsageError) as refusal:
+            call()
+        assert f"error: {refusal.value}\n" == err
+
+
+@pytest.mark.parametrize("n_max", [0, 5])
+@pytest.mark.parametrize("entry", [routes.table_windows, table_values, point_value])
+@pytest.mark.parametrize("kind, method, message", [
+    ("zz", "formula", "unknown kind 'zz'; known kinds: a3, A3, B3"),
+    ("a3", "nope", "unknown method 'nope'; known methods: formula, series, lambert, brute"),
+], ids=["kind", "method"])
+def test_routes_refuse_unknown_kinds_and_methods(kind, method, message, entry, n_max):
+    with pytest.raises(routes.UsageError, match=f"^{re.escape(message)}$"):
+        entry(kind, method, n_max)
 
 
 def test_verify_help_lists_the_registry(capsys):
