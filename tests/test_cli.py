@@ -307,6 +307,18 @@ def test_env_brute_cap(capsys, monkeypatch):
         assert run_cli(capsys, "compute", "a3", "20", "--method", "brute") == expected
 
 
+def test_env_rejects_garbage(capsys, monkeypatch):
+    # garbage is refused where the cap is read, on the flag; the variable
+    # is not read, so garbage there is no cap and no error
+    monkeypatch.setenv("CORE3_BRUTE_CAP", "banana")
+    assert run_cli(capsys, "compute", "a3", "1") == (
+        0, '{"kind": "a3", "n": 1, "value": "1", "method": "formula"}\n', "")
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "a3", "1", "--brute-cap", "banana"])
+    assert exc.value.code == 2
+    assert "argument --brute-cap: invalid int value: 'banana'" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "core3", "compute", "a3", "4"],
