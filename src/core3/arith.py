@@ -278,6 +278,8 @@ def factorize(n: int) -> Factorization:
 
 
 def _sigma_prime_power(p: int, a: int) -> int:
+    if a == 1:  # the exponent of almost every large prime: no power, no division
+        return p + 1
     return (p ** (a + 1) - 1) // (p - 1)
 
 
@@ -323,6 +325,8 @@ def pair_count(n: int) -> int:
 
 def weighted_divisor_sum_prime_power(p: int, k: int) -> int:
     """f at a prime power, by residue of p mod 3; f is multiplicative."""
+    if k == 1:  # the exponent of almost every large prime: no power, no division
+        return 9 if p == 3 else p * p + 1 if p % 3 == 1 else p * p - 1
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:

@@ -6,9 +6,13 @@ whole identity battery, with per-family timing; ``--wide`` runs the
 long-form battery).  Both batteries are data in ``identities``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
-closed early by its reader (128 + SIGPIPE).  Rows, in ascending n, fill one
-template per format, one %-format per block of rows; values are decimal
-strings, so JSON readers never hit the 53-bit limit; keys are kind, n, value, method.
+closed early by its reader (128 + SIGPIPE).  A finished run flushes stdout
+and stderr and ends with ``os._exit``, skipping the interpreter's teardown,
+unless a trace or profile function is set; help, ``--version``, argparse's
+usage errors, a closed pipe and an uncaught exception exit normally.  Rows,
+in ascending n, fill one template per format, one %-format per block of
+rows; values are decimal strings, so JSON readers never hit the 53-bit
+limit; keys are kind, n, value, method.
 
 Each subcommand's arguments are one table, ``_COMMANDS``.  A well-formed
 argv (exact flag names, each with its value, every value valid and every
@@ -254,4 +258,10 @@ def entry_point() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(141)
+    sys.stderr.flush()
+    # both streams are out, so skip the interpreter's teardown, which frees
+    # every module and object (about 10 ms a run); a profiler, tracer or
+    # debugger writes its report at exit, so under one the exit is normal
+    if sys.gettrace() is None and sys.getprofile() is None:
+        os._exit(code)
     sys.exit(code)

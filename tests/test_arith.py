@@ -177,6 +177,26 @@ def test_prime_power_rules_match_their_divisor_sums():
                 _chi3(d) * (p ** e // d) ** 2 for d in divisors), (p, e)
 
 
+def _primes_from(start: int, count: int):
+    """The first ``count`` primes at or past ``start`` in each class mod 3 but 0."""
+    found = {1: [], 2: []}
+    n = start
+    while any(len(primes) < count for primes in found.values()):
+        if n % 3 and len(found[n % 3]) < count and is_prime(n):
+            found[n % 3].append(n)
+        n += 1
+    return found[1] + found[2]
+
+
+@pytest.mark.parametrize("start", [10**3, 10**6, 10**9, 10**12, 10**15, 10**18, 2**61 - 10**4])
+def test_prime_power_rules_at_exponent_one_match_their_divisor_sums(start):
+    # exponent 1, that of almost every large prime in a sieve window, has
+    # its own branch in both rules: here it meets the sums over {1, p}
+    for p in _primes_from(start, 3):
+        assert arith._sigma_prime_power(p, 1) == 1 + p, p
+        assert weighted_divisor_sum_prime_power(p, 1) == p * p + _chi3(p), p
+
+
 def test_triple_count_spot_values():
     assert triple_count(0) == 1
     assert triple_count(2) == 9

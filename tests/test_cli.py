@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import io
 import json
+import pstats
 import subprocess
 import sys
 import time
@@ -456,6 +457,98 @@ def test_closing_the_pipe_after_one_line_of_a_huge_table_ends_it_at_once():
     assert code == 141
     assert time.perf_counter() - start < 5
     assert b"Traceback" not in err
+
+
+
+class _HardExit(Exception):
+    """Raised by a stand-in for os._exit, which would end the test process."""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["compute", "A3", "6"], 0,
+     b'{"kind": "A3", "n": 6, "value": "14", "method": "formula"}\n', b""),
+    (["compute", "A3", "6", "--order", "0"], 2, b"", b"error: --order must be >= 1\n"),
+], ids=["done", "refused"])
+def test_a_finished_run_flushes_both_streams_then_skips_teardown(monkeypatch, argv, code,
+                                                                 out, err):
+    # buffered streams over bytes: only a flush moves text to the bytes
+    streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
+    exits = []
+
+    def hard_exit(status):
+        exits.append((status, *(stream.buffer.getvalue() for stream in streams)))
+        raise _HardExit
+
+    monkeypatch.setattr(cli.os, "_exit", hard_exit)
+    monkeypatch.setattr(sys, "argv", ["core3", *argv])
+    monkeypatch.setattr(sys, "stdout", streams[0])
+    monkeypatch.setattr(sys, "stderr", streams[1])
+    # a coverage run sets a trace function, and with it the normal exit
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    with pytest.raises(_HardExit):
+        cli.entry_point()
+    assert exits == [(code, out, err)]
+
+
+@pytest.mark.parametrize("argv, code", [(["compute", "A3", "6"], 0),
+                                        (["compute", "A3", "6", "--order", "0"], 2)],
+                         ids=["done", "refused"])
+@pytest.mark.parametrize("hook", ["profile", "trace"])
+def test_under_a_profile_or_trace_function_the_exit_is_normal(capsys, monkeypatch, argv,
+                                                              code, hook):
+    # a profiler, tracer or debugger writes its report at exit
+    monkeypatch.setattr(cli.os, "_exit", lambda status: pytest.fail("os._exit was called"))
+    monkeypatch.setattr(sys, "argv", ["core3", *argv])
+    get, set_ = getattr(sys, f"get{hook}"), getattr(sys, f"set{hook}")
+    previous = get()
+    set_(lambda *args: None)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+    finally:
+        set_(previous)
+    assert exc.value.code == code
+    capsys.readouterr()
+
+
+def test_a_reader_of_the_whole_pipe_gets_every_row():
+    argv = ["table", "B3", "--nmax", "50000", "--format", "jsonl"]
+    result = subprocess.run([sys.executable, "-m", "core3", *argv],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == _stdout_of(argv)[1]
+    assert len(result.stdout.splitlines()) == 50000
+
+
+# breaks lin at every n: 3 more at 2**2 keeps sigma's divisibility by 3
+_BROKEN_SIGMA = """
+from core3 import arith, cli
+rule = arith._sigma_prime_power
+arith._sigma_prime_power = lambda p, a: rule(p, a) + 3 * (p == 2 and a == 2)
+cli.entry_point()
+"""
+
+
+def test_a_failed_verification_writes_its_reports_line_before_it_exits():
+    # stdout to a pipe is block-buffered: the exit must come after its flush
+    result = subprocess.run([sys.executable, "-c", _BROKEN_SIGMA, "verify", "lin", "--nmax", "10"],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1, result.stderr
+    summary, last = result.stdout.splitlines()
+    assert summary == "lin: checked=11 failures=11 FAIL"
+    assert [report["passed"] for report in json.loads(last)["reports"]] == [False]
+    assert result.stdout.endswith("\n")
+
+
+def test_a_profiled_run_writes_its_profile(tmp_path):
+    profile = tmp_path / "prof"
+    result = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile),
+                             "-m", "core3", "compute", "A3", "6"],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["value"] == "14"
+    assert any(name == "pair_count" for _, _, name in pstats.Stats(str(profile)).stats)
 
 
 # runs the CLI on its argv, then reports the process's peak RSS in kB on stderr
