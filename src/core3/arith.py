@@ -32,10 +32,10 @@ it lies on one primitive form, and the crossover then weighs the sieve
 against the sides of all of them.
 """
 
+from collections import namedtuple
 from itertools import chain, compress, repeat
 from math import gcd, isqrt, prod
 from operator import floordiv, itemgetter, mul
-from typing import NamedTuple
 
 # kind -> name of its closed-form counter in this module.  Callers look the
 # function up by name when they call it, so rebinding it here reaches them all.
@@ -74,11 +74,12 @@ _SIEVE_CROSSOVER = 4
 _SIEVE_SETUP = 32
 
 
-class Factorization(NamedTuple):
-    """n as an ordered product of prime powers p1^a1 * p2^a2 * ... (p1 < p2 < ...)."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
+# a collections.namedtuple, not a typing.NamedTuple: importing typing would
+# cost every point query more than its factorization
+Factorization = namedtuple("Factorization", ("n", "factors"))
+Factorization.__doc__ = (
+    "n as an ordered product of prime powers p1^a1 * p2^a2 * ... (p1 < p2 < ...).")
+Factorization.__annotations__ = {"n": int, "factors": tuple[tuple[int, int], ...]}
 
 
 def _primes_upto(bound: int) -> list[int]:

@@ -8,11 +8,11 @@ long-form battery).  Both batteries are data in ``identities``.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
 closed early by its reader (128 + SIGPIPE).  A finished run flushes stdout
 and stderr and ends with ``os._exit``, skipping the interpreter's teardown,
-unless a trace or profile function is set; help, ``--version``, argparse's
-usage errors, a closed pipe and an uncaught exception exit normally.  Rows,
-in ascending n, fill one template per format, one %-format per block of
-rows; values are decimal strings, so JSON readers never hit the 53-bit
-limit; keys are kind, n, value, method.
+unless a trace or profile function or a ``sys.monitoring`` tool is set;
+help, ``--version``, argparse's usage errors, a closed pipe and an uncaught
+exception exit normally.  Rows, in ascending n, fill one template per
+format, one %-format per block of rows; values are decimal strings, so JSON
+readers never hit the 53-bit limit; keys are kind, n, value, method.
 
 Each subcommand's arguments are one table, ``_COMMANDS``.  A well-formed
 argv (exact flag names, each with its value, every value valid and every
@@ -20,6 +20,12 @@ required argument present) is parsed from it directly; anything else, help
 and ``--version`` included, goes to the argparse parser built from the same
 table, which writes every usage line, help text and error.  So argparse, and
 the gettext and locale modules it loads, are imported only when needed.
+
+A command imports only the modules it runs: ``compute`` and ``table`` reach
+``arith`` through ``routes``, which imports ``series`` and ``lambert`` only
+for a table of their method; ``verify`` and ``selfcheck`` import
+``identities`` when they run, and the argparse parser when it lists the
+families in the help of ``verify``.
 """
 
 import os
@@ -27,7 +33,6 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__, arith
-from .identities import FAMILIES, run_family, selfcheck_battery, wide_battery
 from .routes import (DEFAULT_BRUTE_CAP, DEFAULT_ORDER, KINDS, MAX_BRUTE_CAP, METHODS, Config,
                      UsageError, point_value, table_windows)
 
@@ -89,6 +94,8 @@ def _summary_line(report) -> str:
 def _cmd_verify(args, cfg: Config) -> int:
     import json  # here, so that no other command pays for it
 
+    from .identities import run_family
+
     options = {flag: getattr(args, flag) for flag in _VERIFY_FLAGS}
     reports = run_family(args.family, {**options, "brute_cap": cfg.brute_cap})
     for report in reports:
@@ -98,6 +105,8 @@ def _cmd_verify(args, cfg: Config) -> int:
 
 
 def _cmd_selfcheck(args, cfg: Config) -> int:
+    from .identities import run_family, selfcheck_battery, wide_battery
+
     if args.wide:
         battery = wide_battery(4 if args.kmax is None else args.kmax, args.nmax,
                                cfg.brute_cap)
@@ -143,7 +152,7 @@ _COMMANDS = {
         ("--format", {"choices": ("csv", "jsonl"), "default": "csv"}),
         _ORDER, _BRUTE_CAP)),
     "verify": ("verify one identity family", _cmd_verify, (
-        ("family", {"help": "one of: " + ", ".join(FAMILIES)}),
+        ("family", {}),  # its help, the family names, is added by _build_parser
         *((f"--{flag}", {"type": int, "default": None}) for flag in _VERIFY_FLAGS),
         _BRUTE_CAP)),
     "selfcheck": ("cross-validate all methods and run every family", _cmd_selfcheck, (
@@ -161,6 +170,8 @@ def _build_parser():
     # query about 6 ms; only help, --version and usage errors pay for them
     import argparse
 
+    from .identities import FAMILIES
+
     parser = argparse.ArgumentParser(
         prog="core3",
         description=("Count 3-core partitions (a3), pairs (A3) and triples (B3) "
@@ -175,6 +186,8 @@ def _build_parser():
     for command, (help_, handler, arguments) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_)
         for name, options in arguments:
+            if name == "family":
+                options = {**options, "help": "one of: " + ", ".join(FAMILIES)}
             p.add_argument(name, **options)
         p.set_defaults(handler=handler, parser=p)
     return parser
@@ -260,8 +273,12 @@ def entry_point() -> None:
         sys.exit(141)
     sys.stderr.flush()
     # both streams are out, so skip the interpreter's teardown, which frees
-    # every module and object (about 10 ms a run); a profiler, tracer or
-    # debugger writes its report at exit, so under one the exit is normal
-    if sys.gettrace() is None and sys.getprofile() is None:
+    # every module and object (about 10 ms a run); a profiler, tracer,
+    # debugger or coverage tool writes its report at exit, so under one the
+    # exit is normal: it hooks in by a trace or profile function or, from
+    # Python 3.12, by a sys.monitoring tool id (0-5)
+    monitoring = getattr(sys, "monitoring", None)
+    if sys.gettrace() is None and sys.getprofile() is None and (
+            monitoring is None or all(monitoring.get_tool(i) is None for i in range(6))):
         os._exit(code)
     sys.exit(code)

@@ -5,10 +5,10 @@ never at import, so rebinding a module attribute (as a tracer does) reaches
 every caller.
 """
 
+from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
-from . import arith, lambert, partitions, series
+from . import arith, partitions
 
 KINDS = ("a3", "A3", "B3")
 METHODS = ("formula", "series", "lambert", "brute")
@@ -31,9 +31,8 @@ class UsageError(ValueError):
     pass
 
 
-class _Budgets(NamedTuple):
-    order: int = DEFAULT_ORDER
-    brute_cap: int = DEFAULT_BRUTE_CAP
+_Budgets = namedtuple("_Budgets", ("order", "brute_cap"),
+                      defaults=(DEFAULT_ORDER, DEFAULT_BRUTE_CAP))
 
 
 class Config(_Budgets):
@@ -96,9 +95,12 @@ def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
     k = TUPLE_SIZE[kind]
     if method == "formula":
         return arith.count_windows(kind, n_max)
+    # imported here, so that a formula query does not load either engine
     if method == "series":
+        from . import series
         return iter((series.core_tuple_series(3, k, n_max).coeffs,))
     if method == "lambert":
+        from . import lambert
         return lambert.tuple_windows(k, n_max)
     # brute, the one method left
     return iter((partitions.brute_tuple_table(n_max, 3, k, cap=cfg.brute_cap),))

@@ -338,20 +338,64 @@ def _imported_modules(*args: str, code: int = 0) -> set[str]:
             if line.startswith("import time:") and not line.endswith("imported package")}
 
 
-@pytest.mark.parametrize("argv, reads", [
-    (["compute", "A3", "6"], set()),
-    (["table", "a3", "--nmax", "10"], set()),
-    (["verify", "lin", "--nmax", "10"], {"json"}),
-    (["selfcheck", "--nmax", "5"], set()),
-], ids=["compute", "table", "verify", "selfcheck"])
-def test_point_commands_import_only_what_they_run(argv, reads):
-    # dataclasses pulls in inspect (and with it ast, dis and tokenize), json
-    # is read by verify alone, and a well-formed argv is parsed without
+# runs `python -m core3` on its argv and, at the os._exit that ends a finished
+# run, writes to stderr the modules loaded since runpy was imported.  It reads
+# sys.modules, not -X importtime, which misses a submodule imported by
+# `from . import x` or by the package's __getattr__.
+_MODULES_AT_EXIT = """
+import os, runpy, sys
+before = set(sys.modules)
+def hard_exit(code, exit=os._exit):
+    print(*sorted(set(sys.modules) - before), file=sys.stderr, flush=True)
+    exit(code)
+os._exit = hard_exit
+runpy.run_module("core3", run_name="__main__", alter_sys=True)
+"""
+
+
+def _loaded_modules(*argv: str, flags=()) -> set[str]:
+    """The modules ``python *flags -m core3 *argv`` loads; it must exit with 0."""
+    result = subprocess.run([sys.executable, *flags, "-c", _MODULES_AT_EXIT, *argv],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return set(result.stderr.split())
+
+
+# what a formula point query loads of core3 (core3/__main__.py runs as
+# __main__): partitions holds the brute-force cap's ceiling, which routes
+# reads at import
+_FORMULA = {"core3", "core3.cli", "core3.routes", "core3.arith", "core3.partitions"}
+_ENGINES = {"core3.series", "core3.lambert"}
+
+
+@pytest.mark.parametrize("argv, core3_modules, reads", [
+    (["compute", "A3", "6"], _FORMULA, set()),
+    (["table", "a3", "--nmax", "10"], _FORMULA, set()),
+    (["compute", "A3", "6", "--method", "brute"], _FORMULA, set()),
+    (["compute", "A3", "6", "--method", "series"], _FORMULA | {"core3.series"}, set()),
+    (["table", "B3", "--nmax", "10", "--method", "series"], _FORMULA | {"core3.series"}, set()),
+    (["table", "a3", "--nmax", "10", "--method", "lambert"], _FORMULA | _ENGINES, set()),
+    (["verify", "lin", "--nmax", "10"], _FORMULA | _ENGINES | {"core3.identities"}, {"json"}),
+    (["selfcheck", "--nmax", "5"], _FORMULA | _ENGINES | {"core3.identities"}, set()),
+], ids=["compute", "table", "brute", "series", "series-table", "lambert-table", "verify",
+        "selfcheck"])
+def test_point_commands_import_only_what_they_run(argv, core3_modules, reads):
+    # each engine and the identity registry load only for a command that runs
+    # them; dataclasses pulls in inspect (and with it ast, dis and tokenize),
+    # json is read by verify alone, and a well-formed argv is parsed without
     # argparse, whose messages load gettext and locale
-    own = _imported_modules("-m", "core3", *argv) - _imported_modules("-c", "pass")
-    assert "core3.cli" in own
+    own = _loaded_modules(*argv)
+    assert {name for name in own if name.partition(".")[0] == "core3"} == core3_modules
     forbidden = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
     assert own & forbidden == reads
+
+
+def test_a_point_query_imports_neither_typing_nor_re():
+    # under -S no site hook has loaded either already; typing alone costs a
+    # point query about 13 ms, and re is loaded by typing
+    own = _loaded_modules("compute", "A3", "6", flags=["-S"])
+    assert "core3.arith" in own
+    assert not own & {"typing", "re"}
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["table", "a3"], 2)],
@@ -483,9 +527,12 @@ def test_a_finished_run_flushes_both_streams_then_skips_teardown(monkeypatch, ar
     monkeypatch.setattr(sys, "argv", ["core3", *argv])
     monkeypatch.setattr(sys, "stdout", streams[0])
     monkeypatch.setattr(sys, "stderr", streams[1])
-    # a coverage run sets a trace function, and with it the normal exit
+    # a coverage run sets a trace function or a monitoring tool, and with it
+    # the normal exit
     monkeypatch.setattr(sys, "gettrace", lambda: None)
     monkeypatch.setattr(sys, "getprofile", lambda: None)
+    if hasattr(sys, "monitoring"):
+        monkeypatch.setattr(sys.monitoring, "get_tool", lambda tool_id: None)
     with pytest.raises(_HardExit):
         cli.entry_point()
     assert exits == [(code, out, err)]
@@ -508,6 +555,27 @@ def test_under_a_profile_or_trace_function_the_exit_is_normal(capsys, monkeypatc
             cli.entry_point()
     finally:
         set_(previous)
+    assert exc.value.code == code
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(sys, "monitoring"), reason="sys.monitoring is new in 3.12")
+@pytest.mark.parametrize("tool_id", range(6))
+@pytest.mark.parametrize("argv, code", [(["compute", "A3", "6"], 0),
+                                        (["compute", "A3", "6", "--order", "0"], 2)],
+                         ids=["done", "refused"])
+def test_under_a_monitoring_tool_the_exit_is_normal(capsys, monkeypatch, argv, code, tool_id):
+    # coverage under COVERAGE_CORE=sysmon sets no trace or profile function
+    monkeypatch.setattr(cli.os, "_exit", lambda status: pytest.fail("os._exit was called"))
+    monkeypatch.setattr(sys, "argv", ["core3", *argv])
+    if sys.monitoring.get_tool(tool_id) is not None:
+        pytest.skip(f"tool id {tool_id} is held by {sys.monitoring.get_tool(tool_id)}")
+    sys.monitoring.use_tool_id(tool_id, "core3-test")
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+    finally:
+        sys.monitoring.free_tool_id(tool_id)
     assert exc.value.code == code
     capsys.readouterr()
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from core3 import arith, cli, identities, lambert, partitions, routes, series
-from core3.cli import FAMILIES, KINDS, METHODS, Config, main, point_value, run_family
-from core3.identities import Relation, _sweep
+from core3.cli import KINDS, METHODS, Config, main, point_value
+from core3.identities import FAMILIES, Relation, _sweep, run_family
 from core3.routes import table_values
 from oracles import failures_per_k_r
 
@@ -491,7 +491,7 @@ def test_selfcheck_wide_end_to_end(capsys):
     (["--kmax", "1"], "--kmax needs --wide"),
 ], ids=["kmax-0", "nmax-negative", "nmax-0", "kmax-without-wide"])
 def test_selfcheck_refuses_before_any_family_runs(argv, message, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_family", lambda *args: pytest.fail("a family ran"))
+    monkeypatch.setattr(identities, "run_family", lambda *args: pytest.fail("a family ran"))
     started = time.perf_counter()
     assert main(["selfcheck", *argv]) == 2
     assert time.perf_counter() - started < 1
@@ -584,6 +584,27 @@ def test_verify_help_lists_the_registry(capsys):
     # argparse may wrap the help text anywhere, hyphens included
     text = "".join(capsys.readouterr().out.split())
     assert "oneof:" + ",".join(FAMILIES) in text
+
+
+# argparse wraps the help at the terminal's width less 2; COLUMNS sets it
+_VERIFY_HELP_FAMILIES = """\
+positional arguments:
+  family                one of: a3-even-power, BN, lin, relation-general,
+                        relation-coprime, A3-residues, B3-ids, B3-relation-
+                        general, B3-relation-coprime, B3-residues, xia-
+                        congruence, xia-conjecture, cross-validate, structural
+
+"""
+
+
+def test_verify_help_lists_the_families_byte_for_byte(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    start = out.index("positional arguments:")
+    assert out[start:out.index("\n\n", start) + 2] == _VERIFY_HELP_FAMILIES
 
 
 def test_readme_lists_the_registry():
