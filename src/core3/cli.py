@@ -25,7 +25,8 @@ A command imports only the modules it runs: ``compute`` and ``table`` reach
 ``arith`` through ``routes``, which imports ``series`` and ``lambert`` only
 for a table of their method; ``verify`` and ``selfcheck`` import
 ``identities`` when they run, and the argparse parser when it lists the
-families in the help of ``verify``.
+families in the help of ``verify``; ``identities`` imports the engines only
+for the structural checks.
 """
 
 import os

@@ -11,16 +11,18 @@ All families but Xia's conjecture, the route cross-validation and the
 structural checks are data: a Relation per identity, run by one evaluator.
 The ``verify`` family registry closes the module, with the two batteries of
 ``core3 selfcheck`` (default and ``--wide``) as lists of its entries.
+
+Only ``structural_reports`` runs the series and Lambert engines, so only it
+imports them; the records are ``collections.namedtuple``s, not ``typing``'s.
 """
 
 import time
 from bisect import insort
-from collections.abc import Callable, Sequence
+from collections import namedtuple
 from itertools import chain, compress, islice, repeat
 from operator import add, mul, ne
-from typing import NamedTuple
 
-from . import arith, lambert, routes, series
+from . import arith, routes
 
 
 # counterexamples a report keeps; failures past them are only counted
@@ -57,10 +59,7 @@ XIA_MAX_BITS = 1 << 13
 SWEEP_MAX_BITS = 1 << 11
 
 
-class Failure(NamedTuple):
-    inputs: dict
-    lhs: int
-    rhs: int
+Failure = namedtuple("Failure", ("inputs", "lhs", "rhs"))
 
 
 class IdentityReport:
@@ -118,7 +117,9 @@ class IdentityReport:
         return data
 
 
-class Relation(NamedTuple):
+class Relation(namedtuple("Relation", ("family", "kind", "terms", "ks", "residues", "base",
+                                       "coprime_to", "modulus", "labels"),
+                          defaults=((None,), (None,), 1, None, None, None))):
     """F(a*m + b) == sum of c * F(a_i*m + b_i), F the counter of ``kind``.
 
     For k in ``ks`` and r in ``residues``, ``terms(k, r)`` gives ``(a, b)``
@@ -131,15 +132,7 @@ class Relation(NamedTuple):
     first, when given) leave it out.
     """
 
-    family: str
-    kind: str
-    terms: Callable[[int | None, int | None], tuple]
-    ks: Sequence[int | None] = (None,)
-    residues: Sequence[int | None] = (None,)
-    base: int = 1
-    coprime_to: int | None = None
-    modulus: int | None = None
-    labels: dict | None = None
+    __slots__ = ()
 
     def sides(self):
         """(k, r, sides) per (k, r) in sweep order: the left side and then each
@@ -345,7 +338,7 @@ def _relation(kind: str, terms, p: int, k_max: int, n_max: int,
     """One variant of a relation theorem.  The coprime one holds where p does
     not divide the progression value of m, and B3's at p = 3 for every m."""
     if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+        raise ValueError("--kmax must be >= 0")
     variant = "coprime" if coprime else "general"
     return _sweep({"p": p, "k_max": k_max, "n_max": n_max, "variant": variant}, n_max,
                   Relation(f"{kind}-relation-{variant}-p{p}", kind, terms(p, coprime),
@@ -357,7 +350,7 @@ def _relation(kind: str, terms, p: int, k_max: int, n_max: int,
 def _residues(kind: str, terms, classes, k_max: int, n_max: int) -> list[IdentityReport]:
     """The coprime relation at each p, swept over m = p*n + r for r in its classes."""
     if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+        raise ValueError("--kmax must be >= 0")
     params = {"k_max": k_max, "n_max": n_max}
     return _sweeps(params, n_max, [(Relation(f"{kind}-residues-{p}", kind, terms(p, True),
                                              range(k_max + 1), residues=residues, base=p),)
@@ -369,7 +362,7 @@ def check_a3_even_power(p: int, k_max: int, n_max: int) -> IdentityReport:
     if not arith.is_prime(p) or p % 3 != 2:
         raise ValueError(f"p must be a prime congruent to 2 mod 3, got {p}")
     if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+        raise ValueError("--kmax must be >= 2")
     return _sweep({"p": p, "k_max": k_max, "n_max": n_max}, n_max, Relation(
         f"a3-even-power-p{p}", "a3",
         lambda k, r: ((p**k, _exact(p**k - 1, 3)), ((1, 1, 0),)),
@@ -385,7 +378,7 @@ def check_baruah_nath(k_max: int, n_max: int) -> list[IdentityReport]:
     BN-3: A3(2^(2k+1)*n + (5*2^(2k)-2)/3) == (2^(2k+1)-1) * A3(2n+1).
     """
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise ValueError("--kmax must be >= 1")
     params = {"k_max": k_max, "n_max": n_max}
     families = (
         lambda k, r: ((4 ** (k + 1), _exact(2 * (4**k - 1), 3)),
@@ -439,7 +432,7 @@ def check_b3_power_families(k_max: int, n_max: int) -> list[IdentityReport]:
           the general relation at p = 2, taken at k+1.
     """
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise ValueError("--kmax must be >= 1")
     params = {"k_max": k_max, "n_max": n_max}
     general_2 = _B3_terms(2, coprime=False)
     families = (
@@ -501,9 +494,11 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     if not arith.is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     if j < 1:
-        raise ValueError("j must be >= 1")
-    if alpha_max < 0 or n_max < 0:
-        raise ValueError("alpha_max and n_max must be >= 0")
+        raise ValueError("--j must be >= 1")
+    if alpha_max < 0:
+        raise ValueError("--alphamax must be >= 0")
+    if n_max < 0:
+        raise ValueError("--nmax must be >= 0")
     # j * (bits of p, less one) bounds p^j's bits from below without building it
     if j * (p.bit_length() - 1) > XIA_MAX_BITS or (pj := p**j).bit_length() > XIA_MAX_BITS:
         raise ValueError(f"p^j = {p}^{j} is past this check's ceiling of {XIA_MAX_BITS} bits")
@@ -542,7 +537,7 @@ def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> Ide
     the brute-force lane joins while n stays within its cap.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ValueError("--nmax must be >= 1")
     cfg = routes.Config(order=n_max, brute_cap=brute_cap)
     sizes = {"brute": min(n_max, brute_cap + 1)}
 
@@ -564,6 +559,8 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
     """One single-instance report per structural check of the series and
     Lambert routes: the q-split, the k^2 kernel and the vanishing pair-fold
     cross term, at order min(n_max, 500), at least 2."""
+    from . import lambert, series  # here, so that no other family loads either engine
+
     order = max(2, min(n_max, 500))
 
     def instance(params, check):
@@ -580,11 +577,8 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
 # --- the family registry and its two batteries, read by cli and the tests ---
 # run_family looks each check up by name when called, so a tracer's rebinding reaches it
 
-class Family(NamedTuple):
-    """A ``verify`` family: the check it runs, and its options' defaults in order."""
-
-    check: str
-    defaults: dict
+Family = namedtuple("Family", ("check", "defaults"))
+Family.__doc__ = "A ``verify`` family: the check it runs, and its options' defaults in order."
 
 
 def _relation_family(check: str, coprime: bool) -> Family:

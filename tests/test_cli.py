@@ -328,37 +328,33 @@ def test_module_entry_point():
     assert json.loads(result.stdout)["value"] == "2"
 
 
-def _imported_modules(*args: str, code: int = 0) -> set[str]:
-    """The modules ``python -X importtime *args`` reports importing; it must
-    exit with ``code``."""
-    result = subprocess.run([sys.executable, "-X", "importtime", *args],
-                            capture_output=True, text=True)
-    assert result.returncode == code, result.stderr[-2000:]
-    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
-            if line.startswith("import time:") and not line.endswith("imported package")}
-
-
 # runs `python -m core3` on its argv and, at the os._exit that ends a finished
-# run, writes to stderr the modules loaded since runpy was imported.  It reads
+# run or at the normal exit of a help text or usage error, writes the modules
+# loaded since runpy was imported as the last line of stderr.  It reads
 # sys.modules, not -X importtime, which misses a submodule imported by
 # `from . import x` or by the package's __getattr__.
 _MODULES_AT_EXIT = """
 import os, runpy, sys
 before = set(sys.modules)
-def hard_exit(code, exit=os._exit):
+def loaded():
     print(*sorted(set(sys.modules) - before), file=sys.stderr, flush=True)
+def hard_exit(code, exit=os._exit):
+    loaded()
     exit(code)
 os._exit = hard_exit
-runpy.run_module("core3", run_name="__main__", alter_sys=True)
+try:
+    runpy.run_module("core3", run_name="__main__", alter_sys=True)
+finally:
+    loaded()
 """
 
 
-def _loaded_modules(*argv: str, flags=()) -> set[str]:
-    """The modules ``python *flags -m core3 *argv`` loads; it must exit with 0."""
+def _loaded_modules(*argv: str, flags=(), code: int = 0) -> set[str]:
+    """The modules ``python *flags -m core3 *argv`` loads; it must exit with ``code``."""
     result = subprocess.run([sys.executable, *flags, "-c", _MODULES_AT_EXIT, *argv],
                             capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr[-2000:]
-    return set(result.stderr.split())
+    assert result.returncode == code, result.stderr[-2000:]
+    return set(result.stderr.splitlines()[-1].split())
 
 
 # what a formula point query loads of core3 (core3/__main__.py runs as
@@ -366,25 +362,33 @@ def _loaded_modules(*argv: str, flags=()) -> set[str]:
 # reads at import
 _FORMULA = {"core3", "core3.cli", "core3.routes", "core3.arith", "core3.partitions"}
 _ENGINES = {"core3.series", "core3.lambert"}
+_IDENTITIES = _FORMULA | {"core3.identities"}
+_ARGPARSE = {"argparse", "gettext", "locale"}
 
 
-@pytest.mark.parametrize("argv, core3_modules, reads", [
-    (["compute", "A3", "6"], _FORMULA, set()),
-    (["table", "a3", "--nmax", "10"], _FORMULA, set()),
-    (["compute", "A3", "6", "--method", "brute"], _FORMULA, set()),
-    (["compute", "A3", "6", "--method", "series"], _FORMULA | {"core3.series"}, set()),
-    (["table", "B3", "--nmax", "10", "--method", "series"], _FORMULA | {"core3.series"}, set()),
-    (["table", "a3", "--nmax", "10", "--method", "lambert"], _FORMULA | _ENGINES, set()),
-    (["verify", "lin", "--nmax", "10"], _FORMULA | _ENGINES | {"core3.identities"}, {"json"}),
-    (["selfcheck", "--nmax", "5"], _FORMULA | _ENGINES | {"core3.identities"}, set()),
+@pytest.mark.parametrize("argv, code, core3_modules, reads", [
+    (["compute", "A3", "6"], 0, _FORMULA, set()),
+    (["table", "a3", "--nmax", "10"], 0, _FORMULA, set()),
+    (["compute", "A3", "6", "--method", "brute"], 0, _FORMULA, set()),
+    (["compute", "A3", "6", "--method", "series"], 0, _FORMULA | {"core3.series"}, set()),
+    (["table", "B3", "--nmax", "10", "--method", "series"], 0, _FORMULA | {"core3.series"},
+     set()),
+    (["table", "a3", "--nmax", "10", "--method", "lambert"], 0, _FORMULA | _ENGINES, set()),
+    (["verify", "lin", "--nmax", "10"], 0, _IDENTITIES, {"json"}),
+    (["verify", "structural"], 0, _IDENTITIES | _ENGINES, {"json"}),
+    (["selfcheck", "--nmax", "5"], 0, _IDENTITIES | _ENGINES, set()),
+    (["--help"], 0, _IDENTITIES, _ARGPARSE),
+    (["table", "a3"], 2, _IDENTITIES, _ARGPARSE),
 ], ids=["compute", "table", "brute", "series", "series-table", "lambert-table", "verify",
-        "selfcheck"])
-def test_point_commands_import_only_what_they_run(argv, core3_modules, reads):
-    # each engine and the identity registry load only for a command that runs
-    # them; dataclasses pulls in inspect (and with it ast, dis and tokenize),
-    # json is read by verify alone, and a well-formed argv is parsed without
-    # argparse, whose messages load gettext and locale
-    own = _loaded_modules(*argv)
+        "verify-structural", "selfcheck", "help", "usage-error"])
+def test_point_commands_import_only_what_they_run(argv, code, core3_modules, reads):
+    # each engine loads only for a command that runs it, and the identity
+    # registry only for verify, selfcheck and the argparse parser, whose help
+    # of verify lists the families; dataclasses pulls in inspect (and with it
+    # ast, dis and tokenize), json is read by verify alone, and a well-formed
+    # argv is parsed without argparse, whose messages load gettext and locale;
+    # every help text and usage error is argparse's
+    own = _loaded_modules(*argv, code=code)
     assert {name for name in own if name.partition(".")[0] == "core3"} == core3_modules
     forbidden = {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
     assert own & forbidden == reads
@@ -398,11 +402,12 @@ def test_a_point_query_imports_neither_typing_nor_re():
     assert not own & {"typing", "re"}
 
 
-@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["table", "a3"], 2)],
-                         ids=["help", "usage-error"])
-def test_help_and_usage_errors_import_argparse(argv, code):
-    # the fallback is real: argparse writes every help text and usage error
-    assert "argparse" in _imported_modules("-m", "core3", *argv, code=code)
+def test_a_sweep_imports_no_typing():
+    # verify loads json, and with it re, but the identity registry's records
+    # are collections.namedtuples
+    own = _loaded_modules("verify", "lin", "--nmax", "3", flags=["-S"])
+    assert "core3.identities" in own
+    assert "typing" not in own
 
 
 _VALUES = st.one_of(st.sampled_from([0, -1, 2**53 + 1, -(2**53 + 1), 10**30 - 1, -(3**63)]),
@@ -467,6 +472,37 @@ def test_verify_rejects_negative_nmax(capsys, family):
     assert code == 2
     assert out == ""
     assert "--nmax" in err
+
+
+@pytest.mark.parametrize("argv, message, check", [
+    (["relation-general", "--kmax", "-1"], "--kmax must be >= 0",
+     lambda: identities.check_A3_relations(5, -1, 10)),
+    (["A3-residues", "--kmax", "-1"], "--kmax must be >= 0",
+     lambda: identities.check_A3_residue_families(-1, 10)),
+    (["B3-residues", "--kmax", "-1"], "--kmax must be >= 0",
+     lambda: identities.check_B3_residue_families(-1, 10)),
+    (["a3-even-power", "--kmax", "1"], "--kmax must be >= 2",
+     lambda: identities.check_a3_even_power(2, 1, 10)),
+    (["BN", "--kmax", "0"], "--kmax must be >= 1",
+     lambda: identities.check_baruah_nath(0, 10)),
+    (["B3-ids", "--kmax", "0"], "--kmax must be >= 1",
+     lambda: identities.check_b3_power_families(0, 10)),
+    (["xia-conjecture", "--j", "0"], "--j must be >= 1",
+     lambda: identities.check_xia_conjecture(3, 0, 1, 10)),
+    (["xia-conjecture", "--alphamax", "-1"], "--alphamax must be >= 0",
+     lambda: identities.check_xia_conjecture(3, 1, -1, 10)),
+    (["xia-conjecture", "--nmax", "-1"], "--nmax must be >= 0",
+     lambda: identities.check_xia_conjecture(3, 1, 1, -1)),
+    (["cross-validate", "--nmax", "0"], "--nmax must be >= 1",
+     lambda: identities.cross_validate(0)),
+], ids=["relation", "A3-residues", "B3-residues", "a3-even-power", "BN", "B3-ids", "xia-j",
+        "xia-alphamax", "xia-nmax", "cross-validate"])
+def test_family_refusals_name_the_flag(capsys, argv, message, check):
+    # the family's own bound, in the words of the flag that sets it, on the
+    # command line and from the library alike
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check()
 
 
 def test_closed_pipe_exits_quietly():
