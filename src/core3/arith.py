@@ -50,13 +50,17 @@ _PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
                  "B3": (1, 1, "weighted_divisor_sum_prime_power", 1)}
 
 # terms of a table computed at once by count_windows, and so held in memory
-# at once by a table that is written as it comes.  Measured on a 2-core Xeon:
-# `table A3 --nmax 345500` peaks at 15.9 MB of RSS in windows of 2**12, 16.5
-# at 2**13, 17.8 at 2**14, 21.4 at 2**15 and 26.6 at 2**16, and 18.0 MB at
-# 2**14 for --nmax 10**6 and 3*10**6 alike (`compute A3 6`: 15.0 MB).  The
-# four table commands of the benchmark at 345500 took 1.72, 1.63, 1.61, 1.63
-# and 1.73 s in all at 2**12..2**16 (in process, medians of 9, interleaved);
-# the windows of A3 to 3*10**6 took 2.5 s at 2**14 and 2.6 s at 2**16.
+# at once by a table that is written as it comes: the sieve lets go of each
+# window when the caller asks for the next, and cli of each window it wrote,
+# so one window is alive at a time.  Measured on a 2-core Xeon: `table A3
+# --nmax 345500` peaks at 14.2 MB of RSS in windows of 2**12, 14.4 at 2**13,
+# 15.2 at 2**14, 16.7 at 2**15 and 20.7 at 2**16, and at 16.3 MB at 2**14
+# for --nmax 10**6 and 16.4 for 3*10**6 (`compute A3 6`: 14.2 MB).  With the
+# previous window alive while the next was sieved it peaked at 16.6 MB at
+# 2**14, for 10**6 at 16.7.  The four table commands of the benchmark at
+# 345500 took 1.72, 1.63, 1.61, 1.63 and 1.73 s in all at 2**12..2**16 (in
+# process, medians of 9, interleaved); the windows of A3 to 3*10**6 took
+# 2.5 s at 2**14 and 2.6 s at 2**16.
 _WINDOW = 1 << 14
 # progression_counts sieves a primitive form alpha*i + beta of count terms up
 # to top, read by s sides, when isqrt(top) + _SIEVE_SETUP <=
@@ -482,10 +486,18 @@ def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: in
                 for j, table in enumerate(tables):
                     if table[0] != 1:
                         reads[j].append(repeat(table[0]))
+        # each list is let go once dead, and the window yielded once the
+        # caller resumes, so one window is alive while the next is sieved.
+        # marks is rebound, not deleted: a window no prime hits never binds it
+        factor = marks = None
         # a product already 0 stays 0 whatever the rule gives: no call for it
         val = [v * rule(r, 1) if v and r > 1 else v for v, r in zip(val, rem)]
-        yield [_side(kind, divisor, val, factors, step, offset, lo)
-               for (step, offset), factors in zip(sides, reads)]
+        rem = None
+        values = [_side(kind, divisor, val, factors, step, offset, lo)
+                  for (step, offset), factors in zip(sides, reads)]
+        val = reads = None
+        yield values
+        values = None
 
 
 def _side(kind: str, divisor: int, val, factors, step: int, offset: int,

@@ -42,9 +42,11 @@ _VERIFY_FLAGS = ("p", "j", "kmax", "nmax", "alphamax")
 # table rows written by one %-format and one write.  Measured on a 2-core Xeon,
 # writing 345 500 rows window by window to /dev/null in process, medians of 11
 # interleaved runs: in blocks of 2**10, the a3 CSV, A3 CSV, B3 JSONL and A3
-# Lambert tables took 0.27, 0.38, 0.47 and 0.30 s and peaked at 15.6, 16.9,
-# 16.4 and 15.6 MB of RSS; at 2**12, 0.27, 0.39, 0.49 and 0.30 s and 15.7,
-# 16.8, 17.2, 15.8 MB; at 2**14, 0.28, 0.41, 0.51, 0.31 s and 17.3, 19.4, 21.3, 17.6 MB.
+# Lambert tables took 0.27, 0.38, 0.47 and 0.30 s; at 2**12, 0.27, 0.39, 0.49
+# and 0.30 s; at 2**14, 0.28, 0.41, 0.51 and 0.31 s.  With one window alive
+# at a time they peak end to end at 14.7, 15.1, 15.2 and 14.7 MB of RSS in
+# blocks of 2**10, 14.8, 15.3, 15.8 and 15.1 MB at 2**12 and 16.0, 17.3, 20.5
+# and 17.4 MB at 2**14 (medians of 7; `compute A3 6`: 14.2 MB).
 _BLOCK = 1 << 10
 
 
@@ -82,6 +84,8 @@ def _cmd_table(args, cfg: Config) -> int:
             fields[1::2] = values[start:start + size]
             out.write(template % tuple(fields))
         n += len(values)
+        # let the window go before the next one is computed
+        values = None
     out.write(header)
     return 0
 

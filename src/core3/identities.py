@@ -27,23 +27,32 @@ from . import arith, routes
 
 # counterexamples a report keeps; failures past them are only counted
 MAX_FAILURES = 100
-# terms of each side a sweep holds at once.  Measured on a 2-core Xeon, with
-# both sides of lin read from one sieve: verify lin --nmax 100000 peaks at
-# 15.8-15.9 MB of RSS at 2**10 (15.6-15.9 MB with one point count per
-# argument), 16.0-16.1 MB at 2**11, 16.5 MB at 2**12 and 29.8 MB at 2**16;
-# a first check_lin(100000) in a fresh interpreter takes 0.15 s at 2**10,
-# 0.12 s at 2**11 and 0.11 s at 2**12 and 2**16 (medians of 9, interleaved).
-# 2**10 keeps the sweeps' peak RSS where one sieve per side had it.
+# terms of each side a sweep holds at once when one engine call reads 5 or
+# more sides.  A call of fewer sides reads _SIDE_WINDOW * (8 // sides) terms
+# of each: 8 times as many for one side, 4 for two (lin), twice for 3 or 4,
+# so shrinking _SIDE_WINDOW shrinks every window.  Each window is let go
+# before the next is sieved.  Measured on a 2-core Xeon, peak RSS end to end
+# and times of a first call in a fresh interpreter (medians of 7,
+# interleaved; `compute A3 6`: 14.2 MB): verify lin --nmax 100000 peaks at
+# 14.2 MB in windows of 2**10, 14.3 at 2**12 and 16.6 at 2**14, and
+# check_lin(100000) took 90 ms at 2**10 and 62 ms at 2**12; verify
+# xia-congruence --nmax 100000, one side a call, peaks at 14.3 MB at 2**10
+# and 14.7 at 2**13, in 187 and 109 ms.  The heavy sweeps read 16 sides a
+# call: verify A3-residues --kmax 100 --nmax 2000 peaks at 15.2 MB at 2**10
+# (16.8 at 2**12) and B3-residues at the same sizes at 14.9 MB, in 0.86 and
+# 0.52 s; holding the previous window while sieving the next, at 16.4 and
+# 15.9 MB in the same times.
 _SIDE_WINDOW = 1 << 10
 # ks of one relation whose sides one engine call reads at a residue; its
 # working memory grows with the sides of every k of the call.  Measured end to
-# end on a 2-core Xeon, at 1/2/4/8/16/32/64 ks per call: verify A3-residues
-# --kmax 400 --nmax 2000 peaks at 16.8/17.7/18.7/20.7/25.7/34.6/52.5 MB of RSS
-# in 11.8/10.6/8.5/7.7/9.5/8.7/9.2 s, and verify B3-residues --kmax 100
-# --nmax 2000 at 15.6/15.7/16.2/17.1/18.7/22.7/23.7 MB in
-# 2.3/1.7/1.3/1.0/0.95/0.94/0.90 s (one run each; one call per (k, r) peaked
-# at 17.1 and 15.7 MB).  verify B3-residues --nmax 20000 takes 0.88/0.65/0.62 s
-# at 4/8/16 against 1.63 s at one call per (k, r) (medians of 9, interleaved).
+# end on a 2-core Xeon, at 1/2/4/8/16/32/64 ks per call, one window alive at a
+# time (medians of 3; `compute A3 6`: 14.2 MB): verify A3-residues --kmax 400
+# --nmax 2000 peaks at 15.0/15.7/15.4/16.6/19.2/24.2/33.5 MB of RSS in
+# 10.4/6.5/7.0/5.3/4.7/5.1/5.2 s, and verify B3-residues --kmax 100 --nmax
+# 2000 at 14.3/14.5/14.3/14.8/15.8/17.4/18.4 MB in
+# 1.50/0.98/0.93/0.59/0.49/0.50/0.48 s.  verify B3-residues --nmax 20000
+# takes 0.88/0.65/0.62 s at 4/8/16 against 1.63 s at one call per (k, r)
+# (medians of 9, interleaved).
 _KS_PER_CALL = 8
 # bits of p^j past which check_xia_conjecture refuses.  In process on a 2-core
 # Xeon, at p = 3 and 1000003 alike, one alpha at nmax 0 takes 0.03/0.17/0.55/1.4 s
@@ -179,7 +188,8 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
     the (k, r) in sweep order; each failure is inserted in its place.
 
     The sides of up to _KS_PER_CALL ks at one residue are read in one call
-    of ``arith.progression_counts``, and each window is split back per k."""
+    of ``arith.progression_counts``, in windows that _SIDE_WINDOW sizes by
+    the number of sides, and each window is split back per k."""
     residues = len(rel.residues)
     skipped = [rel.skipped(r, n_max) for r in rel.residues]
     walk = enumerate(rel.sides())
@@ -195,8 +205,9 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
                 plan.append((e, labels, [c for c, _, _ in k_sides[1:]]))
                 sides += [(step, offset) for _, step, offset in k_sides]
             lo = 0
-            for values in arith.progression_counts(rel.kind, sides, n_max + 1,
-                                                   _SIDE_WINDOW):
+            # fewer sides read more terms at once, as _SIDE_WINDOW states
+            window = _SIDE_WINDOW * max(1, 8 // len(sides))
+            for values in arith.progression_counts(rel.kind, sides, n_max + 1, window):
                 at = 0
                 for e, labels, coefficients in plan:
                     lhs = values[at]
@@ -222,6 +233,8 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
                             kept.pop()
                         insort(kept, failure)
                 lo += len(values[0])
+                # let the window go before the next one is sieved
+                values = lhs = rhs = None
     return failed
 
 

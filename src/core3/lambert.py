@@ -51,10 +51,13 @@ from operator import add
 from .series import TruncatedSeries
 
 # coefficients per window, and so held in memory at once by a table that is
-# written as it comes.  Measured on a 2-core Xeon: `table A3 --method lambert
-# --nmax 345500` peaks at 15.8 MB of RSS in windows of 2**12, 16.1 at 2**13,
-# 16.6 at 2**14, 18.5 at 2**15 and 22.0 at 2**16 (`compute A3 6`: 15.0 MB),
-# and at 16.7 MB at 2**14 for --nmax 10**6.  In process it took 0.39, 0.35,
+# written as it comes: _windows rebinds its window before it fills the next,
+# and cli lets go of each window it wrote, so one window is alive at a time.
+# Measured on a 2-core Xeon: `table A3 --method lambert --nmax 345500` peaks
+# at 14.3 MB of RSS in windows of 2**12, 14.2 at 2**13, 14.7 at 2**14, 15.9
+# at 2**15 and 18.1 at 2**16 (`compute A3 6`: 14.2 MB), and at 15.2 MB at
+# 2**14 for --nmax 10**6; with the previous window alive while the next was
+# filled, 15.4 and 15.7 MB at 2**14.  In process it took 0.39, 0.35,
 # 0.35, 0.35 and 0.37 s (medians of 9, interleaved).  Each window costs a
 # Python step per progression, O(sqrt(order)), so smaller windows cost more
 # at large orders: the windows of A3 to 3*10**6 took 2.1 s at 2**13, 2.0 s at

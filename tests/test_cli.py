@@ -7,6 +7,7 @@ import pstats
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
@@ -109,6 +110,35 @@ def test_table_bytes_do_not_depend_on_the_windows(capsys, monkeypatch, kind, met
     assert tables() == default
     monkeypatch.setattr(cli, "_BLOCK", 5)
     assert tables() == default
+
+
+class _NullStream(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("argv, bound_kb", [
+    (["A3"], 600),
+    (["B3", "--format", "jsonl"], 580),
+    (["A3", "--method", "lambert", "--order", "24576"], 450),
+], ids=["A3-csv", "B3-jsonl", "A3-lambert"])
+def test_a_table_holds_one_window_at_a_time(monkeypatch, argv, bound_kb):
+    # six windows of 2**12 rows, each let go by the sieve and by the writer
+    # before the next is computed.  Traced peaks on CPython 3.11: A3 461 KB,
+    # B3 501 KB and Lambert 383 KB, against 753, 661 and 511 KB with the
+    # previous window alive while the next was built
+    monkeypatch.setattr(arith, "_WINDOW", 1 << 12)
+    monkeypatch.setattr(lambert, "_WINDOW", 1 << 12)
+    monkeypatch.setattr(sys, "stdout", _NullStream())
+    argv = ["table", *argv, "--nmax", str(6 << 12)]
+    assert main(argv) == 0  # imports and caches, outside the traced run
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_kb << 10
 
 
 def test_table_deterministic(capsys):

@@ -231,8 +231,9 @@ def test_failures_keep_the_per_k_r_order_across_calls(per_call, max_failures, n_
     # B3-residues-5 at every n of those k and B3-residues-7 nowhere: more than
     # MAX_FAILURES at each (k, r) to n = 300, and failures past the first
     # call's ks kept when MAX_FAILURES is raised to 300 at n = 30.  In windows
-    # of 16 terms, k = 2 and 3 of one call fail window by window, out of
-    # (k, r, n) order.  The reports equal one engine call per (k, r)'s.
+    # of 16 terms, as a call of 5 or more sides reads at a _SIDE_WINDOW of 16,
+    # k = 2 and 3 of one call fail window by window, out of (k, r, n) order.
+    # The reports equal one engine call per (k, r)'s.
     dense = identities._KS_PER_CALL + 3
     k_max = 2 * identities._KS_PER_CALL + 1
     if per_call is not None:
@@ -277,6 +278,34 @@ def test_a_residue_family_makes_one_engine_call_per_residue(monkeypatch):
     assert all(r.passed for r in reports)
     # each k reads a left side and one right side
     assert calls == [2 * 5] * (4 + 6)
+
+
+def test_a_sweep_window_grows_as_its_sides_shrink(monkeypatch):
+    # a call reads _SIDE_WINDOW terms of each side at once from 5 sides up,
+    # twice as many from 3 or 4, 4 times from 2 (lin) and 8 times from one,
+    # so a test that shrinks _SIDE_WINDOW shrinks every window
+    monkeypatch.setattr(identities, "_SIDE_WINDOW", 16)
+    reads = []
+    progression_counts = arith.progression_counts
+
+    def logged(kind, sides, count, window):
+        for values in progression_counts(kind, sides, count, window):
+            reads.append((len(sides), window, len(values[0])))
+            yield values
+
+    monkeypatch.setattr(arith, "progression_counts", logged)
+    assert run_family("lin", {"nmax": 300})[0].passed
+    assert {read[:2] for read in reads} == {(2, 64)}
+    # lin with 1 to 4 right sides of coefficient 0 added: 3 to 6 sides
+    for zeros in range(1, 5):
+        terms = ((8, 6), ((7, 2, 1),) + ((0, 2, 1),) * zeros)
+        assert _sweep({}, 300, Relation("lin", "A3", lambda k, r, terms=terms: terms)).passed
+    for name, options in _SWEEPS:
+        run_family(name, options)
+    windows = {sides: window for sides, window, _ in reads}
+    assert {sides: windows[sides] for sides in range(1, 5)} == {1: 128, 2: 64, 3: 32, 4: 32}
+    assert {window for sides, window in windows.items() if sides >= 5} == {16}
+    assert max(length for *_, length in reads) == 128
 
 
 def test_sides_of_two_forms_are_an_implementation_bug():
@@ -381,8 +410,9 @@ def test_registries_look_functions_up_when_called(monkeypatch):
 
     monkeypatch.setattr(arith, "progression_counts", counted_sides)
     assert run_family("lin", {"nmax": 3})[0].passed
-    # one read carries both sides: A3(8n + 6) and A3(2n + 1) for n = 0..3
-    window = identities._SIDE_WINDOW
+    # one read carries both sides: A3(8n + 6) and A3(2n + 1) for n = 0..3,
+    # in windows of 4 * _SIDE_WINDOW terms, since it reads two sides
+    window = 4 * identities._SIDE_WINDOW
     assert sides == [("A3", [(8, 6), (2, 1)], 4, window)]
     calls = []
     original = arith.pair_count
