@@ -49,19 +49,24 @@ _PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
                  "A3": (3, 2, "_sigma_prime_power", 3),
                  "B3": (1, 1, "weighted_divisor_sum_prime_power", 1)}
 
-# terms of a table computed at once by count_windows, and so held in memory
-# at once by a table that is written as it comes: the sieve lets go of each
-# window when the caller asks for the next, and cli of each window it wrote,
-# so one window is alive at a time.  Measured on a 2-core Xeon: `table A3
-# --nmax 345500` peaks at 14.2 MB of RSS in windows of 2**12, 14.4 at 2**13,
-# 15.2 at 2**14, 16.7 at 2**15 and 20.7 at 2**16, and at 16.3 MB at 2**14
-# for --nmax 10**6 and 16.4 for 3*10**6 (`compute A3 6`: 14.2 MB).  With the
-# previous window alive while the next was sieved it peaked at 16.6 MB at
-# 2**14, for 10**6 at 16.7.  The four table commands of the benchmark at
-# 345500 took 1.72, 1.63, 1.61, 1.63 and 1.73 s in all at 2**12..2**16 (in
-# process, medians of 9, interleaved); the windows of A3 to 3*10**6 took
-# 2.5 s at 2**14 and 2.6 s at 2**16.
-_WINDOW = 1 << 14
+# terms of each side that progression_counts reads at once from 5 sides up;
+# a call of fewer sides reads _SIDE_WINDOW * (8 // sides) terms of each: 8
+# times as many for one side (a table, xia-congruence), 4 for two (lin) and
+# twice for 3 or 4, so shrinking _SIDE_WINDOW shrinks every window.  The
+# sieve lets go of each window when the caller asks for the next, so one is
+# alive at a time.  Measured on a 2-core Xeon, peak RSS end to end
+# (`compute A3 6`: 14.2 MB) and times in process (medians of 7 to 9,
+# interleaved): `table A3 --nmax 345500` peaks at 14.2 MB in windows of
+# 2**12, 14.4 at 2**13, 15.2 at 2**14, 16.7 at 2**15 and 20.7 at 2**16, and
+# the four table commands of the benchmark at 345500 take 1.72, 1.63, 1.61,
+# 1.63 and 1.73 s in all at 2**12..2**16; verify lin --nmax 100000 peaks at 14.2 MB in
+# windows of 2**10, 14.3 at 2**12 and 16.6 at 2**14, and check_lin(100000)
+# takes 90 ms at 2**10 and 62 ms at 2**12; verify xia-congruence --nmax
+# 100000 peaks at 14.3 MB at 2**10 and 14.7 at 2**13, in 187 and 109 ms.
+# The heavy sweeps read 16 sides a call: verify A3-residues --kmax 100
+# --nmax 2000 peaks at 15.2 MB at 2**10 (16.8 at 2**12) and B3-residues at
+# the same sizes at 14.9 MB, in 0.86 and 0.52 s.
+_SIDE_WINDOW = 1 << 10
 # progression_counts sieves a primitive form alpha*i + beta of count terms up
 # to top, read by s sides, when isqrt(top) + _SIEVE_SETUP <=
 # _SIEVE_CROSSOVER * count * s, and takes a point count per term of each side
@@ -375,11 +380,12 @@ def divisible_terms(kind: str, step: int, offset: int, modulus: int, count: int)
     return _divisible_terms(alpha, beta, modulus // gcd(modulus, g), count)
 
 
-def progression_counts(kind: str, sides, count: int, window: int):
+def progression_counts(kind: str, sides, count: int):
     """The closed-form counts of ``kind`` at n = step*i + offset for
     0 <= i < count and each (step, offset) in ``sides`` (step >= 1,
-    offset >= 0), yielded per run of ``window`` consecutive i, the last one
-    shorter, as one list per side in the order of ``sides``.
+    offset >= 0), yielded per window of consecutive i, as one list per side
+    in the order of ``sides``.  A window holds _SIDE_WINDOW * max(1, 8 //
+    len(sides)) terms of each side, the last one fewer.
 
     ``_form`` puts each side at g*(alpha*i + beta).  Every side must share
     one primitive form alpha*i + beta, else ArithmeticError names the forms;
@@ -407,6 +413,7 @@ def progression_counts(kind: str, sides, count: int, window: int):
         raise ArithmeticError(
             f"{kind} sides {list(sides)} lie on the primitive forms "
             f"{' and '.join(map(str, forms))}, not one; implementation bug")
+    window = _SIDE_WINDOW * max(1, 8 // len(sides))
     if isqrt(alpha * (count - 1) + beta) + _SIEVE_SETUP > _SIEVE_CROSSOVER * count * len(sides):
         yield from _point_windows(kind, sides, count, window)
     else:
@@ -522,7 +529,8 @@ def _side(kind: str, divisor: int, val, factors, step: int, offset: int,
 
 def count_windows(kind: str, n_max: int):
     """The closed-form counts of ``kind`` for 0 <= n < n_max, as an iterator
-    of windows of _WINDOW counts, the last one shorter: ``progression_counts``
-    at step 1 and offset 0, each window computed when it is asked for."""
-    return map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max, _WINDOW))
+    of windows of 8 * _SIDE_WINDOW counts, the last one shorter:
+    ``progression_counts`` at the one side of step 1 and offset 0, each window
+    computed when it is asked for."""
+    return map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max))
 

@@ -27,22 +27,6 @@ from . import arith, routes
 
 # counterexamples a report keeps; failures past them are only counted
 MAX_FAILURES = 100
-# terms of each side a sweep holds at once when one engine call reads 5 or
-# more sides.  A call of fewer sides reads _SIDE_WINDOW * (8 // sides) terms
-# of each: 8 times as many for one side, 4 for two (lin), twice for 3 or 4,
-# so shrinking _SIDE_WINDOW shrinks every window.  Each window is let go
-# before the next is sieved.  Measured on a 2-core Xeon, peak RSS end to end
-# and times of a first call in a fresh interpreter (medians of 7,
-# interleaved; `compute A3 6`: 14.2 MB): verify lin --nmax 100000 peaks at
-# 14.2 MB in windows of 2**10, 14.3 at 2**12 and 16.6 at 2**14, and
-# check_lin(100000) took 90 ms at 2**10 and 62 ms at 2**12; verify
-# xia-congruence --nmax 100000, one side a call, peaks at 14.3 MB at 2**10
-# and 14.7 at 2**13, in 187 and 109 ms.  The heavy sweeps read 16 sides a
-# call: verify A3-residues --kmax 100 --nmax 2000 peaks at 15.2 MB at 2**10
-# (16.8 at 2**12) and B3-residues at the same sizes at 14.9 MB, in 0.86 and
-# 0.52 s; holding the previous window while sieving the next, at 16.4 and
-# 15.9 MB in the same times.
-_SIDE_WINDOW = 1 << 10
 # ks of one relation whose sides one engine call reads at a residue; its
 # working memory grows with the sides of every k of the call.  Measured end to
 # end on a 2-core Xeon, at 1/2/4/8/16/32/64 ks per call, one window alive at a
@@ -61,10 +45,12 @@ _KS_PER_CALL = 8
 XIA_MAX_BITS = 1 << 13
 # bits of the largest argument past which a Relation sweep is refused, before
 # any instance.  In process on a 2-core Xeon at nmax 0, with kmax as large as
-# the ceiling admits, the slowest families (BN, B3-residues, B3-ids) take
-# 0.2-0.3 s at 2**10 bits, 1.0-1.5 s at 2**11 and 6-8.5 s at 2**12 (two runs
-# each).  A B3 value has about twice its argument's bits, so a report stays
-# far inside CPython's 4300-digit int-to-str limit (~14 000 bits).
+# the ceiling admits (three runs each), the slowest families take, at 2**10,
+# 2**11 and 2**12 bits: B3-residues (kmax 363, 728, 1458) 0.10-0.12,
+# 0.33-0.40 and 1.06-1.24 s; B3-ids (kmax 646, 1292, 2584) 0.06, 0.14-0.15
+# and 0.43-0.65 s; BN (kmax 511, 1023, 2047) 0.05-0.07, 0.12-0.13 and
+# 0.35-0.47 s.  A B3 value has about twice its argument's bits, so a report
+# stays far inside CPython's 4300-digit int-to-str limit (~14 000 bits).
 SWEEP_MAX_BITS = 1 << 11
 
 
@@ -188,8 +174,8 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
     the (k, r) in sweep order; each failure is inserted in its place.
 
     The sides of up to _KS_PER_CALL ks at one residue are read in one call
-    of ``arith.progression_counts``, in windows that _SIDE_WINDOW sizes by
-    the number of sides, and each window is split back per k."""
+    of ``arith.progression_counts``, which sizes its windows by the number
+    of sides, and each window is split back per k."""
     residues = len(rel.residues)
     skipped = [rel.skipped(r, n_max) for r in rel.residues]
     walk = enumerate(rel.sides())
@@ -205,9 +191,7 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
                 plan.append((e, labels, [c for c, _, _ in k_sides[1:]]))
                 sides += [(step, offset) for _, step, offset in k_sides]
             lo = 0
-            # fewer sides read more terms at once, as _SIDE_WINDOW states
-            window = _SIDE_WINDOW * max(1, 8 // len(sides))
-            for values in arith.progression_counts(rel.kind, sides, n_max + 1, window):
+            for values in arith.progression_counts(rel.kind, sides, n_max + 1):
                 at = 0
                 for e, labels, coefficients in plan:
                     lhs = values[at]
@@ -547,10 +531,14 @@ def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> Ide
 
     Each route's table comes from ``routes.table_values``, the closed form's
     as one sieve per kind.  Series and Lambert lanes run for every n < n_max;
-    the brute-force lane joins while n stays within its cap.
+    the brute-force lane joins while n stays within its cap.  An n_max past
+    the series route's ceiling is refused before any lane is built.
     """
     if n_max < 1:
         raise ValueError("--nmax must be >= 1")
+    if n_max > routes.MAX_SERIES_ORDER:
+        raise ValueError(f"--nmax must be at most {routes.MAX_SERIES_ORDER}, the series "
+                         f"route's ceiling, got {n_max}")
     cfg = routes.Config(order=n_max, brute_cap=brute_cap)
     sizes = {"brute": min(n_max, brute_cap + 1)}
 

@@ -110,8 +110,7 @@ def failures_per_k_r(n_max: int, *relations) -> tuple[list, int]:
                 labels = {**(rel.labels or {}), **index}
                 lo = 0
                 for lhs, *terms in arith.progression_counts(
-                        rel.kind, [(step, offset) for _, step, offset in sides], n_max + 1,
-                        identities._SIDE_WINDOW):
+                        rel.kind, [(step, offset) for _, step, offset in sides], n_max + 1):
                     for i, value in enumerate(lhs):
                         rhs = sum(c * values[i] for (c, _, _), values in zip(sides[1:], terms))
                         if rel.modulus is not None:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import core3
-from core3 import arith, identities, lambert, routes
+from core3 import arith, lambert, routes
 from core3.arith import (
     COUNTERS,
     core_count,
@@ -237,13 +237,19 @@ def test_count_table_matches_the_point_counters(kind, monkeypatch):
     count = getattr(arith, COUNTERS[kind])
     for n_max in (0, 1, 2, 5000):
         assert routes.table_values(kind, "formula", n_max) == list(map(count, range(n_max))), n_max
-    # around one, two and three windows, and primes larger than a window
-    monkeypatch.setattr(arith, "_WINDOW", 16)
+    # around one, two and three windows of 8 * 2 rows, and primes larger
+    # than a window
+    monkeypatch.setattr(arith, "_SIDE_WINDOW", 2)
     for n_max in (15, 16, 17, 31, 32, 33, 47, 48, 49, 1000):
         assert routes.table_values(kind, "formula", n_max) == list(map(count, range(n_max))), n_max
 
 
-@pytest.mark.parametrize("window", [16, identities._SIDE_WINDOW, arith._WINDOW])
+# the terms of one side a call reads at once, 8 * _SIDE_WINDOW: shrunk to 16
+# and 1024, and at the default, a formula table's window
+_ONE_SIDE_WINDOWS = [16, 1024, 8 * arith._SIDE_WINDOW]
+
+
+@pytest.mark.parametrize("window", _ONE_SIDE_WINDOWS)
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(COUNTERS)), st.integers(1, 10**4), st.integers(0, 10**4),
        st.integers(0, 300))
@@ -259,9 +265,14 @@ def test_progression_counts_sieve_the_point_counts(window, kind, step, offset, c
     count_at = getattr(arith, COUNTERS[kind])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
-        windows = [w for w, in arith.progression_counts(kind, [(step, offset)], count, window)]
+        patch.setattr(arith, "_SIDE_WINDOW", window // 8)
+        windows = [w for w, in arith.progression_counts(kind, [(step, offset)], count)]
     assert [len(w) for w in windows] == [min(window, count - lo) for lo in range(0, count, window)]
     assert sum(windows, []) == [count_at(step * i + offset) for i in range(count)]
+
+
+# rows per window of a formula table, one side of 8 * 2**10 terms
+_TABLE_WINDOW = 1 << 13
 
 
 # each kind's closed form is read at a*n + b, stated here apart from arith
@@ -289,7 +300,7 @@ def test_divisible_terms_are_the_terms_the_modulus_divides(kind, step, offset, m
 _BIG = 10007
 
 
-@pytest.mark.parametrize("window", [16, identities._SIDE_WINDOW, arith._WINDOW])
+@pytest.mark.parametrize("one_side_window", _ONE_SIDE_WINDOWS)
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(COUNTERS)), st.integers(1, 60), st.integers(1, 10**4),
        st.booleans(),
@@ -303,8 +314,8 @@ _BIG = 10007
 # the first term of 3i + 10007 is the prime 10007, past sqrt(top)
 @example("A3", 1, _BIG, True, [[], [_BIG], [_BIG, _BIG]], 300)
 @example("B3", 1, _BIG, True, [[_BIG], []], 1)
-def test_sides_of_one_primitive_form_share_its_sieve(window, kind, slope, intercept, big,
-                                                     cofactors, count):
+def test_sides_of_one_primitive_form_share_its_sieve(one_side_window, kind, slope,
+                                                     intercept, big, cofactors, count):
     # the sides at g*(alpha*i + beta), for one primitive form alpha*i + beta
     # of kind's progression a*n + b and cofactors g made of primes that
     # divide some of its terms, some of them past sqrt(top)
@@ -320,13 +331,18 @@ def test_sides_of_one_primitive_form_share_its_sieve(window, kind, slope, interc
     assert all(a * step == g * alpha and a * offset + b == g * beta
                for (step, offset), g in zip(sides, gs))
     forms = []
+    # _SIDE_WINDOW terms of each side times 8 for one side, 4 for two and 2
+    # for 3 or 4
+    side_window = one_side_window // 8
+    window = side_window * (8 // len(sides))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
+        patch.setattr(arith, "_SIDE_WINDOW", side_window)
         sieve = arith._sieve_windows
         patch.setattr(arith, "_sieve_windows",
                       lambda kind, alpha, beta, *args: forms.append((alpha, beta))
                       or sieve(kind, alpha, beta, *args))
-        windows = list(arith.progression_counts(kind, sides, count, window))
+        windows = list(arith.progression_counts(kind, sides, count))
     assert forms == [(alpha, beta)]
     assert [[len(side) for side in w] for w in windows] == [
         [min(window, count - lo)] * len(sides) for lo in range(0, count, window)]
@@ -340,15 +356,33 @@ def test_progression_counts_take_the_point_path_past_the_crossover(monkeypatch):
     # 13**8 * 200 is about 1.6e11: the primes to its square root would cost
     # far more than 201 point counts
     monkeypatch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("sieved"))
-    values = sum((w for w, in arith.progression_counts("A3", [(13**8, 3)], 201, 64)), [])
+    values = sum((w for w, in arith.progression_counts("A3", [(13**8, 3)], 201)), [])
     assert values == [pair_count(13**8 * i + 3) for i in range(201)]
 
 
+def test_a_formula_table_reads_windows_of_2_13_rows():
+    assert [len(w) for w in arith.count_windows("a3", 20000)] == [_TABLE_WINDOW] * 2 + [3616]
+
+
 def test_count_table_across_windows_matches_lambert():
-    n_max = 2 * arith._WINDOW + 1  # both routes cross two window boundaries
+    # the formula route crosses four window boundaries, the Lambert route's
+    # windows of 2**14 two
+    n_max = 2 * lambert._WINDOW + 1
     for kind in COUNTERS:
         lambert_table = lambert.tuple_series(routes.TUPLE_SIZE[kind], n_max).coeffs
         assert routes.table_values(kind, "formula", n_max) == list(lambert_table), kind
+
+
+@pytest.mark.parametrize("n_max", [_TABLE_WINDOW - 1, _TABLE_WINDOW, _TABLE_WINDOW + 1,
+                                   2 * _TABLE_WINDOW + 1])
+def test_table_A3_at_window_boundaries_matches_lambert(capsys, n_max):
+    assert main(["table", "A3", "--nmax", str(n_max)]) == 0
+    formula = capsys.readouterr().out
+    assert main(["table", "A3", "--nmax", str(n_max), "--method", "lambert",
+                 "--order", str(n_max)]) == 0
+    lambert_csv = capsys.readouterr().out
+    assert len(formula.splitlines()) == n_max + 1
+    assert lambert_csv == formula.replace(",formula\n", ",lambert\n")
 
 
 def test_no_command_builds_a_factorization_sieve(capsys):
@@ -374,7 +408,7 @@ def test_broken_prime_power_rule_is_an_internal_error(capsys, monkeypatch):
 
 def test_a_table_failing_past_its_first_window_keeps_the_windows_before(capsys,
                                                                        monkeypatch):
-    window = arith._WINDOW
+    window = _TABLE_WINDOW
     assert main(["table", "A3", "--nmax", str(window)]) == 0
     before = capsys.readouterr().out
     sigma = arith._sigma_prime_power
@@ -391,7 +425,7 @@ def test_a_table_failing_past_its_first_window_keeps_the_windows_before(capsys,
 
 @pytest.mark.parametrize("crossover", [0, float("inf")], ids=["point", "sieve"])
 def test_a_lone_term_the_divisor_misses_is_named(capsys, monkeypatch, crossover):
-    window = arith._WINDOW
+    window = _TABLE_WINDOW
     monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", crossover)
     assert main(["table", "A3", "--nmax", str(window)]) == 0
     before = capsys.readouterr().out
@@ -418,4 +452,4 @@ def test_broken_rule_names_the_argument_of_the_progression(monkeypatch):
         for crossover in (0, float("inf")):
             monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", crossover)
             with pytest.raises(ArithmeticError, match=f"^A3 closed form at n={n} is"):
-                list(arith.progression_counts("A3", sides, 10, 4))
+                list(arith.progression_counts("A3", sides, 10))

@@ -103,9 +103,9 @@ def test_table_bytes_do_not_depend_on_the_windows(capsys, monkeypatch, kind, met
                 for n in (0, 1, 15, 16, 17, 33, 50)]
 
     default = tables()
-    # windows of 16 cross 0 to 3 boundaries above, each in one block and then
-    # in blocks of 5 rows
-    monkeypatch.setattr(arith, "_WINDOW", 16)
+    # windows of 16 rows (8 * 2 for the formula table's one side) cross 0 to
+    # 3 boundaries above, each in one block and then in blocks of 5 rows
+    monkeypatch.setattr(arith, "_SIDE_WINDOW", 2)
     monkeypatch.setattr(lambert, "_WINDOW", 16)
     assert tables() == default
     monkeypatch.setattr(cli, "_BLOCK", 5)
@@ -126,8 +126,9 @@ def test_a_table_holds_one_window_at_a_time(monkeypatch, argv, bound_kb):
     # six windows of 2**12 rows, each let go by the sieve and by the writer
     # before the next is computed.  Traced peaks on CPython 3.11: A3 461 KB,
     # B3 501 KB and Lambert 383 KB, against 753, 661 and 511 KB with the
-    # previous window alive while the next was built
-    monkeypatch.setattr(arith, "_WINDOW", 1 << 12)
+    # previous window alive while the next was built.  A formula table, one
+    # side, reads 8 * arith._SIDE_WINDOW rows a window
+    monkeypatch.setattr(arith, "_SIDE_WINDOW", 1 << 9)
     monkeypatch.setattr(lambert, "_WINDOW", 1 << 12)
     monkeypatch.setattr(sys, "stdout", _NullStream())
     argv = ["table", *argv, "--nmax", str(6 << 12)]
@@ -197,6 +198,20 @@ def test_series_route_past_its_ceiling_is_refused_before_it_starts(capsys, monke
                             Config(order=MAX_SERIES_ORDER + 1))
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "cross-validate", "--nmax", str(MAX_SERIES_ORDER + 1)],
+    ["selfcheck", "--nmax", str(MAX_SERIES_ORDER + 1)],
+], ids=["verify", "selfcheck"])
+def test_cross_validate_past_the_series_ceiling_is_refused_before_any_lane(capsys,
+                                                                          monkeypatch, argv):
+    monkeypatch.setattr(routes, "table_values", lambda *args: pytest.fail("a lane was built"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    # in the words of the flag these commands read: neither takes --method
+    assert err == (f"error: --nmax must be at most {MAX_SERIES_ORDER}, the series route's "
+                   f"ceiling, got {MAX_SERIES_ORDER + 1}\n")
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "xia-congruence", "--nmax", "200")
     assert code == 0
@@ -254,6 +269,9 @@ def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, 
     # alone is inside the ceiling
     (["BN", "--kmax", "1024"], "BN-2"),
     (["B3-residues", "--kmax", "880"], "B3-residues-7"),
+    # a sweep that would check no instance is held to the ceiling first: 2
+    # divides 3*0 + 2, so --nmax 0 skips every instance
+    (["relation-coprime", "--p", "2", "--kmax", "3000"], "A3-relation-coprime-p2"),
 ])
 def test_sweep_past_its_ceiling_is_refused_before_any_instance(capsys, monkeypatch, argv,
                                                                family):

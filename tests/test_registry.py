@@ -177,9 +177,9 @@ def test_reports_do_not_depend_on_the_path_a_side_takes(broken, monkeypatch):
     tops = []
     progression_counts = arith.progression_counts
 
-    def logged(kind, sides, count, window):
+    def logged(kind, sides, count):
         tops.extend(step * (count - 1) + offset for step, offset in sides)
-        return progression_counts(kind, sides, count, window)
+        return progression_counts(kind, sides, count)
 
     monkeypatch.setattr(arith, "progression_counts", logged)
     reference = reports()
@@ -206,12 +206,12 @@ def test_every_k_of_each_relation_residue_shares_one_primitive_form(monkeypatch)
     forms = []
     progression_counts = arith.progression_counts
 
-    def logged(kind, sides, count, window):
+    def logged(kind, sides, count):
         a, b = arith._PROGRESSIONS[kind][:2]
         forms.append({(a * step // gcd(a * step, a * offset + b),
                        (a * offset + b) // gcd(a * step, a * offset + b))
                       for step, offset in sides})
-        return progression_counts(kind, sides, count, window)
+        return progression_counts(kind, sides, count)
 
     monkeypatch.setattr(arith, "progression_counts", logged)
     wide = [(name, options) for name, options in identities.wide_battery(4, 5, 40)
@@ -231,8 +231,9 @@ def test_failures_keep_the_per_k_r_order_across_calls(per_call, max_failures, n_
     # B3-residues-5 at every n of those k and B3-residues-7 nowhere: more than
     # MAX_FAILURES at each (k, r) to n = 300, and failures past the first
     # call's ks kept when MAX_FAILURES is raised to 300 at n = 30.  In windows
-    # of 16 terms, as a call of 5 or more sides reads at a _SIDE_WINDOW of 16,
-    # k = 2 and 3 of one call fail window by window, out of (k, r, n) order.
+    # of 16 terms, as a call of 5 or more sides reads at an arith._SIDE_WINDOW
+    # of 16, k = 2 and 3 of one call fail window by window, out of (k, r, n)
+    # order.
     # The reports equal one engine call per (k, r)'s.
     dense = identities._KS_PER_CALL + 3
     k_max = 2 * identities._KS_PER_CALL + 1
@@ -240,7 +241,7 @@ def test_failures_keep_the_per_k_r_order_across_calls(per_call, max_failures, n_
         monkeypatch.setattr(identities, "_KS_PER_CALL", per_call)
     if max_failures is not None:
         monkeypatch.setattr(identities, "MAX_FAILURES", max_failures)
-    monkeypatch.setattr(identities, "_SIDE_WINDOW", 16)
+    monkeypatch.setattr(arith, "_SIDE_WINDOW", 16)
     rule = arith.weighted_divisor_sum_prime_power
     monkeypatch.setattr(arith, "weighted_divisor_sum_prime_power",
                         lambda p, e: rule(p, e) + (p == 5 and e in (2, 3, dense)))
@@ -280,32 +281,55 @@ def test_a_residue_family_makes_one_engine_call_per_residue(monkeypatch):
     assert calls == [2 * 5] * (4 + 6)
 
 
-def test_a_sweep_window_grows_as_its_sides_shrink(monkeypatch):
-    # a call reads _SIDE_WINDOW terms of each side at once from 5 sides up,
-    # twice as many from 3 or 4, 4 times from 2 (lin) and 8 times from one,
-    # so a test that shrinks _SIDE_WINDOW shrinks every window
-    monkeypatch.setattr(identities, "_SIDE_WINDOW", 16)
-    reads = []
+def _longest_windows(monkeypatch) -> dict:
+    """{number of sides: the most terms of each side one window of a call
+    with that many sides held}, filled in as sweeps read arith.progression_counts."""
+    windows = {}
     progression_counts = arith.progression_counts
 
-    def logged(kind, sides, count, window):
-        for values in progression_counts(kind, sides, count, window):
-            reads.append((len(sides), window, len(values[0])))
+    def logged(kind, sides, count):
+        for values in progression_counts(kind, sides, count):
+            windows[len(sides)] = max(windows.get(len(sides), 0), len(values[0]))
             yield values
 
     monkeypatch.setattr(arith, "progression_counts", logged)
+    return windows
+
+
+def test_a_sweep_window_grows_as_its_sides_shrink(monkeypatch):
+    # a call reads _SIDE_WINDOW terms of each side at once from 5 sides up,
+    # twice as many from 3 or 4, 4 times from 2 (lin) and 8 times from one,
+    # so a test that shrinks arith._SIDE_WINDOW shrinks every window
+    monkeypatch.setattr(arith, "_SIDE_WINDOW", 16)
+    windows = _longest_windows(monkeypatch)
     assert run_family("lin", {"nmax": 300})[0].passed
-    assert {read[:2] for read in reads} == {(2, 64)}
+    assert windows == {2: 64}
     # lin with 1 to 4 right sides of coefficient 0 added: 3 to 6 sides
     for zeros in range(1, 5):
         terms = ((8, 6), ((7, 2, 1),) + ((0, 2, 1),) * zeros)
         assert _sweep({}, 300, Relation("lin", "A3", lambda k, r, terms=terms: terms)).passed
     for name, options in _SWEEPS:
         run_family(name, options)
-    windows = {sides: window for sides, window, _ in reads}
+    # every call reads more terms than one window holds here
     assert {sides: windows[sides] for sides in range(1, 5)} == {1: 128, 2: 64, 3: 32, 4: 32}
     assert {window for sides, window in windows.items() if sides >= 5} == {16}
-    assert max(length for *_, length in reads) == 128
+
+
+@pytest.mark.parametrize("family, options, windows", [
+    ("lin", {"nmax": 5000}, {2: 4096}),
+    ("xia-congruence", {"nmax": 9000}, {1: 8192}),
+    # BN-1 and BN-3 read 2 sides per k, BN-2 3: 12 and 18 sides a call
+    ("BN", {"kmax": 6, "nmax": 1100}, {12: 1024, 18: 1024}),
+    # k = 0..4 at each residue, 2 sides per k
+    ("A3-residues", {"kmax": 4, "nmax": 1100}, {10: 1024}),
+])
+def test_sweeps_read_windows_of_the_sieve_rule(monkeypatch, family, options, windows):
+    # the terms of each side a sweep reads at once, as arith.progression_counts
+    # sizes them: 2**10 from 5 sides up, 2**12 for lin's two and 2**13 for
+    # xia-congruence's one
+    longest = _longest_windows(monkeypatch)
+    assert all(report.passed for report in run_family(family, options))
+    assert longest == windows
 
 
 def test_sides_of_two_forms_are_an_implementation_bug():
@@ -313,7 +337,7 @@ def test_sides_of_two_forms_are_an_implementation_bug():
     # at 3n+2 and 4(3n+2): sides on two primitive forms, which no relation has
     sides = [(8, 6), (2, 1), (1, 0), (4, 2)]
     with pytest.raises(ArithmeticError, match=r"forms \(6, 5\) and \(3, 2\), not one"):
-        next(arith.progression_counts("A3", sides, 301, identities._SIDE_WINDOW))
+        next(arith.progression_counts("A3", sides, 301))
 
 
 @pytest.mark.parametrize("broken", [False, True])
@@ -410,10 +434,8 @@ def test_registries_look_functions_up_when_called(monkeypatch):
 
     monkeypatch.setattr(arith, "progression_counts", counted_sides)
     assert run_family("lin", {"nmax": 3})[0].passed
-    # one read carries both sides: A3(8n + 6) and A3(2n + 1) for n = 0..3,
-    # in windows of 4 * _SIDE_WINDOW terms, since it reads two sides
-    window = 4 * identities._SIDE_WINDOW
-    assert sides == [("A3", [(8, 6), (2, 1)], 4, window)]
+    # one read carries both sides: A3(8n + 6) and A3(2n + 1) for n = 0..3
+    assert sides == [("A3", [(8, 6), (2, 1)], 4)]
     calls = []
     original = arith.pair_count
 
@@ -533,10 +555,10 @@ def test_selfcheck_refuses_before_any_family_runs(argv, message, capsys, monkeyp
 def test_selfcheck_prints_at_most_five_counterexamples(capsys, monkeypatch):
     original = arith.progression_counts
 
-    def wrong_at_6(kind, sides, count, window):
+    def wrong_at_6(kind, sides, count):
         # A3(6) one too large, wherever a sweep side reads it
         lo = 0
-        for values in original(kind, sides, count, window):
+        for values in original(kind, sides, count):
             yield [[v + (kind == "A3" and step * (lo + i) + offset == 6)
                     for i, v in enumerate(side)] for side, (step, offset) in zip(values, sides)]
             lo += len(values[0])
