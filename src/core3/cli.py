@@ -5,8 +5,9 @@ Subcommands: ``compute`` (one value), ``table`` (CSV or JSONL stream),
 whole identity battery, with per-family timing; ``--wide`` runs the
 long-form battery).  Both batteries are data in ``identities``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
-closed early by its reader (128 + SIGPIPE).  A finished run flushes stdout
+Exit codes: 0 success, 1 a verification failure or an internal check that
+failed (``internal error: ...`` on stderr), 2 usage error, 141 stdout closed
+early by its reader (128 + SIGPIPE).  A finished run flushes stdout
 and stderr and ends with ``os._exit``, skipping the interpreter's teardown,
 unless a trace or profile function or a ``sys.monitoring`` tool is set;
 help, ``--version``, argparse's usage errors, a closed pipe and an uncaught
@@ -119,20 +120,20 @@ def _cmd_selfcheck(args, cfg: Config) -> int:
         raise UsageError("--kmax needs --wide")
     else:
         battery = selfcheck_battery(args.nmax, cfg.brute_cap)
-    total = 0
+    # every report before any line, so that a family refused partway through
+    # the battery leaves stdout empty, as verify does
+    reports = [report for family, options in battery for report in run_family(family, options)]
     failed = 0
-    for family, options in battery:
-        for report in run_family(family, options):
-            total += 1
-            status = "PASS" if report.passed else "FAIL"
-            print(f"{report.family:<32} checked={report.checked:<8} "
-                  f"{status}  [{report.seconds:.2f}s]")
-            if not report.passed:
-                failed += 1
-                for failure in report.failures[:5]:
-                    print(f"    counterexample {failure.inputs}: "
-                          f"{failure.lhs} != {failure.rhs}")
-    print(f"selfcheck: {total - failed}/{total} families passed")
+    for report in reports:
+        status = "PASS" if report.passed else "FAIL"
+        print(f"{report.family:<32} checked={report.checked:<8} "
+              f"{status}  [{report.seconds:.2f}s]")
+        if not report.passed:
+            failed += 1
+            for failure in report.failures[:5]:
+                print(f"    counterexample {failure.inputs}: "
+                      f"{failure.lhs} != {failure.rhs}")
+    print(f"selfcheck: {len(reports) - failed}/{len(reports)} families passed")
     return 1 if failed else 0
 
 

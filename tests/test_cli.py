@@ -1,24 +1,25 @@
 import contextlib
 import csv
-import importlib.util
 import io
 import json
 import pstats
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
 from itertools import chain
-from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 from core3 import arith, cli, identities, lambert, routes, series
 from core3.cli import KINDS, METHODS, Config, UsageError, main
 from core3.routes import MAX_SERIES_ORDER
+
+CORPUS = golden.load()
 
 
 def run_cli(capsys, *argv):
@@ -27,24 +28,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_compute_formula(capsys):
-    code, out, _ = run_cli(capsys, "compute", "A3", "6")
-    assert code == 0
-    record = json.loads(out)
-    assert record == {"kind": "A3", "n": 6, "value": "14", "method": "formula"}
-    assert list(record) == ["kind", "n", "value", "method"]
+def matches_corpus(*argvs):
+    """Each argv writes the exit code, stdout and stderr that the
+    golden-output corpus records for it."""
+    for argv in argvs:
+        key = shlex.join(argv)
+        report = golden.mismatch(key, CORPUS[key])
+        assert report is None, report
 
 
-def test_compute_brute(capsys):
-    code, out, _ = run_cli(capsys, "compute", "B3", "0", "--method", "brute")
-    assert code == 0
-    assert json.loads(out)["value"] == "1"
+def test_compute_formula():
+    matches_corpus(["compute", "A3", "6"])
 
 
-def test_compute_series(capsys):
-    code, out, _ = run_cli(capsys, "compute", "a3", "3", "--method", "series")
-    assert code == 0
-    assert json.loads(out)["value"] == "0"
+def test_compute_brute():
+    matches_corpus(["compute", "B3", "0", "--method", "brute"])
+
+
+def test_compute_series():
+    matches_corpus(["compute", "a3", "3", "--method", "series"])
 
 
 def test_compute_all_methods_agree(capsys):
@@ -56,41 +58,22 @@ def test_compute_all_methods_agree(capsys):
     assert len(values) == 1
 
 
-def test_compute_usage_errors(capsys):
-    assert run_cli(capsys, "compute", "a3", "100", "--method", "brute")[0] == 2
-    assert run_cli(capsys, "compute", "a3", "-1")[0] == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "c4", "1"])  # unknown kind is an argparse error
-    assert exc.value.code == 2
+def test_compute_usage_errors():
+    # the last, an unknown kind, is an argparse error
+    matches_corpus(["compute", "a3", "100", "--method", "brute"], ["compute", "a3", "-1"],
+                   ["compute", "c4", "1"])
 
 
-def test_table_csv(capsys):
-    code, out, _ = run_cli(capsys, "table", "a3", "--nmax", "5")
-    assert code == 0
-    assert out == ("kind,n,value,method\n"
-                   "a3,0,1,formula\n"
-                   "a3,1,1,formula\n"
-                   "a3,2,2,formula\n"
-                   "a3,3,0,formula\n"
-                   "a3,4,2,formula\n")
+def test_table_csv():
+    matches_corpus(["table", "a3", "--nmax", "5"])
 
 
-def test_table_jsonl(capsys):
-    code, out, _ = run_cli(capsys, "table", "B3", "--nmax", "4",
-                           "--format", "jsonl")
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 4
-    values = [json.loads(line)["value"] for line in lines]
-    assert values == ["1", "3", "9", "13"]
-    for line in lines:
-        assert list(json.loads(line)) == ["kind", "n", "value", "method"]
+def test_table_jsonl():
+    matches_corpus(["table", "B3", "--nmax", "4", "--format", "jsonl"])
 
 
-def test_table_empty_range(capsys):
-    code, out, _ = run_cli(capsys, "table", "A3", "--nmax", "0")
-    assert code == 0
-    assert out == "kind,n,value,method\n"
+def test_table_empty_range():
+    matches_corpus(["table", "A3", "--nmax", "0"])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -142,10 +125,8 @@ def test_a_table_holds_one_window_at_a_time(monkeypatch, argv, bound_kb):
     assert peak < bound_kb << 10
 
 
-def test_table_deterministic(capsys):
-    first = run_cli(capsys, "table", "A3", "--nmax", "20", "--method", "lambert")
-    second = run_cli(capsys, "table", "A3", "--nmax", "20", "--method", "lambert")
-    assert first == second
+def test_table_deterministic():
+    matches_corpus(*[["table", "A3", "--nmax", "20", "--method", "lambert"]] * 2)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -160,23 +141,18 @@ def test_table_routes_write_the_formula_csv(capsys, kind, method):
     assert out == formula.replace(",formula\n", f",{method}\n")
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--nmax", "-3"], "--nmax must be >= 0"),
-    (["--nmax", "50", "--method", "brute"],
-     "--nmax 50 exceeds the brute-force cap 40; raise --brute-cap"),
+@pytest.mark.parametrize("argv", [
+    ["--nmax", "-3"],
+    ["--nmax", "50", "--method", "brute"],
     # the flag that hint names is one this front end reads
-    (["--nmax", "50", "--method", "brute", "--brute-cap", "9"],
-     "--nmax 50 exceeds the brute-force cap 9; raise --brute-cap"),
+    ["--nmax", "50", "--method", "brute", "--brute-cap", "9"],
 ], ids=["negative-nmax", "brute-cap", "brute-cap-flag"])
-def test_table_refusals_are_one_error_line(capsys, argv, message):
-    assert run_cli(capsys, "table", "a3", *argv) == (2, "", f"error: {message}\n")
+def test_table_refusals_are_one_error_line(argv):
+    matches_corpus(["table", "a3", *argv])
 
 
-def test_table_respects_order_budget(capsys):
-    code, _, err = run_cli(capsys, "table", "a3", "--nmax", "30",
-                           "--method", "series", "--order", "10")
-    assert code == 2
-    assert "order budget" in err
+def test_table_respects_order_budget():
+    matches_corpus(["table", "a3", "--nmax", "30", "--method", "series", "--order", "10"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,47 +181,28 @@ def test_series_route_past_its_ceiling_is_refused_before_it_starts(capsys, monke
 def test_cross_validate_past_the_series_ceiling_is_refused_before_any_lane(capsys,
                                                                           monkeypatch, argv):
     monkeypatch.setattr(routes, "table_values", lambda *args: pytest.fail("a lane was built"))
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (2, "")
-    # in the words of the flag these commands read: neither takes --method
-    assert err == (f"error: --nmax must be at most {MAX_SERIES_ORDER}, the series route's "
-                   f"ceiling, got {MAX_SERIES_ORDER + 1}\n")
+    assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
-def test_verify_pass(capsys):
-    code, out, _ = run_cli(capsys, "verify", "xia-congruence", "--nmax", "200")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].endswith("PASS")
-    payload = json.loads(lines[-1])
-    assert payload["reports"][0]["failures"] == []
+def test_verify_pass():
+    matches_corpus(["verify", "xia-congruence", "--nmax", "200"])
 
 
-def test_verify_bn(capsys):
-    code, out, _ = run_cli(capsys, "verify", "BN", "--kmax", "2", "--nmax", "50")
-    assert code == 0
-    payload = json.loads(out.splitlines()[-1])
-    assert [r["family"] for r in payload["reports"]] == ["BN-1", "BN-2", "BN-3"]
+def test_verify_bn():
+    matches_corpus(["verify", "BN", "--kmax", "2", "--nmax", "50"])
 
 
-def test_verify_rejects_p3(capsys):
-    code, _, err = run_cli(capsys, "verify", "relation-general", "--p", "3")
-    assert code == 2
-    assert "p must be" in err
+def test_verify_rejects_p3():
+    matches_corpus(["verify", "relation-general", "--p", "3"])
 
 
-def test_verify_unknown_family(capsys):
-    code, _, err = run_cli(capsys, "verify", "no-such-family")
-    assert code == 2
-    assert "unknown family" in err
+def test_verify_unknown_family():
+    matches_corpus(["verify", "no-such-family"])
 
 
-def test_verify_with_no_instance_is_a_usage_error(capsys):
+def test_verify_with_no_instance_is_a_usage_error():
     # at p = 2 the coprime sweep skips m = 0 (2 divides 3*0 + 2), leaving nothing
-    code, out, err = run_cli(capsys, "verify", "relation-coprime", "--p", "2", "--nmax", "0")
-    assert code == 2
-    assert out == ""
-    assert err == "error: A3-relation-coprime-p2 checked no instance; raise --nmax\n"
+    matches_corpus(["verify", "relation-coprime", "--p", "2", "--nmax", "0"])
 
 
 @pytest.mark.parametrize("j", ["5169", "9100", str(10**12)])
@@ -254,11 +211,8 @@ def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, 
     # 3^5169 is the first power of 3 past XIA_MAX_BITS; at j = 9100 the report's
     # k0 would pass CPython's 4300-digit limit on writing an int in decimal
     monkeypatch.setattr(identities, "_collect", lambda *args: pytest.fail("an instance ran"))
-    code, out, err = run_cli(capsys, "verify", "xia-conjecture", "--p", "3", "--j", j,
-                             "--alphamax", "0", "--nmax", "0")
-    assert (code, out) == (2, "")
-    assert err == (f"error: p^j = 3^{j} is past this check's ceiling of "
-                   f"{identities.XIA_MAX_BITS} bits\n")
+    assert run_cli(capsys, "verify", "xia-conjecture", "--p", "3", "--j", j,
+                   "--alphamax", "0", "--nmax", "0")[:2] == (2, "")
 
 
 @pytest.mark.parametrize("argv, family", [
@@ -285,87 +239,59 @@ def test_sweep_past_its_ceiling_is_refused_before_any_instance(capsys, monkeypat
 
 @pytest.mark.parametrize("family, flag, value", [
     ("lin", "--p", "7"), ("BN", "--alphamax", "2"), ("xia-congruence", "--kmax", "9")])
-def test_verify_refuses_an_option_its_family_does_not_take(capsys, family, flag, value):
-    code, out, err = run_cli(capsys, "verify", family, flag, value, "--nmax", "3")
-    assert (code, out, err) == (2, "", f"error: family {family!r} takes no {flag}\n")
+def test_verify_refuses_an_option_its_family_does_not_take(family, flag, value):
+    matches_corpus(["verify", family, flag, value, "--nmax", "3"])
 
 
 @pytest.mark.parametrize("argv", [["verify", "lin"], ["selfcheck"]])
-def test_order_is_refused_where_no_route_reads_it(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--order", "5"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+def test_order_is_refused_where_no_route_reads_it(argv):
+    matches_corpus([*argv, "--order", "5"])
 
 
-@pytest.mark.parametrize("argv, extras", [
-    (["verify", "lin", "--bogus", "1"], "--bogus 1"),
-    (["table", "a3", "--nmax", "3", "--bogus"], "--bogus"),
-    (["selfcheck", "--order", "5"], "--order 5")])
-def test_unknown_option_is_reported_by_the_subcommand(capsys, argv, extras):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage: core3 {argv[0]} ")
-    assert err.endswith(f"core3 {argv[0]}: error: unrecognized arguments: {extras}\n")
+# the subcommand's parser reports them, with its own usage line
+@pytest.mark.parametrize("argv", [
+    ["verify", "lin", "--bogus", "1"], ["table", "a3", "--nmax", "3", "--bogus"],
+    ["selfcheck", "--order", "5"]], ids=["argv0---bogus 1", "argv1---bogus", "argv2---order 5"])
+def test_unknown_option_is_reported_by_the_subcommand(argv):
+    matches_corpus(argv)
 
 
-def test_selfcheck_small(capsys):
-    code, out, _ = run_cli(capsys, "selfcheck", "--nmax", "40")
-    assert code == 0
-    assert "cross-validate" in out
-    assert "FAIL" not in out
-    assert "families passed" in out
+def test_selfcheck_small():
+    matches_corpus(["selfcheck", "--nmax", "40"])
 
 
-def test_selfcheck_rejects_empty_range(capsys):
-    assert run_cli(capsys, "selfcheck", "--nmax", "0")[0] == 2
+def test_selfcheck_rejects_empty_range():
+    matches_corpus(["selfcheck", "--nmax", "0"])
 
 
-def test_brute_cap_zero_admits_n_zero_alone(capsys):
-    code, out, _ = run_cli(capsys, "compute", "B3", "0", "--method", "brute", "--brute-cap", "0")
-    assert code == 0
-    assert json.loads(out)["value"] == "1"
-    code, _, err = run_cli(capsys, "compute", "B3", "1", "--method", "brute", "--brute-cap", "0")
-    assert code == 2
-    assert "cap 0" in err
+def test_brute_cap_zero_admits_n_zero_alone():
+    matches_corpus(*(["compute", "B3", n, "--method", "brute", "--brute-cap", "0"]
+                     for n in ("0", "1")))
 
 
 @pytest.mark.parametrize("cap", ["61", "1000"], ids=["flag", "flag-far-past"])
-def test_brute_cap_above_the_walk_ceiling_is_refused(capsys, cap):
-    code, out, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute",
-                             "--brute-cap", cap)
-    assert (code, out, err) == (2, "", f"error: --brute-cap must be at most 60, got {cap}\n")
+def test_brute_cap_above_the_walk_ceiling_is_refused(cap):
+    matches_corpus(["compute", "a3", "61", "--method", "brute", "--brute-cap", cap])
 
 
-def test_brute_cap_at_the_ceiling_is_accepted(capsys):
-    code, out, _ = run_cli(capsys, "compute", "a3", "6", "--method", "brute", "--brute-cap", "60")
-    assert (code, json.loads(out)["value"]) == (0, "2")
+def test_brute_cap_at_the_ceiling_is_accepted():
     # at the ceiling the refusal does not ask for a larger cap
-    code, _, err = run_cli(capsys, "compute", "a3", "61", "--method", "brute", "--brute-cap", "60")
-    assert (code, err) == (
-        2, "error: n=61 exceeds the brute-force cap 60; --brute-cap is at most 60\n")
+    matches_corpus(*(["compute", "a3", n, "--method", "brute", "--brute-cap", "60"]
+                     for n in ("6", "61")))
 
 
-def test_env_brute_cap(capsys, monkeypatch):
+def test_env_brute_cap(monkeypatch):
     # CORE3_BRUTE_CAP is not read: whatever it holds, the default cap stands
-    expected = (0, '{"kind": "a3", "n": 20, "value": "2", "method": "brute"}\n', "")
     for raw in ("10", "banana", "61", "-1"):
         monkeypatch.setenv("CORE3_BRUTE_CAP", raw)
-        assert run_cli(capsys, "compute", "a3", "20", "--method", "brute") == expected
+        matches_corpus(["compute", "a3", "20", "--method", "brute"])
 
 
-def test_env_rejects_garbage(capsys, monkeypatch):
+def test_env_rejects_garbage(monkeypatch):
     # garbage is refused where the cap is read, on the flag; the variable
     # is not read, so garbage there is no cap and no error
     monkeypatch.setenv("CORE3_BRUTE_CAP", "banana")
-    assert run_cli(capsys, "compute", "a3", "1") == (
-        0, '{"kind": "a3", "n": 1, "value": "1", "method": "formula"}\n', "")
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", "a3", "1", "--brute-cap", "banana"])
-    assert exc.value.code == 2
-    assert "argument --brute-cap: invalid int value: 'banana'" in capsys.readouterr().err
+    matches_corpus(["compute", "a3", "1"], ["compute", "a3", "1", "--brute-cap", "banana"])
 
 
 def test_module_entry_point():
@@ -515,40 +441,26 @@ def test_csv_lines_equal_csv_writer(kind, method, windows):
 
 
 @pytest.mark.parametrize("family", ["lin", "BN", "xia-congruence", "relation-general"])
-def test_verify_rejects_negative_nmax(capsys, family):
-    code, out, err = run_cli(capsys, "verify", family, "--nmax", "-1")
-    assert code == 2
-    assert out == ""
-    assert "--nmax" in err
+def test_verify_rejects_negative_nmax(family):
+    matches_corpus(["verify", family, "--nmax", "-1"])
 
 
-@pytest.mark.parametrize("argv, message, check", [
-    (["relation-general", "--kmax", "-1"], "--kmax must be >= 0",
-     lambda: identities.check_A3_relations(5, -1, 10)),
-    (["A3-residues", "--kmax", "-1"], "--kmax must be >= 0",
-     lambda: identities.check_A3_residue_families(-1, 10)),
-    (["B3-residues", "--kmax", "-1"], "--kmax must be >= 0",
-     lambda: identities.check_B3_residue_families(-1, 10)),
-    (["a3-even-power", "--kmax", "1"], "--kmax must be >= 2",
-     lambda: identities.check_a3_even_power(2, 1, 10)),
-    (["BN", "--kmax", "0"], "--kmax must be >= 1",
-     lambda: identities.check_baruah_nath(0, 10)),
-    (["B3-ids", "--kmax", "0"], "--kmax must be >= 1",
-     lambda: identities.check_b3_power_families(0, 10)),
-    (["xia-conjecture", "--j", "0"], "--j must be >= 1",
-     lambda: identities.check_xia_conjecture(3, 0, 1, 10)),
-    (["xia-conjecture", "--alphamax", "-1"], "--alphamax must be >= 0",
-     lambda: identities.check_xia_conjecture(3, 1, -1, 10)),
-    (["xia-conjecture", "--nmax", "-1"], "--nmax must be >= 0",
-     lambda: identities.check_xia_conjecture(3, 1, 1, -1)),
-    (["cross-validate", "--nmax", "0"], "--nmax must be >= 1",
-     lambda: identities.cross_validate(0)),
+@pytest.mark.parametrize("message, check", [
+    ("--kmax must be >= 0", lambda: identities.check_A3_relations(5, -1, 10)),
+    ("--kmax must be >= 0", lambda: identities.check_A3_residue_families(-1, 10)),
+    ("--kmax must be >= 0", lambda: identities.check_B3_residue_families(-1, 10)),
+    ("--kmax must be >= 2", lambda: identities.check_a3_even_power(2, 1, 10)),
+    ("--kmax must be >= 1", lambda: identities.check_baruah_nath(0, 10)),
+    ("--kmax must be >= 1", lambda: identities.check_b3_power_families(0, 10)),
+    ("--j must be >= 1", lambda: identities.check_xia_conjecture(3, 0, 1, 10)),
+    ("--alphamax must be >= 0", lambda: identities.check_xia_conjecture(3, 1, -1, 10)),
+    ("--nmax must be >= 0", lambda: identities.check_xia_conjecture(3, 1, 1, -1)),
+    ("--nmax must be >= 1", lambda: identities.cross_validate(0)),
 ], ids=["relation", "A3-residues", "B3-residues", "a3-even-power", "BN", "B3-ids", "xia-j",
         "xia-alphamax", "xia-nmax", "cross-validate"])
-def test_family_refusals_name_the_flag(capsys, argv, message, check):
-    # the family's own bound, in the words of the flag that sets it, on the
-    # command line and from the library alike
-    assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+def test_family_refusals_name_the_flag(message, check):
+    # a library caller meets the family's own bound in the words of the flag
+    # that sets it, as the command line does (the corpus holds those refusals)
     with pytest.raises(ValueError, match=f"^{message}$"):
         check()
 
@@ -810,25 +722,8 @@ def test_the_fast_parser_sets_what_argparse_sets_or_declines(argv):
         assert vars(ours) == _argparse_attrs(argv)
 
 
-def _perfbench_argvs() -> list[list[str]]:
-    """Every argv of every perfbench workload at seed 0, each pass."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    # the oracle values only judge outputs; the argvs do not read them
-    stub = SimpleNamespace(lambert=SimpleNamespace(
-        tuple_series=lambda k, order: SimpleNamespace(coeffs=(0,) * order)))
-    argvs = []
-    for workload in workloads.WORKLOADS.values():
-        bench = workload(0, stub)
-        for index in range(workload.MIN_PASSES):
-            argvs += [command.argv for command in bench.pass_commands(index)]
-    return argvs
-
-
 def test_every_perfbench_argv_is_parsed_without_argparse():
-    argvs = _perfbench_argvs()
+    argvs = golden.perfbench_argvs((0, 1))
     assert {argv[0] for argv in argvs} == set(cli._COMMANDS)
     for argv in argvs:
         ours = cli._parse_well_formed(argv)
