@@ -16,7 +16,7 @@ other by doubling powers of it), then each cofactor above 1 is
 classified once, as proved prime by the strong-probable-prime test on the
 13 prime bases 2..41 (deterministic below PSI_13 ~ 3.3e24), as a perfect
 power by its exact root, or as composite to be split by Pollard-Brent rho
-within RHO_BUDGET iterations; past either limit factorize refuses with
+within its budget (``_rho_budget``); past either limit factorize refuses with
 ValueError.  ``is_prime`` makes the same decision for one number.  Each
 closed form is stated once, in ``_PROGRESSIONS``: a point count evaluates
 it over ``factorize``, and ``progression_counts`` gives its values at every
@@ -115,8 +115,14 @@ PSI_13 = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Pollard-Brent rho iterations one factorization may spend in all, enough for
-# a second-largest prime factor of 10**10 many times over (about 10**5 expected)
+# a second-largest prime factor of 10**10 many times over (about 10**5 expected),
+# while its cofactor has at most _RHO_FULL_BITS bits; past them ``_rho_budget``
+# cuts it by the square of the bits, as an iteration costs more.  On a 2-core
+# Xeon an iteration takes about 0.5/3.3/10/36/131/375 us at
+# 256/1024/2048/4096/8192/14284 bits (CPython's 4300-digit limit), so the cut
+# budget runs out in 2.1/0.9/0.7/0.6/0.5/0.5 s, the whole one in up to 26 min.
 RHO_BUDGET = 1 << 22
+_RHO_FULL_BITS = 256
 # rho iterations whose differences are multiplied together per gcd
 _RHO_BATCH = 128
 
@@ -181,10 +187,19 @@ def _exact_root(m: int) -> tuple[int, int]:
     return m, 1
 
 
-def _rho_split(m: int, budget: int) -> tuple[int, int]:
+def _rho_budget(m: int) -> int:
+    """The rho iterations one factorization may spend when m is what is left
+    of its argument after the primes below _SMALL: RHO_BUDGET up to
+    _RHO_FULL_BITS bits, cut by the square of m's bits past them, so that it
+    costs about as much at any size."""
+    return RHO_BUDGET * _RHO_FULL_BITS**2 // max(_RHO_FULL_BITS, m.bit_length())**2
+
+
+def _rho_split(m: int, budget: int, total: int) -> tuple[int, int]:
     """A proper divisor of the composite m by Pollard-Brent rho (Brent, BIT
     20, 1980) on y -> y*y + c from y = 2, for c = 1, 2, ... in turn, and the
-    iterations left of ``budget``; raises ValueError when it runs out."""
+    iterations left of ``budget``; raises ValueError, naming the ``total``
+    budget, when it runs out."""
     c = 0
     while True:
         c += 1
@@ -193,7 +208,7 @@ def _rho_split(m: int, budget: int) -> tuple[int, int]:
             # a round takes r steps to move x on and at most r more to find g
             if budget < 2 * r:
                 raise ValueError(
-                    f"Pollard-Brent rho reached its budget of {RHO_BUDGET} "
+                    f"Pollard-Brent rho reached its budget of {total} "
                     f"iterations without splitting {m}")
             budget -= 2 * r
             x = y
@@ -252,7 +267,7 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     # perfect power (rho takes about sqrt(p) steps on p**2), or split by rho
     large = {}
     pending = [(m, 1)] if m > 1 else []
-    budget = RHO_BUDGET
+    total = budget = _rho_budget(m)
     while pending:
         m, e = pending.pop()
         if _is_proved_prime(m):
@@ -262,7 +277,7 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
         if k > 1:
             pending.append((root, k * e))
         else:
-            d, budget = _rho_split(m, budget)
+            d, budget = _rho_split(m, budget, total)
             pending += ((d, e), (m // d, e))
     return factors + sorted(large.items())
 
@@ -276,7 +291,7 @@ def factorize(n: int) -> Factorization:
     integer root if it is a perfect power, or split by Pollard-Brent rho,
     its parts classified in turn.  Raises ValueError, naming n, for a
     cofactor at or past PSI_13 that passes every base, or when rho spends
-    RHO_BUDGET iterations.
+    its budget, ``_rho_budget`` of the cofactor.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}; need n >= 1")

@@ -9,8 +9,9 @@ purpose rather than skipped.
 
 All families but Xia's conjecture, the route cross-validation and the
 structural checks are data: a Relation per identity, run by one evaluator.
-The ``verify`` family registry closes the module, with the two batteries of
-``core3 selfcheck`` (default and ``--wide``) as lists of its entries.
+Every sweep reads its counts from ``arith.progression_counts``, Xia's too,
+whose sigma(6n+1) is A3(4n).  The ``verify`` family registry closes the
+module, with the two batteries of ``core3 selfcheck`` as lists of its entries.
 
 Only ``structural_reports`` runs the series and Lambert engines, so only it
 imports them; the records are ``collections.namedtuple``s, not ``typing``'s.
@@ -28,30 +29,31 @@ from . import arith, routes
 # counterexamples a report keeps; failures past them are only counted
 MAX_FAILURES = 100
 # ks of one relation whose sides one engine call reads at a residue; its
-# working memory grows with the sides of every k of the call.  Measured end to
-# end on a 2-core Xeon, at 1/2/4/8/16/32/64 ks per call, one window alive at a
-# time (medians of 3; `compute A3 6`: 14.2 MB): verify A3-residues --kmax 400
-# --nmax 2000 peaks at 15.0/15.7/15.4/16.6/19.2/24.2/33.5 MB of RSS in
-# 10.4/6.5/7.0/5.3/4.7/5.1/5.2 s, and verify B3-residues --kmax 100 --nmax
-# 2000 at 14.3/14.5/14.3/14.8/15.8/17.4/18.4 MB in
-# 1.50/0.98/0.93/0.59/0.49/0.50/0.48 s.  verify B3-residues --nmax 20000
-# takes 0.88/0.65/0.62 s at 4/8/16 against 1.63 s at one call per (k, r)
-# (medians of 9, interleaved).
+# working memory grows with the sides of every k of the call.  End to end on a
+# 2-core Xeon at 1/4/8/16/64 ks per call (`compute A3 6`: 14.2 MB), verify
+# A3-residues --kmax 400 --nmax 2000 peaks at 15.0/15.4/16.6/19.2/33.5 MB of
+# RSS in 10.4/7.0/5.3/4.7/5.2 s (medians of 3), and verify B3-residues --nmax
+# 20000 takes 0.88/0.65/0.62 s at 4/8/16 against 1.63 s at one call per (k, r).
 _KS_PER_CALL = 8
 # bits of p^j past which check_xia_conjecture refuses.  In process on a 2-core
 # Xeon, at p = 3 and 1000003 alike, one alpha at nmax 0 takes 0.03/0.17/0.55/1.4 s
-# at 2**11/2**12/6144/2**13 bits, alphamax 1 with nmax 50 twice that.  The
+# at 2**11/2**12/6144/2**13 bits, each later one a product mod 3p^j more.  The
 # report's k0 stays far inside CPython's 4300-digit int-to-str limit (~14 000 bits).
 XIA_MAX_BITS = 1 << 13
 # bits of the largest argument past which a Relation sweep is refused, before
 # any instance.  In process on a 2-core Xeon at nmax 0, with kmax as large as
-# the ceiling admits (three runs each), the slowest families take, at 2**10,
-# 2**11 and 2**12 bits: B3-residues (kmax 363, 728, 1458) 0.10-0.12,
-# 0.33-0.40 and 1.06-1.24 s; B3-ids (kmax 646, 1292, 2584) 0.06, 0.14-0.15
-# and 0.43-0.65 s; BN (kmax 511, 1023, 2047) 0.05-0.07, 0.12-0.13 and
-# 0.35-0.47 s.  A B3 value has about twice its argument's bits, so a report
-# stays far inside CPython's 4300-digit int-to-str limit (~14 000 bits).
+# the ceiling admits, the slowest families take, at 2**10/2**11/2**12 bits:
+# B3-residues (kmax 363/728/1458) 0.10-0.12/0.33-0.40/1.06-1.24 s; B3-ids (kmax
+# 646/1292/2584) 0.06/0.14-0.15/0.43-0.65 s; BN (kmax 511/1023/2047)
+# 0.05-0.07/0.12-0.13/0.35-0.47 s.  A B3 value has about twice its argument's
+# bits, so a report stays far inside CPython's 4300-digit int-to-str limit.
 SWEEP_MAX_BITS = 1 << 11
+# instances past which a family is refused before any instance: Relation.count
+# over all its reports, or xia-conjecture's from its parameters.  End to end on
+# a 2-core Xeon the largest sweeps admitted take 0.6-2.2 s for each Relation
+# family and for xia-conjecture at nmax >= 1; xia-conjecture at nmax 0, one
+# sieve call per alpha, takes 17 s at alphamax 2097140 (20 s at p^j = 3^5168).
+SWEEP_MAX_INSTANCES = 1 << 21
 
 
 Failure = namedtuple("Failure", ("inputs", "lhs", "rhs"))
@@ -83,9 +85,8 @@ class IdentityReport:
         return self._compared() == other._compared()
 
     def __repr__(self):
-        return (f"IdentityReport(family={self.family!r}, params={self.params!r}, "
-                f"checked={self.checked!r}, failures={self.failures!r}, "
-                f"seconds={self.seconds!r}, dropped={self.dropped!r})")
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"IdentityReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -97,15 +98,9 @@ class IdentityReport:
         return len(self.failures) + self.dropped
 
     def as_dict(self) -> dict:
-        data = {
-            "family": self.family,
-            "params": self.params,
-            "checked": self.checked,
-            "failures": [
-                {"inputs": f.inputs, "lhs": str(f.lhs), "rhs": str(f.rhs)}
-                for f in self.failures
-            ],
-        }
+        data = {"family": self.family, "params": self.params, "checked": self.checked,
+                "failures": [{"inputs": f.inputs, "lhs": str(f.lhs), "rhs": str(f.rhs)}
+                             for f in self.failures]}
         if self.dropped:
             data["failures_total"] = self.failed
         data["passed"] = self.passed
@@ -185,9 +180,8 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
         for at_r in range(residues):
             plan, sides = [], []
             for e, (k, r, k_sides) in chunk[at_r::residues]:
-                index = {"k": k, "r": r}
                 labels = {**(rel.labels or {}),
-                          **{key: v for key, v in index.items() if v is not None}}
+                          **{key: v for key, v in (("k", k), ("r", r)) if v is not None}}
                 plan.append((e, labels, [c for c, _, _ in k_sides[1:]]))
                 sides += [(step, offset) for _, step, offset in k_sides]
             lo = 0
@@ -225,16 +219,15 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
 def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
     """One timed report per group of relations, over every instance of its
     relations in order; each report's seconds run from the end of the one
-    before it.  Every relation of every group is held to the ceiling before
-    any is swept: one whose ``extent`` is past SWEEP_MAX_BITS bits is refused
-    with ValueError, so a family is refused before any of its reports.
+    before it.  Before any is swept, a relation whose ``extent`` is past
+    SWEEP_MAX_BITS bits, and then groups of more than SWEEP_MAX_INSTANCES
+    instances in all, are refused with ValueError: a family as a whole.
 
     The instance count is Relation.count, so a sweep that checks nothing
-    reads no value.  Every k of one (relation, r) lies on one primitive form:
-    the sides of up to _KS_PER_CALL ks are read window by window from one
-    call of ``arith.progression_counts``, looked up when called (as it looks
-    up the point counters), so a tracer's or a test's rebinding of either
-    reaches every sweep.  The failures kept are the first MAX_FAILURES in
+    reads no value.  ``_compare`` reads the sides from
+    ``arith.progression_counts``, looked up when called (as it looks up the
+    point counters), so a tracer's or a test's rebinding of either reaches
+    every sweep.  The failures kept are the first MAX_FAILURES in
     (relation, k, r, n) order, and no more are held at once.  Private, so a
     tracer wrapping public functions charges the work to the check_*
     function that asked for it."""
@@ -244,9 +237,13 @@ def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
         if bits > SWEEP_MAX_BITS:
             raise ValueError(f"{rel.family} reads an argument of {bits} bits, past the "
                              f"sweep ceiling of {SWEEP_MAX_BITS} bits")
+    counts = [sum(rel.count(n_max) for rel in relations) for relations in groups]
+    if sum(counts) > SWEEP_MAX_INSTANCES:
+        raise ValueError(f"{', '.join(relations[0].family for relations in groups)} would "
+                         f"check {sum(counts)} instances, past the sweep ceiling of "
+                         f"{SWEEP_MAX_INSTANCES} instances")
     reports = []
-    for relations in groups:
-        checked = sum(rel.count(n_max) for rel in relations)
+    for relations, checked in zip(groups, counts):
         kept = []
         failed = sum(_compare(rel, position, n_max, kept)
                      for position, rel in enumerate(relations if checked else ()))
@@ -339,8 +336,7 @@ def _relation(kind: str, terms, p: int, k_max: int, n_max: int,
     variant = "coprime" if coprime else "general"
     return _sweep({"p": p, "k_max": k_max, "n_max": n_max, "variant": variant}, n_max,
                   Relation(f"{kind}-relation-{variant}-p{p}", kind, terms(p, coprime),
-                           range(k_max + 1),
-                           coprime_to=p if coprime and p != 3 else None,
+                           range(k_max + 1), coprime_to=p if coprime and p != 3 else None,
                            labels={"p": p}))
 
 
@@ -432,12 +428,10 @@ def check_b3_power_families(k_max: int, n_max: int) -> list[IdentityReport]:
         raise ValueError("--kmax must be >= 1")
     params = {"k_max": k_max, "n_max": n_max}
     general_2 = _B3_terms(2, coprime=False)
-    families = (
-        _B3_terms(3, coprime=True),
-        lambda k, r: ((2 ** (k + 1), 2**k - 1),
-                      ((_exact(2 ** (2 * k + 2) + (-1) ** k, 5), 2, 0),)),
-        lambda k, r: general_2(k + 1, r),
-    )
+    families = (_B3_terms(3, coprime=True),
+                lambda k, r: ((2 ** (k + 1), 2**k - 1),
+                              ((_exact(2 ** (2 * k + 2) + (-1) ** k, 5), 2, 0),)),
+                lambda k, r: general_2(k + 1, r))
     return _sweeps(params, n_max, [(Relation(f"B3-{i}", "B3", terms, range(1, k_max + 1)),)
                                    for i, terms in enumerate(families, 1)])
 
@@ -479,50 +473,56 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     """A3(4^(k0(a+1))*n + (2^(2k0(a+1)-1)-2)/3) == 0 mod p^j, k0 = p^j(p-1)/2.
 
     The argument 3N+2 factors as 2^(e-1)*(6n+1) with e = 2*k0*(alpha+1), so
-    the value equals (2^e-1)/3 * sigma(6n+1).  The check runs modularly:
-    2^e is reduced mod 3p^j, which recovers (2^e-1)/3 mod p^j without ever
-    building the power.  Instances whose direct argument 3N+2 stays below
-    2^63 (so e <= 63) are also evaluated outright against the modular
-    residue.  A p^j of more than XIA_MAX_BITS bits is refused.
+    the value equals (2^e-1)/3 * sigma(6n+1), and sigma(6n+1) is A3(4n), as
+    3*4n+2 = 2(6n+1).  The check runs modularly: 2^e is reduced mod 3p^j,
+    which recovers (2^e-1)/3 mod p^j without ever building the power.
+    Instances whose direct argument 3N+2 stays below 2^63 (so e <= 63) are
+    also evaluated outright against the modular residue.  Each alpha reads
+    both sides from one ``arith.progression_counts`` call over 6n+1.  A p^j past
+    XIA_MAX_BITS bits, or SWEEP_MAX_INSTANCES instances, is refused first.
     """
     if p == 2:
         raise ValueError(
             "p = 2 unsupported: the Euler-theorem step needs 2 invertible mod p^(j+1)")
     if not arith.is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if j < 1:
-        raise ValueError("--j must be >= 1")
-    if alpha_max < 0:
-        raise ValueError("--alphamax must be >= 0")
-    if n_max < 0:
-        raise ValueError("--nmax must be >= 0")
+    for flag, value, least in (("j", j, 1), ("alphamax", alpha_max, 0), ("nmax", n_max, 0)):
+        if value < least:
+            raise ValueError(f"--{flag} must be >= {least}")
     # j * (bits of p, less one) bounds p^j's bits from below without building it
     if j * (p.bit_length() - 1) > XIA_MAX_BITS or (pj := p**j).bit_length() > XIA_MAX_BITS:
         raise ValueError(f"p^j = {p}^{j} is past this check's ceiling of {XIA_MAX_BITS} bits")
     k0 = pj * (p - 1) // 2
     modulus = 3 * pj
+    family = f"xia-conjecture-p{p}-j{j}"
+    # a direct instance per n with 6n+1 < 2^(64-e), at each e = 2*k0*(alpha+1) <= 63
+    checked = (alpha_max + 1) * (n_max + 1) + sum(
+        min(n_max + 1, ((1 << 64 - e) + 4) // 6)
+        for e in range(2 * k0, 64, 2 * k0)[:alpha_max + 1])
+    if checked > SWEEP_MAX_INSTANCES:
+        raise ValueError(f"{family} would check {checked} instances, past the sweep "
+                         f"ceiling of {SWEEP_MAX_INSTANCES} instances")
+    step = pow(2, 2 * k0, modulus)
 
     def instances():
+        power = 1
         for alpha in range(alpha_max + 1):
             e = 2 * k0 * (alpha + 1)
-            # 3 | 2^e - 1 because e is even, and 3 | modulus keeps that visible
-            residue = (pow(2, e, modulus) - 1) % modulus
-            factor_mod = (residue // 3) % pj
-            for n in range(n_max + 1):
-                value_mod = (factor_mod * (arith.sigma(6 * n + 1) % pj)) % pj
-                yield ({"p": p, "j": j, "alpha": alpha, "n": n,
-                        "path": "modular"}, value_mod, 0)
-                if e > 63:
-                    continue
-                direct_arg = (1 << e) * n + ((1 << (e - 1)) - 2) // 3
-                if 3 * direct_arg + 2 < 2**63:
-                    yield ({"p": p, "j": j, "alpha": alpha, "n": n,
-                            "path": "direct"},
-                           arith.pair_count(direct_arg) % pj, value_mod)
+            # 2^e mod 3p^j: 3 | 2^e - 1 because e is even, and 3 | modulus keeps that visible
+            power = power * step % modulus
+            factor_mod = (power - 1) % modulus // 3 % pj
+            # A3(4n), then A3 at the direct argument 2^e*n + (2^(e-1)-2)/3
+            sides = [(4, 0)] if e > 63 else [(4, 0), (1 << e, ((1 << (e - 1)) - 2) // 3)]
+            values = arith.progression_counts("A3", sides, n_max + 1)
+            for n, (sigma, *direct) in enumerate(chain.from_iterable(zip(*v) for v in values)):
+                inputs = {"p": p, "j": j, "alpha": alpha, "n": n}
+                value_mod = (factor_mod * (sigma % pj)) % pj
+                yield {**inputs, "path": "modular"}, value_mod, 0
+                if direct and 3 * (sides[1][0] * n + sides[1][1]) + 2 < 2**63:
+                    yield {**inputs, "path": "direct"}, direct[0] % pj, value_mod
 
-    return _collect(f"xia-conjecture-p{p}-j{j}",
-                    {"p": p, "j": j, "k0": k0,
-                     "alpha_max": alpha_max, "n_max": n_max}, instances())
+    return _collect(family, {"p": p, "j": j, "k0": k0,
+                             "alpha_max": alpha_max, "n_max": n_max}, instances())
 
 
 def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> IdentityReport:

@@ -122,6 +122,15 @@ def argvs() -> list[list[str]]:
          *(["verify", "xia-conjecture", "--p", "3", "--j", j, "--alphamax", "0", "--nmax", "0"]
            for j in ("5169", "9100", str(10**12))),
          *(["selfcheck", "--wide", "--kmax", kmax, "--nmax", "1"] for kmax in ("600", "2000"))],
+        # Xia's conjecture at scale, each alpha read from one sieve over 6n+1
+        [["verify", "xia-conjecture", "--p", p, "--j", j, "--nmax", "2000"]
+         for p in ("3", "5", "7") for j in ("1", "2")],
+        # refusals at the instance ceiling, before any instance: arguments of
+        # about 40 bits, and a family held to it as a whole
+        [*(["verify", family, "--nmax", str(10**12)] for family in FAMILIES
+           if family != "structural"),
+         ["verify", "xia-conjecture", "--alphamax", str(10**12)],
+         ["verify", "B3-residues", "--kmax", "104", "--nmax", "2000"]],
         # refusals of a family's flags
         [["verify", "relation-general", "--p", "3"], ["verify", "relation-general", "--p", "4"],
          ["verify", "no-such-family"], ["verify", "relation-coprime", "--p", "2", "--nmax", "0"],

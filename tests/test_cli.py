@@ -215,6 +215,43 @@ def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, 
                    "--alphamax", "0", "--nmax", "0")[:2] == (2, "")
 
 
+@pytest.mark.parametrize("argv", [["--nmax", str(10**12)], ["--alphamax", str(10**12)],
+                                  ["--p", "3", "--j", "5168", "--alphamax", str(2**21)]])
+def test_xia_conjecture_past_its_instance_ceiling_is_refused_before_any_instance(
+        capsys, monkeypatch, argv):
+    # at p^j of 2**13 bits, refused before 2^(2k0) mod 3p^j, 1.4 s of work, is built
+    monkeypatch.setattr(identities, "_collect", lambda *args: pytest.fail("an instance ran"))
+    code, out, err = run_cli(capsys, "verify", "xia-conjecture", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: xia-conjecture-p3-j")
+    assert err.endswith(f" instances, past the sweep ceiling of "
+                        f"{identities.SWEEP_MAX_INSTANCES} instances\n")
+
+
+@pytest.mark.parametrize("family", [name for name in identities.FAMILIES if name not in (
+    "xia-conjecture", "cross-validate", "structural")])
+def test_sweep_past_its_instance_ceiling_is_refused_before_any_instance(capsys, monkeypatch,
+                                                                        family):
+    # arguments of about 40 bits, far inside the argument ceiling
+    monkeypatch.setattr(arith, "progression_counts",
+                        lambda *args: pytest.fail("an instance ran"))
+    code, out, err = run_cli(capsys, "verify", family, "--nmax", str(10**12))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.endswith(f" instances, past the sweep ceiling of "
+                        f"{identities.SWEEP_MAX_INSTANCES} instances\n")
+
+
+def test_a_family_is_held_to_the_instance_ceiling_as_a_whole(capsys, monkeypatch):
+    # B3-residues at --kmax 104 --nmax 2000 checks 105*(4+6)*2001 = 2101050
+    # instances, its two reports 840420 and 1260630
+    monkeypatch.setattr(arith, "progression_counts",
+                        lambda *args: pytest.fail("an instance ran"))
+    assert run_cli(capsys, "verify", "B3-residues", "--kmax", "104", "--nmax", "2000") == (
+        2, "", "error: B3-residues-5, B3-residues-7 would check 2101050 instances, past the "
+        f"sweep ceiling of {identities.SWEEP_MAX_INSTANCES} instances\n")
+
+
 @pytest.mark.parametrize("argv, family", [
     (["BN", "--kmax", str(10**12)], "BN-1"),
     (["relation-general", "--p", "5", "--kmax", "3000"], "A3-relation-general-p5"),

@@ -1,6 +1,7 @@
 """The sieve-free factorization: small primes, Miller-Rabin, Pollard-Brent rho."""
 
 from collections import Counter
+from itertools import count, islice
 from math import isqrt, prod
 import os
 from pathlib import Path
@@ -214,6 +215,23 @@ def test_exhausted_rho_budget_is_a_usage_error(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot factorize {m}")
     assert "budget of 1000 iterations" in captured.err
+
+
+def test_rho_budget_shrinks_with_the_square_of_the_cofactor_bits(capsys, monkeypatch):
+    # up to 256 bits the whole budget; past them, cut by (256/bits)^2
+    assert [arith._rho_budget(1 << bits - 1) for bits in (1, 64, 256, 257, 512, 1024)] == [
+        arith.RHO_BUDGET] * 3 + [arith.RHO_BUDGET * 65536 // 257**2,
+                                 arith.RHO_BUDGET // 4, arith.RHO_BUDGET // 16]
+    # seven primes above 2**72, each past rho's reach at this budget: their
+    # 505-bit product, as B3's n+1, is refused at 4000 * (256/505)^2 iterations
+    monkeypatch.setattr(arith, "RHO_BUDGET", 4000)
+    m = prod(list(islice(filter(is_prime, count(2**72 + 1, 2)), 7)))
+    assert m.bit_length() == 505
+    assert main(["compute", "B3", str(m - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot factorize {m}")
+    assert "budget of 1027 iterations" in captured.err
 
 
 def test_hostile_point_query_is_refused_with_the_default_budget(capsys):

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from core3 import identities
 from core3.arith import pair_count, triple_count
 from core3.identities import (
     SWEEP_MAX_BITS,
@@ -156,6 +157,16 @@ def test_xia_conjecture_large_prime_builds_no_power():
     assert report.checked == 51
 
 
+def test_xia_conjecture_reads_one_sieve_per_alpha():
+    # sigma(6n+1) = A3(4n) and the direct sides on 6n+1, sieved once per alpha
+    # instead of two factorizations per n (2.3 s before)
+    start = time.perf_counter()
+    report = check_xia_conjecture(3, 1, 1, 100000)
+    assert time.perf_counter() - start < 1.0
+    assert_clean(report)
+    assert report.checked == 400004
+
+
 def test_xia_conjecture_at_its_largest_admitted_power():
     # 3^5168 has XIA_MAX_BITS bits, and its report, k0 and all, is written as JSON
     j = 5168
@@ -168,6 +179,36 @@ def test_xia_conjecture_at_its_largest_admitted_power():
     for p, past in ((3, j + 1), (1000003, 412), (3, 10**12)):
         with pytest.raises(ValueError, match=f"ceiling of {XIA_MAX_BITS} bits"):
             check_xia_conjecture(p, past, 0, 0)
+
+
+def test_xia_conjecture_reduces_one_power_per_alpha():
+    # 2^e mod 3p^j is carried from one alpha to the next, one product each,
+    # where building it anew took 0.17 s per alpha at 4096 bits
+    start = time.perf_counter()
+    assert_clean(check_xia_conjecture(3, 2584, 200, 0))
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("p, j, alpha_max, n_max", [
+    (3, 1, 0, 0), (3, 1, 9, 10), (3, 1, 12, 1000), (5, 1, 3, 200), (7, 2, 1, 30)])
+def test_xia_conjecture_is_held_to_the_count_it_checks(monkeypatch, p, j, alpha_max, n_max):
+    # the count is found from the parameters, the direct path's 2^63 bound included
+    checked = check_xia_conjecture(p, j, alpha_max, n_max).checked
+    monkeypatch.setattr(identities, "SWEEP_MAX_INSTANCES", checked)
+    assert check_xia_conjecture(p, j, alpha_max, n_max).checked == checked
+    monkeypatch.setattr(identities, "SWEEP_MAX_INSTANCES", checked - 1)
+    with pytest.raises(ValueError, match=f" would check {checked} instances, past"):
+        check_xia_conjecture(p, j, alpha_max, n_max)
+
+
+def test_sweep_is_held_to_the_count_it_checks(monkeypatch):
+    # lin to n_max 10 checks 11 instances: run at a ceiling of 11, refused at 10
+    monkeypatch.setattr(identities, "SWEEP_MAX_INSTANCES", 11)
+    assert check_lin(10).checked == 11
+    monkeypatch.setattr(identities, "SWEEP_MAX_INSTANCES", 10)
+    with pytest.raises(ValueError, match="^lin would check 11 instances, past the sweep "
+                                         "ceiling of 10 instances$"):
+        check_lin(10)
 
 
 def test_relation_sweep_at_its_largest_admitted_argument():

@@ -114,6 +114,12 @@ def test_lambert_reads_only_the_series_container():
     assert {name for _, name in names_read("lambert", "series")} <= {"TruncatedSeries"}
 
 
+def test_identities_reads_every_count_through_progression_counts():
+    # no sweep evaluates a count point by point: sigma and the counters stay unread
+    assert ({name for _, name in names_read("identities", "arith")}
+            <= {"progression_counts", "divisible_terms", "is_prime"})
+
+
 def test_series_read_scan_sees_every_form(tmp_path, monkeypatch):
     sample = ("from .series import TruncatedSeries, mul\nfrom . import series\n"
               "import core3.series\nfrom core3.series import div\n"
