@@ -10,15 +10,17 @@ purpose rather than skipped.
 All families but Xia's conjecture, the route cross-validation and the
 structural checks are data: a Relation per identity, run by one evaluator.
 Every sweep reads its counts from ``arith.progression_counts``, Xia's too,
-whose sigma(6n+1) is A3(4n).  The ``verify`` family registry closes the
-module, with the two batteries of ``core3 selfcheck`` as lists of its entries.
+every alpha from one call.  Each report but the structural ones counts its
+instances before it reads a value, and compares value lists by one rule,
+``_keep``.  The ``verify`` family registry closes the module, with the two
+batteries of ``core3 selfcheck`` as lists of its entries.
 
 Only ``structural_reports`` runs the series and Lambert engines, so only it
 imports them; the records are ``collections.namedtuple``s, not ``typing``'s.
 """
 
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import namedtuple
 from itertools import chain, compress, islice, repeat
 from operator import add, mul, ne
@@ -50,9 +52,8 @@ XIA_MAX_BITS = 1 << 13
 SWEEP_MAX_BITS = 1 << 11
 # instances past which a family is refused before any instance: Relation.count
 # over all its reports, or xia-conjecture's from its parameters.  End to end on
-# a 2-core Xeon the largest sweeps admitted take 0.6-2.2 s for each Relation
-# family and for xia-conjecture at nmax >= 1; xia-conjecture at nmax 0, one
-# sieve call per alpha, takes 17 s at alphamax 2097140 (20 s at p^j = 3^5168).
+# a 2-core Xeon the largest sweeps admitted take 1.8-3.0 s for each Relation
+# family and 0.8-3.1 s for xia-conjecture (3.1-4.0 s at p^j = 3^5168).
 SWEEP_MAX_INSTANCES = 1 << 21
 
 
@@ -162,11 +163,27 @@ class Relation(namedtuple("Relation", ("family", "kind", "terms", "ks", "residue
                                   for r in self.residues)
 
 
+def _keep(kept: list, lhs: list, rhs: list, failure) -> int:
+    """Every report's one rule: the number of positions where the value lists
+    ``lhs`` and ``rhs`` differ.  ``failure(i)`` gives i's (key, inputs), the key
+    unique in its report and growing with i; ``kept`` holds the report's first
+    MAX_FAILURES failures in key order as (key, Failure), and never more."""
+    if lhs == rhs:
+        return 0
+    bad = list(compress(range(len(lhs)), map(ne, lhs, rhs)))
+    for i in bad:
+        key, inputs = failure(i)
+        if len(kept) == MAX_FAILURES and key > kept[-1][0]:
+            break  # no later position fits either
+        del kept[MAX_FAILURES - 1:]
+        insort(kept, (key, Failure(inputs, lhs[i], rhs[i])))
+    return len(bad)
+
+
 def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
     """The number of failing instances of ``rel``, the relation at ``position``
-    in its report.  ``kept`` holds the report's first MAX_FAILURES failures
-    so far, in order, as (position, e, n, labels, lhs, rhs), e the index of
-    the (k, r) in sweep order; each failure is inserted in its place.
+    in its report, each kept by ``_keep`` under the key (position, e, n), e
+    the index of the (k, r) in sweep order.
 
     The sides of up to _KS_PER_CALL ks at one residue are read in one call
     of ``arith.progression_counts``, which sizes its windows by the number
@@ -197,19 +214,12 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
                     if rel.modulus is not None:
                         lhs = [v % rel.modulus for v in lhs]
                         rhs = [v % rel.modulus for v in rhs]
-                    if lhs == rhs:
-                        continue
-                    bad = [i for i in compress(range(len(lhs)), map(ne, lhs, rhs))
-                           if lo + i not in skipped[at_r]]
-                    failed += len(bad)
-                    # past a failure that kept cannot take, no later n of this (k, r) fits
-                    for i in bad:
-                        failure = (position, e, lo + i, labels, lhs[i], rhs[i])
-                        if len(kept) == MAX_FAILURES:
-                            if failure > kept[-1]:
-                                break
-                            kept.pop()
-                        insort(kept, failure)
+                    # the n that ``skipped`` holds are not checked: their sides are made equal
+                    skip = skipped[at_r]
+                    for n in skip[bisect_left(skip, lo):bisect_left(skip, lo + len(lhs))]:
+                        rhs[n - lo] = lhs[n - lo]
+                    failed += _keep(kept, lhs, rhs, lambda i: (
+                        (position, e, lo + i), {**labels, "n": lo + i}))
                 lo += len(values[0])
                 # let the window go before the next one is sieved
                 values = lhs = rhs = None
@@ -227,10 +237,9 @@ def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
     reads no value.  ``_compare`` reads the sides from
     ``arith.progression_counts``, looked up when called (as it looks up the
     point counters), so a tracer's or a test's rebinding of either reaches
-    every sweep.  The failures kept are the first MAX_FAILURES in
-    (relation, k, r, n) order, and no more are held at once.  Private, so a
-    tracer wrapping public functions charges the work to the check_*
-    function that asked for it."""
+    every sweep.  ``_keep`` keeps the failures in (relation, k, r, n) order.
+    Private, so a tracer wrapping public functions charges the work to the
+    check_* function that asked for it."""
     started = time.perf_counter()
     for rel in chain.from_iterable(groups):
         bits = (rel.extent(n_max) or 0).bit_length()
@@ -247,12 +256,8 @@ def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
         kept = []
         failed = sum(_compare(rel, position, n_max, kept)
                      for position, rel in enumerate(relations if checked else ()))
-        failures = [Failure({**labels, "n": n}, lhs, rhs)
-                    for _, _, n, labels, lhs, rhs in kept]
-        ended = time.perf_counter()
-        reports.append(IdentityReport(relations[0].family, params, checked, failures,
-                                      ended - started, failed - len(kept)))
-        started = ended
+        reports.append(_report(relations[0].family, params, checked, kept, failed, started))
+        started = time.perf_counter()
     return reports
 
 
@@ -261,23 +266,11 @@ def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
     return _sweeps(params, n_max, [relations])[0]
 
 
-def _collect(family: str, params: dict, instances) -> IdentityReport:
-    """A timed report over lazily computed (inputs, lhs, rhs) instances."""
-    started = time.perf_counter()
-    checked = 0
-
-    def failing():
-        nonlocal checked
-        for inputs, lhs, rhs in instances:
-            checked += 1
-            if lhs != rhs:
-                yield inputs, lhs, rhs
-
-    found = failing()
-    failures = [Failure(*instance) for instance in islice(found, MAX_FAILURES)]
-    dropped = sum(1 for _ in found)
-    return IdentityReport(family, params, checked, failures,
-                          time.perf_counter() - started, dropped)
+def _report(family: str, params: dict, checked: int, kept: list, failed: int,
+            started: float) -> IdentityReport:
+    """The report of ``failed`` of ``checked`` instances, ``kept`` by ``_keep``."""
+    return IdentityReport(family, params, checked, [f for _, f in kept],
+                          time.perf_counter() - started, failed - len(kept))
 
 
 def _exact(numerator: int, denominator: int) -> int:
@@ -477,9 +470,10 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     3*4n+2 = 2(6n+1).  The check runs modularly: 2^e is reduced mod 3p^j,
     which recovers (2^e-1)/3 mod p^j without ever building the power.
     Instances whose direct argument 3N+2 stays below 2^63 (so e <= 63) are
-    also evaluated outright against the modular residue.  Each alpha reads
-    both sides from one ``arith.progression_counts`` call over 6n+1.  A p^j past
-    XIA_MAX_BITS bits, or SWEEP_MAX_INSTANCES instances, is refused first.
+    also evaluated outright against the modular residue.  One sieve over 6n+1
+    reads A3(4n) and every direct side; each window walks the alphas, 2^e
+    carried by one product mod 3p^j each, failures kept in (alpha, n, path)
+    order.  Past XIA_MAX_BITS bits of p^j or SWEEP_MAX_INSTANCES, it refuses.
     """
     if p == 2:
         raise ValueError(
@@ -495,34 +489,40 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     k0 = pj * (p - 1) // 2
     modulus = 3 * pj
     family = f"xia-conjecture-p{p}-j{j}"
-    # a direct instance per n with 6n+1 < 2^(64-e), at each e = 2*k0*(alpha+1) <= 63
-    checked = (alpha_max + 1) * (n_max + 1) + sum(
-        min(n_max + 1, ((1 << 64 - e) + 4) // 6)
-        for e in range(2 * k0, 64, 2 * k0)[:alpha_max + 1])
+    # each e = 2*k0*(alpha+1) <= 63 has a direct side, read where 3N+2 =
+    # 2^(e-1)*(6n+1) < 2^63: at the n with 6n+1 < 2^(64-e)
+    es = range(2 * k0, 64, 2 * k0)[:alpha_max + 1]
+    tops = [min(n_max + 1, ((1 << 64 - e) + 4) // 6) for e in es]
+    checked = (alpha_max + 1) * (n_max + 1) + sum(tops)
     if checked > SWEEP_MAX_INSTANCES:
         raise ValueError(f"{family} would check {checked} instances, past the sweep "
                          f"ceiling of {SWEEP_MAX_INSTANCES} instances")
+    started = time.perf_counter()
     step = pow(2, 2 * k0, modulus)
-
-    def instances():
+    # A3(4n), then A3 at each direct argument 2^e*n + (2^(e-1)-2)/3
+    sides = [(4, 0), *((1 << e, ((1 << e - 1) - 2) // 3) for e in es)]
+    inputs, kept, failed, lo = {"p": p, "j": j}, [], 0, 0
+    for sigma, *direct in arith.progression_counts("A3", sides, n_max + 1):
+        sigma = [v % pj for v in sigma]
         power = 1
         for alpha in range(alpha_max + 1):
-            e = 2 * k0 * (alpha + 1)
             # 2^e mod 3p^j: 3 | 2^e - 1 because e is even, and 3 | modulus keeps that visible
             power = power * step % modulus
             factor_mod = (power - 1) % modulus // 3 % pj
-            # A3(4n), then A3 at the direct argument 2^e*n + (2^(e-1)-2)/3
-            sides = [(4, 0)] if e > 63 else [(4, 0), (1 << e, ((1 << (e - 1)) - 2) // 3)]
-            values = arith.progression_counts("A3", sides, n_max + 1)
-            for n, (sigma, *direct) in enumerate(chain.from_iterable(zip(*v) for v in values)):
-                inputs = {"p": p, "j": j, "alpha": alpha, "n": n}
-                value_mod = (factor_mod * (sigma % pj)) % pj
-                yield {**inputs, "path": "modular"}, value_mod, 0
-                if direct and 3 * (sides[1][0] * n + sides[1][1]) + 2 < 2**63:
-                    yield {**inputs, "path": "direct"}, direct[0] % pj, value_mod
-
-    return _collect(family, {"p": p, "j": j, "k0": k0,
-                             "alpha_max": alpha_max, "n_max": n_max}, instances())
+            value_mod = [factor_mod * v % pj for v in sigma]
+            failed += _keep(kept, value_mod, [0] * len(sigma), lambda i: (
+                (alpha, lo + i, 0), {**inputs, "alpha": alpha, "n": lo + i, "path": "modular"}))
+            if alpha < len(direct):
+                # a window that starts past the side's last n reads none of it
+                top = max(0, tops[alpha] - lo)
+                failed += _keep(kept, [v % pj for v in direct[alpha][:top]], value_mod[:top],
+                                lambda i: ((alpha, lo + i, 1), {**inputs, "alpha": alpha,
+                                                                "n": lo + i, "path": "direct"}))
+        lo += len(sigma)
+        # let the window go before the next one is sieved
+        sigma = direct = None
+    return _report(family, {"p": p, "j": j, "k0": k0, "alpha_max": alpha_max, "n_max": n_max},
+                   checked, kept, failed, started)
 
 
 def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> IdentityReport:
@@ -530,9 +530,10 @@ def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> Ide
     every kind.
 
     Each route's table comes from ``routes.table_values``, the closed form's
-    as one sieve per kind.  Series and Lambert lanes run for every n < n_max;
-    the brute-force lane joins while n stays within its cap.  An n_max past
-    the series route's ceiling is refused before any lane is built.
+    as one sieve per kind, and is compared with the closed form's as a whole,
+    failures kept in (kind, n, route) registry order.  Series and Lambert run
+    for every n < n_max, brute force while n is within its cap.  An n_max
+    past the series route's ceiling is refused before any lane is built.
     """
     if n_max < 1:
         raise ValueError("--nmax must be >= 1")
@@ -540,20 +541,18 @@ def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> Ide
         raise ValueError(f"--nmax must be at most {routes.MAX_SERIES_ORDER}, the series "
                          f"route's ceiling, got {n_max}")
     cfg = routes.Config(order=n_max, brute_cap=brute_cap)
-    sizes = {"brute": min(n_max, brute_cap + 1)}
-
-    def instances():
-        for kind in routes.KINDS:
-            lanes = {method: routes.table_values(kind, method, sizes.get(method, n_max), cfg)
-                     for method in routes.METHODS}
-            reference = lanes.pop("formula")
-            for n, expected in enumerate(reference):
-                for method, lane in lanes.items():
-                    if n < len(lane):
-                        yield {"kind": kind, "n": n, "route": method}, lane[n], expected
-
-    return _collect("cross-validate",
-                    {"n_max": n_max, "brute_cap": brute_cap}, instances())
+    sizes = {method: min(n_max, brute_cap + 1) if method == "brute" else n_max
+             for method in routes.METHODS if method != "formula"}
+    started = time.perf_counter()
+    kept, failed = [], 0
+    for at_kind, kind in enumerate(routes.KINDS):
+        reference = routes.table_values(kind, "formula", n_max, cfg)
+        for at_route, (method, size) in enumerate(sizes.items()):
+            failed += _keep(kept, routes.table_values(kind, method, size, cfg),
+                            reference[:size], lambda n: (
+                                (at_kind, n, at_route), {"kind": kind, "n": n, "route": method}))
+    return _report("cross-validate", {"n_max": n_max, "brute_cap": brute_cap},
+                   len(routes.KINDS) * sum(sizes.values()), kept, failed, started)
 
 
 def structural_reports(n_max: int) -> list[IdentityReport]:
@@ -563,16 +562,16 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
     from . import lambert, series  # here, so that no other family loads either engine
 
     order = max(2, min(n_max, 500))
-
-    def instance(params, check):
-        # lazy, so the report's seconds cover the check
-        yield params, 0, 0 if check() else 1
-
-    return [_collect(family, params, instance(params, check)) for family, params, check in (
-        ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
-        ("square-kernel", {"order": 100}, lambda: series.square_kernel_check(100)),
-        ("pair-fold-cross-term", {"order": order},
-         lambda: not any(lambert.pair_fold_cross_term(order).coeffs)))]
+    reports = []
+    for family, params, check in (
+            ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
+            ("square-kernel", {"order": 100}, lambda: series.square_kernel_check(100)),
+            ("pair-fold-cross-term", {"order": order},
+             lambda: not any(lambert.pair_fold_cross_term(order).coeffs))):
+        started = time.perf_counter()
+        failures = [] if check() else [Failure(params, 0, 1)]
+        reports.append(IdentityReport(family, params, 1, failures, time.perf_counter() - started))
+    return reports
 
 
 # --- the family registry and its two batteries, read by cli and the tests ---

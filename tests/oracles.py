@@ -14,10 +14,15 @@ against, stated literally and called by no library code.
   yielding failures in (relation, k, r, n) order as they are found, where
   ``core3.identities`` reads several k of one residue in one call and
   splits each window back.
+* ``xia_conjecture_report`` checks Xia's conjecture one (alpha, n, path)
+  instance at a time, with one engine call per alpha and the direct path's
+  2^63 bound tested on each argument, where
+  ``core3.identities.check_xia_conjecture`` reads every alpha from one call
+  and counts its instances from its parameters.
 """
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from core3 import arith, identities
 from core3.arith import factorize
@@ -121,6 +126,41 @@ def failures_per_k_r(n_max: int, *relations) -> tuple[list, int]:
 
     found = failing()
     return list(islice(found, identities.MAX_FAILURES)), sum(1 for _ in found)
+
+
+def xia_conjecture_report(p: int, j: int, alpha_max: int, n_max: int) -> tuple[int, list, int]:
+    """The instances a sweep of Xia's conjecture checks, the failures it
+    keeps and the number it drops, found one instance at a time: per alpha,
+    A3(4n) and, where e <= 63, the direct argument, read by one call of
+    ``arith.progression_counts``; per n, the modular path and then the
+    direct one, taken while its 3N+2 is below 2**63."""
+    pj = p**j
+    k0 = pj * (p - 1) // 2
+    modulus = 3 * pj
+    step = pow(2, 2 * k0, modulus)
+
+    def instances():
+        power = 1
+        for alpha in range(alpha_max + 1):
+            e = 2 * k0 * (alpha + 1)
+            power = power * step % modulus
+            factor_mod = (power - 1) % modulus // 3 % pj
+            sides = [(4, 0)] if e > 63 else [(4, 0), (1 << e, ((1 << (e - 1)) - 2) // 3)]
+            values = arith.progression_counts("A3", sides, n_max + 1)
+            for n, (sigma, *direct) in enumerate(chain.from_iterable(zip(*v) for v in values)):
+                inputs = {"p": p, "j": j, "alpha": alpha, "n": n}
+                value_mod = (factor_mod * (sigma % pj)) % pj
+                yield {**inputs, "path": "modular"}, value_mod, 0
+                if direct and 3 * (sides[1][0] * n + sides[1][1]) + 2 < 2**63:
+                    yield {**inputs, "path": "direct"}, direct[0] % pj, value_mod
+
+    checked, failures = 0, []
+    for inputs, lhs, rhs in instances():
+        checked += 1
+        if lhs != rhs:
+            failures.append(identities.Failure(inputs, lhs, rhs))
+    kept = failures[:identities.MAX_FAILURES]
+    return checked, kept, len(failures) - len(kept)
 
 
 @dataclass(frozen=True)

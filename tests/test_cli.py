@@ -210,7 +210,8 @@ def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, 
                                                                         j):
     # 3^5169 is the first power of 3 past XIA_MAX_BITS; at j = 9100 the report's
     # k0 would pass CPython's 4300-digit limit on writing an int in decimal
-    monkeypatch.setattr(identities, "_collect", lambda *args: pytest.fail("an instance ran"))
+    monkeypatch.setattr(arith, "progression_counts",
+                        lambda *args: pytest.fail("a value was read"))
     assert run_cli(capsys, "verify", "xia-conjecture", "--p", "3", "--j", j,
                    "--alphamax", "0", "--nmax", "0")[:2] == (2, "")
 
@@ -220,7 +221,8 @@ def test_xia_conjecture_past_its_ceiling_is_refused_before_any_instance(capsys, 
 def test_xia_conjecture_past_its_instance_ceiling_is_refused_before_any_instance(
         capsys, monkeypatch, argv):
     # at p^j of 2**13 bits, refused before 2^(2k0) mod 3p^j, 1.4 s of work, is built
-    monkeypatch.setattr(identities, "_collect", lambda *args: pytest.fail("an instance ran"))
+    monkeypatch.setattr(arith, "progression_counts",
+                        lambda *args: pytest.fail("a value was read"))
     code, out, err = run_cli(capsys, "verify", "xia-conjecture", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: xia-conjecture-p3-j")

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from core3 import identities
+from core3 import arith, identities
 from core3.arith import pair_count, triple_count
 from core3.identities import (
     SWEEP_MAX_BITS,
@@ -21,6 +21,7 @@ from core3.identities import (
     check_xia_conjecture,
     cross_validate,
 )
+from oracles import xia_conjecture_report
 
 
 def assert_clean(report):
@@ -158,8 +159,8 @@ def test_xia_conjecture_large_prime_builds_no_power():
 
 
 def test_xia_conjecture_reads_one_sieve_per_alpha():
-    # sigma(6n+1) = A3(4n) and the direct sides on 6n+1, sieved once per alpha
-    # instead of two factorizations per n (2.3 s before)
+    # sigma(6n+1) = A3(4n) and the direct sides on 6n+1, one sieve for every
+    # alpha instead of two factorizations per n (2.3 s before)
     start = time.perf_counter()
     report = check_xia_conjecture(3, 1, 1, 100000)
     assert time.perf_counter() - start < 1.0
@@ -187,6 +188,41 @@ def test_xia_conjecture_reduces_one_power_per_alpha():
     start = time.perf_counter()
     assert_clean(check_xia_conjecture(3, 2584, 200, 0))
     assert time.perf_counter() - start < 2.0
+
+
+def test_xia_conjecture_at_its_instance_ceiling_runs_in_bounded_time():
+    # every alpha is read from one sieve, where one sieve call per alpha took
+    # 8.4 s in process on a 2-core Xeon
+    start = time.perf_counter()
+    assert_clean(check_xia_conjecture(3, 1, 2**20, 0))
+    assert time.perf_counter() - start < 5.0
+
+
+def _one_more_at_2_mod_11(original):
+    # every A3 value one too large where its argument is 2 mod 11, whatever
+    # the sides it is read with
+    def wrong(kind, sides, count):
+        lo = 0
+        for values in original(kind, sides, count):
+            yield [[v + ((step * (lo + i) + offset) % 11 == 2) for i, v in enumerate(side)]
+                   for side, (step, offset) in zip(values, sides)]
+            lo += len(values[0])
+    return wrong
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("p, j, alpha_max, n_max",
+                         [(3, 1, 1, 50), (5, 1, 2, 50), (3, 1, 12, 3000)])
+def test_xia_conjecture_report_is_the_oracles(monkeypatch, broken, p, j, alpha_max, n_max):
+    # at (3, 1, 12, 3000) the direct side of e = 60 holds 3 n and that of
+    # e = 54 171, so later windows of 1024 n must read none of them
+    if broken:
+        monkeypatch.setattr(arith, "progression_counts",
+                            _one_more_at_2_mod_11(arith.progression_counts))
+    report = check_xia_conjecture(p, j, alpha_max, n_max)
+    assert (report.checked, report.failures, report.dropped) == xia_conjecture_report(
+        p, j, alpha_max, n_max)
+    assert report.failed > 0 if broken else report.passed
 
 
 @pytest.mark.parametrize("p, j, alpha_max, n_max", [

@@ -53,7 +53,7 @@ def test_non_integral_coefficient_raises():
         _sweep({}, 3, rel)
 
 
-def test_failure_list_keeps_the_first_and_counts_the_rest():
+def test_failure_list_keeps_the_first_and_counts_the_rest(monkeypatch):
     # A3(n) == 2*A3(n) fails at every n, since A3(n) >= 1
     n_max = 10**4
     report = _sweep({"n_max": n_max}, n_max,
@@ -66,8 +66,15 @@ def test_failure_list_keeps_the_first_and_counts_the_rest():
     assert list(data) == ["family", "params", "checked", "failures", "failures_total", "passed"]
     assert data["failures_total"] == n_max + 1
     assert cli._summary_line(report) == f"wrong: checked={n_max + 1} failures={n_max + 1} FAIL"
-    collected = identities._collect("demo", {}, (({"n": n}, 0, 1) for n in range(150)))
-    assert (len(collected.failures), collected.failed) == (identities.MAX_FAILURES, 150)
+    # cross-validate's a3 series lane one too large at n < 150
+    original = routes.table_values
+    monkeypatch.setattr(routes, "table_values", lambda kind, method, *args: [
+        v + (kind == "a3" and method == "series" and n < 150)
+        for n, v in enumerate(original(kind, method, *args))])
+    broken = identities.cross_validate(200)
+    assert (len(broken.failures), broken.failed) == (identities.MAX_FAILURES, 150)
+    assert [f.inputs for f in broken.failures] == [
+        {"kind": "a3", "n": n, "route": "series"} for n in range(identities.MAX_FAILURES)]
     # a report that dropped nothing writes no total
     assert "failures_total" not in _sweep({}, 9, _lin(6)).as_dict()
 
