@@ -18,33 +18,36 @@ classified once, as proved prime by the strong-probable-prime test on the
 power by its exact root, or as composite to be split by Pollard-Brent rho
 within its budget (``_rho_budget``); past either limit factorize refuses with
 ValueError.  ``is_prime`` makes the same decision for one number.  Each
-closed form is stated once, in ``_PROGRESSIONS``: a point count evaluates
-it over ``factorize``, and ``progression_counts`` gives its values at every
-n = A*i + B for several sides (A, B) at once.  ``_form`` is the one
-decomposition of a side, the value a*n + b = g*(alpha*i + beta) with
-alpha*i + beta primitive; ``divisible_terms`` reads off it the i whose value
-a modulus divides.  The sides of one call share one primitive form and are
-read from one segmented sieve over it, or point by point where the sieve's
-primes would cost more than their terms (``_SIEVE_CROSSOVER``).  A table,
-``count_windows``, is the one side A = 1, B = 0; an identity sweep reads
-the sides of several k of one (relation, r) in one call, since every k of
-it lies on one primitive form, and the crossover then weighs the sieve
-against the sides of all of them.
+closed form is stated once, in ``_PROGRESSIONS``, and evaluated in one
+place: ``progression_counts`` gives its values at every n = A*i + B for
+several sides (A, B) at once.  ``_form`` is the one decomposition of a
+side, the value a*n + b = g*(alpha*i + beta) with alpha*i + beta primitive;
+``divisible_terms`` reads off it the i whose value a modulus divides.  The
+sides of one call share one primitive form and are read from one segmented
+sieve over it: by the primes up to the square root of its last term, or by
+none where those primes would cost more than its terms
+(``_SIEVE_CROSSOVER``), each term's remainder then factorized once for
+every side.  A point count is the one side A = 1, B = n of one term, so it
+sieves nothing and factorizes a*n + b once; a table, ``count_windows``, is
+the one side A = 1, B = 0; an identity sweep reads the sides of several k
+of one (relation, r) in one call, since every k of it lies on one
+primitive form.
 """
 
 from collections import namedtuple
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, starmap
 from math import gcd, isqrt, prod
 from operator import floordiv, itemgetter, mul
 
-# kind -> name of its closed-form counter in this module.  Callers look the
-# function up by name when they call it, so rebinding it here reaches them all.
+# kind -> name of its point counter in this module.  Callers look the
+# function up by name when they call it, so rebinding it here reaches every
+# point query; the counters, tables and sweeps all read progression_counts.
 COUNTERS = {"a3": "core_count", "A3": "pair_count", "B3": "triple_count"}
 
 # kind -> (a, b, rule, divisor): the closed form of kind at n is the
 # multiplicative function with value rule(p, e) at p**e, taken at m = a*n + b,
 # divided by divisor.  The rule is named, and looked up at each call, so
-# rebinding it here reaches point counts and tables alike.
+# rebinding it here reaches point counts, tables and sweeps alike.
 _PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
                  "A3": (3, 2, "_sigma_prime_power", 3),
                  "B3": (1, 1, "weighted_divisor_sum_prime_power", 1)}
@@ -68,17 +71,18 @@ _PROGRESSIONS = {"a3": (3, 1, "_core_prime_power", 1),
 # the same sizes at 14.9 MB, in 0.86 and 0.52 s.
 _SIDE_WINDOW = 1 << 10
 # progression_counts sieves a primitive form alpha*i + beta of count terms up
-# to top, read by s sides, when isqrt(top) + _SIEVE_SETUP <=
-# _SIEVE_CROSSOVER * count * s, and takes a point count per term of each side
-# otherwise: the sieve's cost grows with the primes up to sqrt(top) plus a
-# fixed setup, the point path's with the terms of every side.  Measured on a
-# 2-core Xeon by timing both paths on each of the 1126 forms that the verify
-# defaults, both selfcheck batteries, the selfcheck benchmark's enlarged
-# sweeps and small sweeps (nmax 3, 10 and 30) read: with 4 and 32 the small
-# sweeps take 0.5% more than the faster path for every form, and each other
-# set no measurable amount more.  Without the setup term the small sweeps
-# take about 5% more, with 16 or with 6 or 8 for 4 also about 5%, with 2 for
-# 4 about 2%; 64 for 32 is as good, at 0.3-0.4%.
+# to top by the primes up to sqrt(top) when isqrt(top) + _SIEVE_SETUP <=
+# _SIEVE_CROSSOVER * count, else by none, factorizing each term's remainder
+# once: the primes and a fixed setup against the terms, each side's own work
+# being the same either way.  Measured on a 2-core Xeon by timing both modes
+# on each of the 336 calls that the verify defaults, both selfcheck
+# batteries, the selfcheck benchmark's enlarged sweeps and small sweeps
+# (nmax 3, 10 and 30) make, 3 runs: with 4 and 32 the small sweeps take
+# 1.5-3.0% more than the faster mode for every call (3.4-4.9% with the
+# terms weighed by the sides, as when each side factorized each argument;
+# 1.1-2.4% with 16 for 32, or 6 or 8 for 4), the other sets no measurable
+# amount more.  Those refits save about 40 us of the small sweeps' 8 ms, on
+# seven calls of 11 terms that either mode reads in 34-87 us, so 4 and 32 stay.
 _SIEVE_CROSSOVER = 4
 _SIEVE_SETUP = 32
 
@@ -317,14 +321,12 @@ def sigma(n: int) -> int:
 
 
 def _closed_form(kind: str, n: int) -> int:
-    """The closed form of ``kind`` at n, from _PROGRESSIONS: the product of
-    rule(p, e) over the factorization of a*n + b, divided exactly by divisor."""
+    """The closed form of ``kind`` at n: one window of the one side (1, n),
+    of one term, from ``progression_counts``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, b, rule_name, divisor = _PROGRESSIONS[kind]
-    rule = globals()[rule_name]
-    value = prod(rule(p, e) for p, e in factorize(a * n + b).factors)
-    return _side(kind, divisor, [value], (), 1, n, 0)[0]
+    [[[value]]] = progression_counts(kind, [(1, n)], 1)
+    return value
 
 
 def _core_prime_power(p: int, a: int) -> int:
@@ -413,8 +415,8 @@ def progression_counts(kind: str, sides, count: int):
     rule(q, v_q(g) + e) at each term's exponent e of q from a table per
     exponent.  Beyond one window the working memory is the primes up to
     sqrt(top).  Where those primes and the sieve's setup cost more than the
-    terms of the sides (_SIEVE_CROSSOVER), the point counter of ``kind``,
-    looked up by name when called, answers each term instead.
+    terms (_SIEVE_CROSSOVER), no prime but the cofactors' is sieved, and
+    ``factorize`` completes each term's remainder once for every side.
     """
     if count <= 0:
         return
@@ -429,33 +431,24 @@ def progression_counts(kind: str, sides, count: int):
             f"{kind} sides {list(sides)} lie on the primitive forms "
             f"{' and '.join(map(str, forms))}, not one; implementation bug")
     window = _SIDE_WINDOW * max(1, 8 // len(sides))
-    if isqrt(alpha * (count - 1) + beta) + _SIEVE_SETUP > _SIEVE_CROSSOVER * count * len(sides):
-        yield from _point_windows(kind, sides, count, window)
-    else:
-        yield from _sieve_windows(kind, alpha, beta, cofactors, sides, count, window)
-
-
-def _point_windows(kind: str, sides, count: int, window: int):
-    """progression_counts by one point count per term of each side."""
-    counter = globals()[COUNTERS[kind]]
-    for lo in range(0, count, window):
-        terms = range(lo, min(lo + window, count))
-        yield [[counter(step * i + offset) for i in terms] for step, offset in sides]
+    bound = isqrt(alpha * (count - 1) + beta)
+    if bound + _SIEVE_SETUP > _SIEVE_CROSSOVER * count:
+        bound = 0
+    yield from _sieve_windows(kind, alpha, beta, cofactors, sides, count, window, bound)
 
 
 def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: int,
-                   window: int):
+                   window: int, bound: int):
     """progression_counts of the sides at m = g*(alpha*i + beta), g the
     side's entry in ``cofactors``, as one segmented sieve over the primitive
-    form alpha*i + beta."""
+    form alpha*i + beta by the primes up to ``bound``, sqrt(top) or 0."""
     rule_name, divisor = _PROGRESSIONS[kind][2:]
     rule = globals()[rule_name]
     # each prime q of a cofactor -> its exponent in each cofactor
     split = {}
     for j, g in enumerate(cofactors):
-        for q, e in factorize(g).factors:
+        for q, e in factorize(g).factors if g > 1 else ():
             split.setdefault(q, [0] * len(cofactors))[j] = e
-    bound = isqrt(alpha * (count - 1) + beta)
     # per prime p: (stride, first i, value) for each p**k that divides some
     # term below count, where value is rule(p, k), or k for a cofactor prime;
     # each level's terms lie within the level before it, so the first level
@@ -463,7 +456,7 @@ def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: in
     # per side, rule(q, v + e) for the side's exponent v at each e the terms
     # take, 1 where v + e = 0
     primes = []
-    for p in chain(_primes_upto(bound), sorted(q for q in split if q > bound)):
+    for p in chain(_primes_upto(bound) if bound else (), sorted(q for q in split if q > bound)):
         levels = []
         pk, k = p, 1
         while hits := _divisible_terms(alpha, beta, pk, count):
@@ -512,8 +505,14 @@ def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: in
         # caller resumes, so one window is alive while the next is sieved.
         # marks is rebound, not deleted: a window no prime hits never binds it
         factor = marks = None
-        # a product already 0 stays 0 whatever the rule gives: no call for it
-        val = [v * rule(r, 1) if v and r > 1 else v for v, r in zip(val, rem)]
+        if bound:
+            # what is left above 1 is one prime; a product already 0 stays 0
+            # whatever the rule gives: no call for it
+            val = [v * rule(r, 1) if v and r > 1 else v for v, r in zip(val, rem)]
+        else:
+            # no prime sieved but the cofactors': one factorization completes
+            # each term for every side
+            val = [prod(starmap(rule, factorize(r).factors)) for r in rem]
         rem = None
         values = [_side(kind, divisor, val, factors, step, offset, lo)
                   for (step, offset), factors in zip(sides, reads)]

@@ -235,11 +235,11 @@ def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
 
     The instance count is Relation.count, so a sweep that checks nothing
     reads no value.  ``_compare`` reads the sides from
-    ``arith.progression_counts``, looked up when called (as it looks up the
-    point counters), so a tracer's or a test's rebinding of either reaches
-    every sweep.  ``_keep`` keeps the failures in (relation, k, r, n) order.
-    Private, so a tracer wrapping public functions charges the work to the
-    check_* function that asked for it."""
+    ``arith.progression_counts``, looked up when called, as it looks up the
+    prime-power rules of ``arith._PROGRESSIONS``, so a tracer's or a test's
+    rebinding of either reaches every sweep.  ``_keep`` keeps the failures
+    in (relation, k, r, n) order.  Private, so a tracer wrapping public
+    functions charges the work to the check_* function that asked for it."""
     started = time.perf_counter()
     for rel in chain.from_iterable(groups):
         bits = (rel.extent(n_max) or 0).bit_length()

@@ -300,7 +300,12 @@ def test_divisible_terms_are_the_terms_the_modulus_divides(kind, step, offset, m
 _BIG = 10007
 
 
-@pytest.mark.parametrize("one_side_window", _ONE_SIDE_WINDOWS)
+# each window with the sieve, and at crossover 0, where no prime is sieved but
+# the cofactors' and each term's remainder is factorized whole
+@pytest.mark.parametrize(
+    "one_side_window, crossover",
+    [pytest.param(w, float("inf"), id=str(w)) for w in _ONE_SIDE_WINDOWS]
+    + [pytest.param(w, 0, id=f"{w}-no-sieve") for w in _ONE_SIDE_WINDOWS])
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(list(COUNTERS)), st.integers(1, 60), st.integers(1, 10**4),
        st.booleans(),
@@ -314,8 +319,9 @@ _BIG = 10007
 # the first term of 3i + 10007 is the prime 10007, past sqrt(top)
 @example("A3", 1, _BIG, True, [[], [_BIG], [_BIG, _BIG]], 300)
 @example("B3", 1, _BIG, True, [[_BIG], []], 1)
-def test_sides_of_one_primitive_form_share_its_sieve(one_side_window, kind, slope,
-                                                     intercept, big, cofactors, count):
+def test_sides_of_one_primitive_form_share_its_sieve(one_side_window, crossover, kind,
+                                                     slope, intercept, big, cofactors,
+                                                     count):
     # the sides at g*(alpha*i + beta), for one primitive form alpha*i + beta
     # of kind's progression a*n + b and cofactors g made of primes that
     # divide some of its terms, some of them past sqrt(top)
@@ -336,7 +342,9 @@ def test_sides_of_one_primitive_form_share_its_sieve(one_side_window, kind, slop
     side_window = one_side_window // 8
     window = side_window * (8 // len(sides))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arith, "_SIEVE_CROSSOVER", float("inf"))
+        patch.setattr(arith, "_SIEVE_CROSSOVER", crossover)
+        if not crossover:
+            patch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("sieved"))
         patch.setattr(arith, "_SIDE_WINDOW", side_window)
         sieve = arith._sieve_windows
         patch.setattr(arith, "_sieve_windows",

@@ -338,11 +338,12 @@ def test_the_sieve_reads_a_cofactor_prime_where_a_side_lacks_it(broken, monkeypa
     report = _sweep({}, 300, relation)
     assert forms == [(6, 5)]
     assert report.checked == 301 and report.failed == (301 if broken else 0)
+    # with no sieving primes, the sweep reads the same form and report
     with monkeypatch.context() as patch:
         patch.setattr(arith, "_SIEVE_CROSSOVER", 0)
         patch.setattr(arith, "_primes_upto", lambda bound: pytest.fail("a side was sieved"))
         assert _sweep({}, 300, relation) == report
-    assert forms == [(6, 5)]
+    assert forms == [(6, 5), (6, 5)]
 
 
 def test_reports_are_timed_one_by_one():
@@ -422,12 +423,17 @@ def test_registries_look_functions_up_when_called(monkeypatch):
         return original(n, *args)
 
     monkeypatch.setattr(arith, "pair_count", counted)
-    # on the point path the engine reaches the rebound counter, 2 calls per n
+    # with no sieving primes the engine reaches the rebound prime-power rule
+    # at every prime of 4(6n + 5) and 6n + 5, and no point counter
+    primes = set()
+    rule = arith._sigma_prime_power
+    monkeypatch.setattr(arith, "_sigma_prime_power",
+                        lambda p, a: primes.add(p) or rule(p, a))
     monkeypatch.setattr(arith, "_SIEVE_CROSSOVER", 0)
     assert run_family("lin", {"nmax": 3})[0].passed
-    assert len(calls) == 8 and len(sides) == 2
+    assert primes == {2, 5, 11, 17, 23} and not calls and len(sides) == 2
     assert point_value("A3", "formula", 6) == original(6)
-    assert len(calls) == 8 + 1
+    assert len(calls) == 1
     # the formula table route is one count_windows call, not one counter per row
     tables = []
     monkeypatch.setattr(arith, "count_windows",
