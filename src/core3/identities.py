@@ -659,11 +659,12 @@ def selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
 
 
 def wide_battery(k_max: int, n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
-    """``core3 selfcheck --wide``: the same families at wider ranges and more
-    primes, as (family, options) in run order.  Bounds below 1 are refused
-    here, before any family runs; at k_max, n_max >= 1 every entry checks an
-    instance, since each coprime sweep holds m = 0 and m = 1 and no prime
-    divides the progression value at both (2 and 5 for A3, 1 and 2 for B3)."""
+    """``core3 selfcheck --wide``: the same families but ``structural``, at
+    wider ranges and more primes, as (family, options) in run order.  Bounds
+    below 1 are refused here, before any family runs; at k_max, n_max >= 1
+    every entry checks an instance: each coprime sweep holds m = 0 and 1,
+    and no prime divides the progression value at both (2 and 5 for A3, 1
+    and 2 for B3)."""
     if k_max < 1:
         raise routes.UsageError("--kmax must be >= 1")
     if n_max < 1:

@@ -18,8 +18,8 @@ Both indices run over every integer >= 0, so (m, k) -> (k, m) permutes
 the index set of a double sum without changing its value.  Applied to the
 second pair sum it gives the sum of (k+1)*q^((3k+1)(3m+2)), renamed the
 sum of (m+1)*q^((3m+1)(3k+2)): the first sum's lattice, the bijection
-``pair_fold_cross_term`` certifies.  So pairs are one lattice,
-(3m+1)(3k+2) = 3n+2 with weight m+k+1, which halves the points visited.
+``pair_fold_cross_term`` certifies on this route's series.  So pairs are
+one lattice, (3m+1)(3k+2) = 3n+2 with weight m+k+1, halving the points.
 Each core lattice is unchanged by the swap, so only k >= m is visited:
 the diagonal with weight 1, the rest with weight 2.
 
@@ -89,11 +89,6 @@ def _windows(order: int, progressions: list[list]):
         yield window
 
 
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise ValueError("order must be >= 1")
-
-
 def _core_progressions(order: int) -> list[list]:
     """The progressions of the folded single-pole sum of 3-cores."""
     # (3m+1)(3k+1) = 3n+1 at n = m + (3m+1)k, (3m+2)(3k+2) = 3n+1 at
@@ -150,7 +145,8 @@ def tuple_windows(k: int, order: int):
     Bad arguments are refused here, before the first window is asked for."""
     if k not in _TUPLE_PROGRESSIONS:
         raise ValueError("k must be 1, 2 or 3")
-    _check_order(order)
+    if order < 1:
+        raise ValueError("order must be >= 1")
     return _windows(order, _TUPLE_PROGRESSIONS[k](order))
 
 
@@ -160,17 +156,14 @@ def tuple_series(k: int, order: int) -> TruncatedSeries:
 
 
 def pair_fold_cross_term(order: int) -> TruncatedSeries:
-    """The residual double sum of the pair fold; identically zero.
+    """The route's pair series less the two unfolded sums; identically zero.
 
-    Swapping the two summation indices maps one half onto the other, so
-    sum of q^((3m+2)(3k+1)) - q^((3m+1)(3k+2)) cancels term by term.
+    ``tuple_series(2, order)`` puts weight m+k+1 on (3m+1)(3k+2); taken from
+    it, at n = (exponent-2)/3, are m*q^((3m+1)(3k+2)) along n = 2m + (3m+1)k
+    and (m+1)*q^((3m+2)(3k+1)) along n = m + (3m+2)k, for each row m.
     """
-    _check_order(order)
-    coeffs = [0] * order
-    for d in range(2, order, 3):
-        for e in range(d, order, 3 * d):
-            coeffs[e] += 1
-    for d in range(1, order, 3):
-        for e in range(2 * d, order, 3 * d):
-            coeffs[e] -= 1
+    coeffs = list(tuple_series(2, order).coeffs)
+    for m in range(order):  # from m = order on, both rows start past the order
+        for start, step, weight in ((2 * m, 3 * m + 1, m), (m, 3 * m + 2, m + 1)):
+            coeffs[start::step] = map(add, coeffs[start::step], repeat(-weight))
     return TruncatedSeries(coeffs)

@@ -5,22 +5,21 @@ else; every operation preserves the order, so a result is trustworthy for
 exactly the exponents it carries.  Coefficients are native Python integers:
 arithmetic is exact at any magnitude and silent wraparound cannot occur.
 
-The infinite products come from classical identities rather than factor by
-factor: ``pentagonal`` and ``jacobi_cube`` write (q^m; q^m) and its cube
-down term by term (O(sqrt N) nonzero terms each), and ``euler_product``
-sums any (q^a; q^m) in O(N^1.5).  ``div`` by such a sparse divisor is
-O(N^1.5) too: each coefficient gathers the divisor's live terms in C, and
-the +-1 terms of (q; q) are summed with no multiplication.
-``verify_q_split`` and ``square_kernel_check`` test the engine against
-identities that must hold; ``verify structural`` runs them.
+The route's infinite products come from classical identities: ``pentagonal``
+and ``jacobi_cube`` write (q^m; q^m) and its cube down term by term
+(O(sqrt N) nonzero terms each).  ``div`` by such a sparse divisor is
+O(N^1.5): each coefficient gathers the divisor's live terms in C, and the
++-1 terms of (q; q) are summed with no multiplication.  ``euler_product``
+is any (q^a; q^m) by its definition, in O(N^2/m).  ``verify_q_split`` and
+``square_kernel_check`` test the route's code against identities that must
+hold; ``verify structural`` runs them.
 
 All functions here are pure and all series immutable, so concurrent use
 needs no synchronisation.
 """
 
 import operator
-from itertools import accumulate
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 
 
 class TruncatedSeries:
@@ -68,12 +67,12 @@ def one(order: int) -> TruncatedSeries:
     return monomial(order, 0)
 
 
-def monomial(order: int, exponent: int, coeff: int = 1) -> TruncatedSeries:
-    """coeff * q^exponent as a series of the given order."""
+def monomial(order: int, exponent: int) -> TruncatedSeries:
+    """q^exponent as a series of the given order."""
     if not 0 <= exponent < order:
         raise ValueError(f"exponent {exponent} outside 0..{order - 1}")
     coeffs = [0] * order
-    coeffs[exponent] = coeff
+    coeffs[exponent] = 1
     return TruncatedSeries(coeffs)
 
 
@@ -177,42 +176,19 @@ def _gather(indices: list[int]):
 def euler_product(a: int, m: int, order: int) -> TruncatedSeries:
     """Truncation of the infinite product (1-q^a)(1-q^(a+m))(1-q^(a+2m))...
 
-    Expands the product by Euler's identity (Andrews, *The Theory of
-    Partitions*, Cor. 2.2):
-
-        (q^a; q^m)_inf = sum over n >= 0 of
-                         (-1)^n q^(a*n + m*n(n-1)/2) / (q^m; q^m)_n.
-
-    Term n is term n-1 times -q^(a+m(n-1)) / (1-q^(m*n)); dividing by
-    1-q^(m*n) is a running sum along each residue class mod m*n.  Terms
-    whose lowest exponent reaches the order are congruent to 0 modulo
-    q^order, so the truncation is exact.  About sqrt(2*order/m) terms of at
-    most ``order`` coefficients each: O(order^1.5) integer additions, all
-    in slice-wide operations.
-
-    This is the general product that ``verify_q_split`` needs (a != m) and
-    the literal-product reference that ``pentagonal`` and ``jacobi_cube``
-    are tested against; ``core_tuple_series`` uses the sparse builders.
+    By its definition: each factor 1-q^e with e < order is multiplied in by
+    one slice-wide subtraction, c[n] -= c[n-e]; the rest are 1 mod q^order.
+    O(order^2/m) steps in C.  The general product ``verify_q_split`` needs
+    (a != m), and the reference ``pentagonal`` and ``jacobi_cube`` are held to.
     """
     if a < 1 or m < 1:
         raise ValueError("need a >= 1 and m >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = [0] * order
-    total[0] = 1
-    # term[i] is the coefficient of q^(low+i) in q^low / (q^m; q^m)_n; the
-    # sign (-1)^n is applied when the term is added into the total
-    term = total[:]
-    n, low = 1, a  # term n starts at q^(a*n + m*n(n-1)/2)
-    while low < order:
-        term = term[:order - low]
-        step = m * n
-        for r in range(min(step, len(term))):
-            term[r::step] = accumulate(term[r::step])
-        total[low:] = map(sub if n % 2 else add, total[low:], term)
-        low += a + m * n
-        n += 1
-    return TruncatedSeries(total)
+    coeffs = [1] + [0] * (order - 1)
+    for e in range(a, order, m):
+        coeffs[e:] = map(sub, coeffs[e:], coeffs[:order - e])
+    return TruncatedSeries(coeffs)
 
 
 def _check_base(m: int, order: int) -> None:
@@ -295,11 +271,12 @@ def verify_q_split(order: int) -> bool:
     """Check (q;q) == (q;q^3)(q^2;q^3)(q^3;q^3) to the given order.
 
     The three factors split the exponents 1, 2, 3, ... by residue mod 3, so
-    this must hold identically; a False return means a series bug.
+    this must hold identically.  (q;q), (q^3;q^3) and the products are the
+    route's ``pentagonal`` and ``mul``; a False return means a series bug.
     """
-    lhs = euler_product(1, 1, order)
+    lhs = pentagonal(1, order)
     rhs = mul(mul(euler_product(1, 3, order), euler_product(2, 3, order)),
-              euler_product(3, 3, order))
+              pentagonal(3, order))
     return lhs == rhs
 
 

@@ -40,6 +40,15 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: core_count(-1), "n must be >= 0"),
+    (lambda: weighted_divisor_sum_prime_power(2, -1), "k must be >= 0"),
+], ids=["core_count", "weighted_divisor_sum_prime_power"])
+def test_negative_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_factorize_fallback_past_sieve():
     assert factorize(101 * 103).factors == ((101, 1), (103, 1))
     assert factorize(2**40 * 7).factors == ((2, 40), (7, 1))

@@ -108,6 +108,11 @@ def test_B3_general_relation_rejects_p3():
         check_B3_relations(3, 2, 10, coprime_variant=False)
 
 
+def test_B3_relations_reject_a_composite_p():
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        check_B3_relations(4, 2, 10)
+
+
 def test_B3_residue_families():
     for report in check_B3_residue_families(2, 60):
         assert_clean(report)

@@ -9,6 +9,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from core3 import arith, cli, identities, lambert, partitions, routes, series
 from core3.cli import KINDS, METHODS, Config, main, point_value
@@ -485,6 +487,29 @@ def test_structural_square_kernel_reads_the_series_engine(monkeypatch):
         ("q-split", True), ("square-kernel", False), ("pair-fold-cross-term", True)]
 
 
+@pytest.mark.parametrize("module, name, failing", [
+    (series, "pentagonal", "q-split"),
+    (lambert, "tuple_windows", "pair-fold-cross-term"),
+], ids=["q-split", "pair-fold-cross-term"])
+def test_structural_checks_read_their_routes(module, name, failing, monkeypatch):
+    # q-split builds (q;q) and (q^3;q^3) with the series route's builder, and
+    # the pair fold reads the Lambert route's pair series; each sees only its own
+    monkeypatch.setattr(module, name, _off_by_one_at_7(getattr(module, name)))
+    assert [(r.family, r.passed) for r in run_family("structural", {})] == [
+        (family, family != failing)
+        for family in ("q-split", "square-kernel", "pair-fold-cross-term")]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 500))
+@example(2)
+@example(500)
+def test_structural_checks_hold_at_every_order_they_are_run_at(order):
+    # structural_reports runs them at every order from 2 to 500
+    assert series.verify_q_split(order)
+    assert not any(lambert.pair_fold_cross_term(order).coeffs)
+
+
 @pytest.mark.parametrize("run, tables", [
     (lambda: table_values("B3", "brute", 41), 1),
     (lambda: identities.cross_validate(200), 3),
@@ -664,3 +689,10 @@ def test_report_equality_ignores_seconds():
         "b", {}, 1).failures
     with pytest.raises(TypeError):  # mutable, so unhashable, as an eq dataclass is
         hash(report)
+
+
+def test_report_is_unequal_to_a_non_report_and_shows_its_fields():
+    report = identities.IdentityReport("demo", {"n_max": 3}, 4, [], 0.5, 1)
+    assert report != object() and report != report.as_dict()
+    assert repr(report) == ("IdentityReport(family='demo', params={'n_max': 3}, checked=4, "
+                            "failures=[], seconds=0.5, dropped=1)")

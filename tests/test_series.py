@@ -9,9 +9,11 @@ from core3.series import (
     euler_product,
     from_coeffs,
     jacobi_cube,
+    monomial,
     mul,
     one,
     pentagonal,
+    square_kernel_check,
     verify_q_split,
 )
 from oracles import enumerate_partitions, long_division
@@ -90,6 +92,16 @@ def test_order_and_indexing():
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries(())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: monomial(3, 3), "exponent 3 outside 0..2"),
+    (lambda: from_coeffs([1, 2, 3], 2), "more coefficients than the requested order"),
+    (lambda: square_kernel_check(1), "order must be >= 2"),
+], ids=["monomial", "from_coeffs", "square_kernel_check"])
+def test_series_beyond_their_order_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_series_is_a_tuple_container():
