@@ -114,15 +114,15 @@ def _cmd_selfcheck(args, cfg: Config) -> int:
     from .identities import run_family, selfcheck_battery, wide_battery
 
     if args.wide:
-        battery = wide_battery(4 if args.kmax is None else args.kmax, args.nmax,
-                               cfg.brute_cap)
+        battery = wide_battery(4 if args.kmax is None else args.kmax, args.nmax)
     elif args.kmax is not None:
         raise UsageError("--kmax needs --wide")
     else:
-        battery = selfcheck_battery(args.nmax, cfg.brute_cap)
+        battery = selfcheck_battery(args.nmax)
     # every report before any line, so that a family refused partway through
-    # the battery leaves stdout empty, as verify does
-    reports = [report for family, options in battery for report in run_family(family, options)]
+    # the battery leaves stdout empty, as verify does; the brute cap is run-wide
+    reports = [report for family, options in battery
+               for report in run_family(family, {**options, "brute_cap": cfg.brute_cap})]
     failed = 0
     for report in reports:
         status = "PASS" if report.passed else "FAIL"

@@ -10,10 +10,11 @@ purpose rather than skipped.
 All families but Xia's conjecture, the route cross-validation and the
 structural checks are data: a Relation per identity, run by one evaluator.
 Every sweep reads its counts from ``arith.progression_counts``, Xia's too,
-every alpha from one call.  Each report but the structural ones counts its
-instances before it reads a value, and compares value lists by one rule,
-``_keep``.  The ``verify`` family registry closes the module, with the two
-batteries of ``core3 selfcheck`` as lists of its entries.
+every alpha from one call.  One driver, ``_report``, builds every report: it
+takes the instance count, found before any value is read, and a generator of
+value-list comparisons, which it compares by one rule, ``_keep``.  The
+``verify`` family registry closes the module; the two batteries of ``core3
+selfcheck`` are lists of its entries, given the brute-force cap run-wide.
 
 Only ``structural_reports`` runs the series and Lambert engines, so only it
 imports them; the records are ``collections.namedtuple``s, not ``typing``'s.
@@ -180,10 +181,37 @@ def _keep(kept: list, lhs: list, rhs: list, failure) -> int:
     return len(bad)
 
 
-def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
-    """The number of failing instances of ``rel``, the relation at ``position``
-    in its report, each kept by ``_keep`` under the key (position, e, n), e
-    the index of the (k, r) in sweep order.
+def _report(family: str, params: dict, checked: int, comparisons) -> IdentityReport:
+    """The report of ``checked`` instances whose value lists ``comparisons``
+    yields as (lhs, rhs, failure) triples, each compared by ``_keep`` before
+    the next is asked for; its seconds run over the comparisons' work."""
+    started = time.perf_counter()
+    kept, failed = [], 0
+    for lhs, rhs, failure in comparisons:
+        failed += _keep(kept, lhs, rhs, failure)
+        # let the window go before the next one is read
+        lhs = rhs = None
+    return IdentityReport(family, params, checked, [f for _, f in kept],
+                          time.perf_counter() - started, failed - len(kept))
+
+
+def _check_instances(families: str, checked: int) -> None:
+    """Refuse ``families``, as a whole, past SWEEP_MAX_INSTANCES instances."""
+    if checked > SWEEP_MAX_INSTANCES:
+        raise ValueError(f"{families} would check {checked} instances, past the sweep "
+                         f"ceiling of {SWEEP_MAX_INSTANCES} instances")
+
+
+def _at_least(flag: str, value: int, least: int) -> None:
+    """Refuse a ``--flag`` value below ``least``, in the command line's words."""
+    if value < least:
+        raise routes.UsageError(f"--{flag} must be >= {least}")
+
+
+def _compare(rel: Relation, position: int, n_max: int):
+    """The comparisons of ``rel``, the relation at ``position`` in its report,
+    for ``_report``: one per (k, r) and window, each failure keyed (position,
+    e, n), e the index of the (k, r) in sweep order.
 
     The sides of up to _KS_PER_CALL ks at one residue are read in one call
     of ``arith.progression_counts``, which sizes its windows by the number
@@ -191,7 +219,6 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
     residues = len(rel.residues)
     skipped = [rel.skipped(r, n_max) for r in rel.residues]
     walk = enumerate(rel.sides())
-    failed = 0
     # the (k, r) of _KS_PER_CALL ks at every residue, walked once, in sweep order
     for chunk in iter(lambda: list(islice(walk, _KS_PER_CALL * residues)), []):
         for at_r in range(residues):
@@ -218,20 +245,18 @@ def _compare(rel: Relation, position: int, n_max: int, kept: list) -> int:
                     skip = skipped[at_r]
                     for n in skip[bisect_left(skip, lo):bisect_left(skip, lo + len(lhs))]:
                         rhs[n - lo] = lhs[n - lo]
-                    failed += _keep(kept, lhs, rhs, lambda i: (
-                        (position, e, lo + i), {**labels, "n": lo + i}))
+                    yield lhs, rhs, lambda i: ((position, e, lo + i), {**labels, "n": lo + i})
                 lo += len(values[0])
                 # let the window go before the next one is sieved
                 values = lhs = rhs = None
-    return failed
 
 
 def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
-    """One timed report per group of relations, over every instance of its
-    relations in order; each report's seconds run from the end of the one
-    before it.  Before any is swept, a relation whose ``extent`` is past
-    SWEEP_MAX_BITS bits, and then groups of more than SWEEP_MAX_INSTANCES
-    instances in all, are refused with ValueError: a family as a whole.
+    """One report per group of relations, by ``_report``, over every instance
+    of its relations in order.  Before any is swept, a relation whose
+    ``extent`` is past SWEEP_MAX_BITS bits, and then groups of more than
+    SWEEP_MAX_INSTANCES instances in all, are refused with ValueError: a
+    family as a whole.
 
     The instance count is Relation.count, so a sweep that checks nothing
     reads no value.  ``_compare`` reads the sides from
@@ -240,37 +265,22 @@ def _sweeps(params: dict, n_max: int, groups) -> list[IdentityReport]:
     rebinding of either reaches every sweep.  ``_keep`` keeps the failures
     in (relation, k, r, n) order.  Private, so a tracer wrapping public
     functions charges the work to the check_* function that asked for it."""
-    started = time.perf_counter()
     for rel in chain.from_iterable(groups):
         bits = (rel.extent(n_max) or 0).bit_length()
         if bits > SWEEP_MAX_BITS:
             raise ValueError(f"{rel.family} reads an argument of {bits} bits, past the "
                              f"sweep ceiling of {SWEEP_MAX_BITS} bits")
     counts = [sum(rel.count(n_max) for rel in relations) for relations in groups]
-    if sum(counts) > SWEEP_MAX_INSTANCES:
-        raise ValueError(f"{', '.join(relations[0].family for relations in groups)} would "
-                         f"check {sum(counts)} instances, past the sweep ceiling of "
-                         f"{SWEEP_MAX_INSTANCES} instances")
-    reports = []
-    for relations, checked in zip(groups, counts):
-        kept = []
-        failed = sum(_compare(rel, position, n_max, kept)
-                     for position, rel in enumerate(relations if checked else ()))
-        reports.append(_report(relations[0].family, params, checked, kept, failed, started))
-        started = time.perf_counter()
-    return reports
+    _check_instances(", ".join(relations[0].family for relations in groups), sum(counts))
+    return [_report(relations[0].family, params, checked, chain.from_iterable(
+                _compare(rel, position, n_max)
+                for position, rel in enumerate(relations if checked else ())))
+            for relations, checked in zip(groups, counts)]
 
 
 def _sweep(params: dict, n_max: int, *relations: Relation) -> IdentityReport:
-    """One timed report over every instance of the relations, in order: ``_sweeps``."""
+    """One report over every instance of the relations, in order: ``_sweeps``."""
     return _sweeps(params, n_max, [relations])[0]
-
-
-def _report(family: str, params: dict, checked: int, kept: list, failed: int,
-            started: float) -> IdentityReport:
-    """The report of ``failed`` of ``checked`` instances, ``kept`` by ``_keep``."""
-    return IdentityReport(family, params, checked, [f for _, f in kept],
-                          time.perf_counter() - started, failed - len(kept))
 
 
 def _exact(numerator: int, denominator: int) -> int:
@@ -324,8 +334,7 @@ def _relation(kind: str, terms, p: int, k_max: int, n_max: int,
               coprime: bool) -> IdentityReport:
     """One variant of a relation theorem.  The coprime one holds where p does
     not divide the progression value of m, and B3's at p = 3 for every m."""
-    if k_max < 0:
-        raise ValueError("--kmax must be >= 0")
+    _at_least("kmax", k_max, 0)
     variant = "coprime" if coprime else "general"
     return _sweep({"p": p, "k_max": k_max, "n_max": n_max, "variant": variant}, n_max,
                   Relation(f"{kind}-relation-{variant}-p{p}", kind, terms(p, coprime),
@@ -335,8 +344,7 @@ def _relation(kind: str, terms, p: int, k_max: int, n_max: int,
 
 def _residues(kind: str, terms, classes, k_max: int, n_max: int) -> list[IdentityReport]:
     """The coprime relation at each p, swept over m = p*n + r for r in its classes."""
-    if k_max < 0:
-        raise ValueError("--kmax must be >= 0")
+    _at_least("kmax", k_max, 0)
     params = {"k_max": k_max, "n_max": n_max}
     return _sweeps(params, n_max, [(Relation(f"{kind}-residues-{p}", kind, terms(p, True),
                                              range(k_max + 1), residues=residues, base=p),)
@@ -347,8 +355,7 @@ def check_a3_even_power(p: int, k_max: int, n_max: int) -> IdentityReport:
     """a3(p^k*n + (p^k-1)/3) == a3(n) for p prime, p = 2 mod 3, k even."""
     if not arith.is_prime(p) or p % 3 != 2:
         raise ValueError(f"p must be a prime congruent to 2 mod 3, got {p}")
-    if k_max < 2:
-        raise ValueError("--kmax must be >= 2")
+    _at_least("kmax", k_max, 2)
     return _sweep({"p": p, "k_max": k_max, "n_max": n_max}, n_max, Relation(
         f"a3-even-power-p{p}", "a3",
         lambda k, r: ((p**k, _exact(p**k - 1, 3)), ((1, 1, 0),)),
@@ -363,8 +370,7 @@ def check_baruah_nath(k_max: int, n_max: int) -> list[IdentityReport]:
             == (2^(2k+2)-1)/3 * A3(4n+2) - (2^(2k+2)-4)/3 * A3(n).
     BN-3: A3(2^(2k+1)*n + (5*2^(2k)-2)/3) == (2^(2k+1)-1) * A3(2n+1).
     """
-    if k_max < 1:
-        raise ValueError("--kmax must be >= 1")
+    _at_least("kmax", k_max, 1)
     params = {"k_max": k_max, "n_max": n_max}
     families = (
         lambda k, r: ((4 ** (k + 1), _exact(2 * (4**k - 1), 3)),
@@ -417,8 +423,7 @@ def check_b3_power_families(k_max: int, n_max: int) -> list[IdentityReport]:
             == (2^(2k+2)+(-1)^k)/5 * B3(2n+1) + (2^(2k+2)-4(-1)^k)/5 * B3(n),
           the general relation at p = 2, taken at k+1.
     """
-    if k_max < 1:
-        raise ValueError("--kmax must be >= 1")
+    _at_least("kmax", k_max, 1)
     params = {"k_max": k_max, "n_max": n_max}
     general_2 = _B3_terms(2, coprime=False)
     families = (_B3_terms(3, coprime=True),
@@ -481,8 +486,7 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     if not arith.is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     for flag, value, least in (("j", j, 1), ("alphamax", alpha_max, 0), ("nmax", n_max, 0)):
-        if value < least:
-            raise ValueError(f"--{flag} must be >= {least}")
+        _at_least(flag, value, least)
     # j * (bits of p, less one) bounds p^j's bits from below without building it
     if j * (p.bit_length() - 1) > XIA_MAX_BITS or (pj := p**j).bit_length() > XIA_MAX_BITS:
         raise ValueError(f"p^j = {p}^{j} is past this check's ceiling of {XIA_MAX_BITS} bits")
@@ -494,35 +498,35 @@ def check_xia_conjecture(p: int, j: int, alpha_max: int, n_max: int) -> Identity
     es = range(2 * k0, 64, 2 * k0)[:alpha_max + 1]
     tops = [min(n_max + 1, ((1 << 64 - e) + 4) // 6) for e in es]
     checked = (alpha_max + 1) * (n_max + 1) + sum(tops)
-    if checked > SWEEP_MAX_INSTANCES:
-        raise ValueError(f"{family} would check {checked} instances, past the sweep "
-                         f"ceiling of {SWEEP_MAX_INSTANCES} instances")
-    started = time.perf_counter()
-    step = pow(2, 2 * k0, modulus)
-    # A3(4n), then A3 at each direct argument 2^e*n + (2^(e-1)-2)/3
-    sides = [(4, 0), *((1 << e, ((1 << e - 1) - 2) // 3) for e in es)]
-    inputs, kept, failed, lo = {"p": p, "j": j}, [], 0, 0
-    for sigma, *direct in arith.progression_counts("A3", sides, n_max + 1):
-        sigma = [v % pj for v in sigma]
-        power = 1
-        for alpha in range(alpha_max + 1):
-            # 2^e mod 3p^j: 3 | 2^e - 1 because e is even, and 3 | modulus keeps that visible
-            power = power * step % modulus
-            factor_mod = (power - 1) % modulus // 3 % pj
-            value_mod = [factor_mod * v % pj for v in sigma]
-            failed += _keep(kept, value_mod, [0] * len(sigma), lambda i: (
-                (alpha, lo + i, 0), {**inputs, "alpha": alpha, "n": lo + i, "path": "modular"}))
-            if alpha < len(direct):
-                # a window that starts past the side's last n reads none of it
-                top = max(0, tops[alpha] - lo)
-                failed += _keep(kept, [v % pj for v in direct[alpha][:top]], value_mod[:top],
-                                lambda i: ((alpha, lo + i, 1), {**inputs, "alpha": alpha,
-                                                                "n": lo + i, "path": "direct"}))
-        lo += len(sigma)
-        # let the window go before the next one is sieved
-        sigma = direct = None
+    _check_instances(family, checked)
+
+    def keyed(alpha, lo, path):  # a window's failures keyed (alpha, n, path), modular first
+        return lambda i: ((alpha, lo + i, path), {"p": p, "j": j, "alpha": alpha, "n": lo + i,
+                                                  "path": ("modular", "direct")[path]})
+
+    def comparisons():
+        step = pow(2, 2 * k0, modulus)
+        # A3(4n), then A3 at each direct argument 2^e*n + (2^(e-1)-2)/3
+        sides = [(4, 0), *((1 << e, ((1 << e - 1) - 2) // 3) for e in es)]
+        lo = 0
+        for sigma, *direct in arith.progression_counts("A3", sides, n_max + 1):
+            sigma = [v % pj for v in sigma]
+            power = 1
+            for alpha in range(alpha_max + 1):
+                # 2^e mod 3p^j: 3 | 2^e - 1 because e is even, and 3 | modulus keeps that visible
+                power = power * step % modulus
+                factor_mod = (power - 1) % modulus // 3 % pj
+                modular = [factor_mod * v % pj for v in sigma]
+                yield modular, [0] * len(sigma), keyed(alpha, lo, 0)
+                if alpha < len(direct):
+                    # a window that starts past the side's last n reads none of it
+                    top = max(0, tops[alpha] - lo)
+                    yield [v % pj for v in direct[alpha][:top]], modular[:top], keyed(alpha, lo, 1)
+            lo += len(sigma)
+            # let the window go before the next one is sieved
+            sigma = direct = None
     return _report(family, {"p": p, "j": j, "k0": k0, "alpha_max": alpha_max, "n_max": n_max},
-                   checked, kept, failed, started)
+                   checked, comparisons())
 
 
 def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> IdentityReport:
@@ -535,24 +539,22 @@ def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> Ide
     for every n < n_max, brute force while n is within its cap.  An n_max
     past the series route's ceiling is refused before any lane is built.
     """
-    if n_max < 1:
-        raise ValueError("--nmax must be >= 1")
+    _at_least("nmax", n_max, 1)
     if n_max > routes.MAX_SERIES_ORDER:
         raise ValueError(f"--nmax must be at most {routes.MAX_SERIES_ORDER}, the series "
                          f"route's ceiling, got {n_max}")
     cfg = routes.Config(order=n_max, brute_cap=brute_cap)
     sizes = {method: min(n_max, brute_cap + 1) if method == "brute" else n_max
              for method in routes.METHODS if method != "formula"}
-    started = time.perf_counter()
-    kept, failed = [], 0
-    for at_kind, kind in enumerate(routes.KINDS):
-        reference = routes.table_values(kind, "formula", n_max, cfg)
-        for at_route, (method, size) in enumerate(sizes.items()):
-            failed += _keep(kept, routes.table_values(kind, method, size, cfg),
-                            reference[:size], lambda n: (
-                                (at_kind, n, at_route), {"kind": kind, "n": n, "route": method}))
+
+    def comparisons():
+        for at_kind, kind in enumerate(routes.KINDS):
+            reference = routes.table_values(kind, "formula", n_max, cfg)
+            for at_route, (method, size) in enumerate(sizes.items()):
+                yield routes.table_values(kind, method, size, cfg), reference[:size], lambda n: (
+                    (at_kind, n, at_route), {"kind": kind, "n": n, "route": method})
     return _report("cross-validate", {"n_max": n_max, "brute_cap": brute_cap},
-                   len(routes.KINDS) * sum(sizes.values()), kept, failed, started)
+                   len(routes.KINDS) * sum(sizes.values()), comparisons())
 
 
 def structural_reports(n_max: int) -> list[IdentityReport]:
@@ -561,28 +563,27 @@ def structural_reports(n_max: int) -> list[IdentityReport]:
     cross term, at order min(n_max, 500), at least 2."""
     from . import lambert, series  # here, so that no other family loads either engine
 
+    def compared(check, params):
+        # run when _report asks: a failed check reads 0 against 1, under its params
+        yield [int(check())], [1], lambda i: (i, params)
+
     order = max(2, min(n_max, 500))
-    reports = []
-    for family, params, check in (
-            ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
-            ("square-kernel", {"order": 100}, lambda: series.square_kernel_check(100)),
-            ("pair-fold-cross-term", {"order": order},
-             lambda: not any(lambert.pair_fold_cross_term(order).coeffs))):
-        started = time.perf_counter()
-        failures = [] if check() else [Failure(params, 0, 1)]
-        reports.append(IdentityReport(family, params, 1, failures, time.perf_counter() - started))
-    return reports
+    return [_report(family, params, 1, compared(check, params)) for family, params, check in (
+        ("q-split", {"order": order}, lambda: series.verify_q_split(order)),
+        ("square-kernel", {"order": 100}, lambda: series.square_kernel_check(100)),
+        ("pair-fold-cross-term", {"order": order},
+         lambda: not any(lambert.pair_fold_cross_term(order).coeffs)))]
 
 
 # --- the family registry and its two batteries, read by cli and the tests ---
 # run_family looks each check up by name when called, so a tracer's rebinding reaches it
 
-Family = namedtuple("Family", ("check", "defaults"))
-Family.__doc__ = "A ``verify`` family: the check it runs, and its options' defaults in order."
+Family = namedtuple("Family", ("check", "defaults", "fixed"), defaults=((),))
+Family.__doc__ = "A ``verify`` family: its check, its options' defaults in order, its fixed args."
 
 
 def _relation_family(check: str, coprime: bool) -> Family:
-    return Family(check, {"p": 5, "kmax": 4, "nmax": 200, "coprime_variant": coprime})
+    return Family(check, {"p": 5, "kmax": 4, "nmax": 200}, (coprime,))
 
 
 FAMILIES = {
@@ -619,12 +620,11 @@ def run_family(name: str, options: dict) -> list[IdentityReport]:
     for option in options:
         if option not in family.defaults and option != "brute_cap":
             raise routes.UsageError(f"family {name!r} takes no --{option}")
-    if options.get("nmax", 0) < 0:
-        raise routes.UsageError("--nmax must be >= 0")
+    _at_least("nmax", options.get("nmax", 0), 0)
     if "brute_cap" in options:  # refused as the CLI does, even where the family drops it
         routes.Config(brute_cap=options["brute_cap"])
     args = [options.get(option, default) for option, default in family.defaults.items()]
-    reports = globals()[family.check](*args)
+    reports = globals()[family.check](*args, *family.fixed)
     reports = reports if isinstance(reports, list) else [reports]
     for report in reports:
         if report.checked == 0:
@@ -632,15 +632,15 @@ def run_family(name: str, options: dict) -> list[IdentityReport]:
     return reports
 
 
-def selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
+def selfcheck_battery(n_max: int) -> list[tuple[str, dict]]:
     """``core3 selfcheck``: (family, options) in run order, every family a
-    registered verify name.  An n_max below 1 is refused here, before any
-    family runs: at n_max = 0 the coprime sweep at p = 2 checks nothing."""
-    if n_max < 1:
-        raise routes.UsageError("--nmax must be >= 1")
+    registered verify name, the brute-force cap left to ``run_family``.  An
+    n_max below 1 is refused here, before any family runs: at n_max = 0 the
+    coprime sweep at p = 2 checks nothing."""
+    _at_least("nmax", n_max, 1)
     n = min(n_max, 200)
     return [
-        ("cross-validate", {"nmax": n_max, "brute_cap": brute_cap}),
+        ("cross-validate", {"nmax": n_max}),
         ("structural", {"nmax": n_max}),
         *(("a3-even-power", {"p": p, "kmax": 4, "nmax": n}) for p in (2, 5)),
         ("BN", {"kmax": 3, "nmax": n}),
@@ -658,20 +658,18 @@ def selfcheck_battery(n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
     ]
 
 
-def wide_battery(k_max: int, n_max: int, brute_cap: int) -> list[tuple[str, dict]]:
+def wide_battery(k_max: int, n_max: int) -> list[tuple[str, dict]]:
     """``core3 selfcheck --wide``: the same families but ``structural``, at
     wider ranges and more primes, as (family, options) in run order.  Bounds
     below 1 are refused here, before any family runs; at k_max, n_max >= 1
     every entry checks an instance: each coprime sweep holds m = 0 and 1,
     and no prime divides the progression value at both (2 and 5 for A3, 1
     and 2 for B3)."""
-    if k_max < 1:
-        raise routes.UsageError("--kmax must be >= 1")
-    if n_max < 1:
-        raise routes.UsageError("--nmax must be >= 1")
+    _at_least("kmax", k_max, 1)
+    _at_least("nmax", n_max, 1)
     wide = {"kmax": k_max, "nmax": n_max}
     return [
-        ("cross-validate", {"nmax": 2000, "brute_cap": brute_cap}),
+        ("cross-validate", {"nmax": 2000}),
         *(("a3-even-power", {"p": p, "kmax": 2 * k_max, "nmax": n_max}) for p in (2, 5, 11)),
         ("BN", {"kmax": k_max + 1, "nmax": n_max}),
         ("lin", {"nmax": 500}),

@@ -25,6 +25,15 @@ MAX_BRUTE_CAP = partitions.DEFAULT_CAP
 # 2.8/6.3/9.0 s and 22/34/34 MB at 2*10^5 (medians of 3; runs vary by 20%).  cross_validate(10^5) needs 10^5
 # terms; the Lambert route computes the same tables window by window.
 MAX_SERIES_ORDER = 200_000
+# the most terms any table reads, a Lambert point query's too; a formula point
+# query has none.  Before its first row a formula table sieves by every prime
+# up to sqrt(3N), and a Lambert table builds about 2*sqrt(N/3) progressions.
+# End to end on a 2-core Xeon (`compute A3 6`: 13.9 MB), the a3/A3/B3 tables
+# reach their first row at N = 10^10 in 0.2/0.2/0.2 s at 21/22/19 MB of RSS by
+# formula and 0.5/0.2/0.5 s at 62/41/75 MB by Lambert; at 10^11 the Lambert
+# ones take 1.5/0.7/2.0 s at 168/99/205 MB.  The largest power of ten within
+# 64 MB of a point query on both routes.
+MAX_TABLE_TERMS = 10**10
 
 
 class UsageError(ValueError):
@@ -66,11 +75,14 @@ def _check_route(kind: str, method: str) -> None:
 
 
 def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
-    """Refuse a request whose largest n, ``top``, is past the method's budget."""
+    """Refuse a request whose largest n, ``top``, is past MAX_TABLE_TERMS or
+    the method's budget."""
+    if top >= MAX_TABLE_TERMS:
+        raise UsageError(f"{what} exceeds the table ceiling of {MAX_TABLE_TERMS} terms")
     if method == "series" and top >= MAX_SERIES_ORDER:
         raise UsageError(
             f"{what} exceeds the series route's ceiling of {MAX_SERIES_ORDER} terms; "
-            "--method lambert streams the same table")
+            f"--method lambert --order {top + 1} streams the same table")
     if method in ("series", "lambert") and top >= cfg.order:
         raise UsageError(
             f"{what} exceeds the series order budget {cfg.order}; raise --order")

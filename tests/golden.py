@@ -23,7 +23,7 @@ from unittest import mock
 
 from core3 import cli
 from core3.identities import FAMILIES
-from core3.routes import KINDS, MAX_SERIES_ORDER, METHODS
+from core3.routes import KINDS, MAX_SERIES_ORDER, MAX_TABLE_TERMS, METHODS
 
 CORPUS = Path(__file__).with_name("golden.json")
 # an output shorter than this is stored whole, so that a mismatch shows a diff
@@ -114,6 +114,14 @@ def argvs() -> list[list[str]]:
           "--order", str(MAX_SERIES_ORDER + 1)],
          ["verify", "cross-validate", "--nmax", str(MAX_SERIES_ORDER + 1)],
          ["selfcheck", "--nmax", str(MAX_SERIES_ORDER + 1)]],
+        # refusals at the table ceiling, before any sieve or progression, on
+        # both streamed routes; a formula point query has no such ceiling
+        [*(["table", kind, "--nmax", str(n), *lambert]
+           for kind, n in (("A3", MAX_TABLE_TERMS + 1), ("a3", 10**16))
+           for lambert in ([], ["--method", "lambert", "--order", str(n)])),
+         ["compute", "B3", str(MAX_TABLE_TERMS), "--method", "lambert",
+          "--order", str(MAX_TABLE_TERMS + 1)],
+         ["compute", "A3", str(MAX_TABLE_TERMS)]],
         # refusals at the sweep and Xia ceilings, before any instance
         [*(["verify", *args, "--nmax", "0"] for args in (
             ["BN", "--kmax", str(10**12)], ["relation-general", "--p", "5", "--kmax", "3000"],

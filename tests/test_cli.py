@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import pstats
+import re
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import golden
 from core3 import arith, cli, identities, lambert, routes, series
 from core3.cli import KINDS, METHODS, Config, UsageError, main
-from core3.routes import MAX_SERIES_ORDER
+from core3.routes import MAX_SERIES_ORDER, MAX_TABLE_TERMS
 
 CORPUS = golden.load()
 
@@ -172,6 +173,57 @@ def test_series_route_past_its_ceiling_is_refused_before_it_starts(capsys, monke
     with pytest.raises(UsageError, match=f"ceiling of {MAX_SERIES_ORDER} terms"):
         routes.table_values("a3", "series", MAX_SERIES_ORDER + 1,
                             Config(order=MAX_SERIES_ORDER + 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "B3", "--nmax", str(MAX_SERIES_ORDER + 1)],
+    ["compute", "B3", str(MAX_SERIES_ORDER)],
+], ids=["table", "compute"])
+def test_the_series_ceiling_hint_runs(capsys, argv):
+    # the hint names the --order that the Lambert route needs for the request
+    order = str(MAX_SERIES_ORDER + 1)
+    code, out, err = run_cli(capsys, *argv, "--method", "series", "--order", order)
+    assert (code, out) == (2, "")
+    hint = re.search(r"; (--method lambert --order \d+) streams the same table\n$", err)
+    code, out, err = run_cli(capsys, *argv, *hint.group(1).split())
+    assert (code, err) == (0, "")
+    last = arith.triple_count(MAX_SERIES_ORDER)
+    if argv[0] == "table":
+        assert out.count("\n") == MAX_SERIES_ORDER + 2
+        assert out.endswith(f"\nB3,{MAX_SERIES_ORDER},{last},lambert\n")
+    else:
+        assert json.loads(out)["value"] == str(last)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "A3", "--nmax", str(MAX_TABLE_TERMS + 1)],
+    ["table", "a3", "--nmax", str(10**16), "--format", "jsonl"],
+    ["table", "B3", "--nmax", str(10**16), "--method", "lambert", "--order", str(10**16)],
+    ["compute", "A3", str(MAX_TABLE_TERMS), "--method", "lambert",
+     "--order", str(MAX_TABLE_TERMS + 1)],
+], ids=["formula", "formula-1e16", "lambert-1e16", "lambert-point"])
+def test_requests_past_the_table_ceiling_are_refused_before_any_window(capsys, monkeypatch,
+                                                                       argv):
+    for module, name in ((arith, "count_windows"), (lambert, "tuple_windows")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"error: [^\n]* exceeds the table ceiling of {MAX_TABLE_TERMS} terms\n",
+                        err)
+
+
+def test_the_table_ceiling_admits_a_table_of_its_size(monkeypatch):
+    # each stub window holds the size it was asked for
+    monkeypatch.setattr(arith, "count_windows", lambda kind, n_max: iter([[n_max]]))
+    monkeypatch.setattr(lambert, "tuple_windows", lambda k, order: iter([[order]]))
+    cfg = Config(order=MAX_TABLE_TERMS)
+    for method in ("formula", "lambert"):
+        assert routes.table_values("A3", method, MAX_TABLE_TERMS, cfg) == [MAX_TABLE_TERMS]
+    assert routes.point_value("A3", "lambert", MAX_TABLE_TERMS - 1, cfg) == MAX_TABLE_TERMS
+    # a formula point query has no ceiling
+    assert routes.point_value("A3", "formula", 10**20) == arith.pair_count(10**20)
 
 
 @pytest.mark.parametrize("argv", [

@@ -134,7 +134,7 @@ def test_a_sweep_that_checks_nothing_reads_no_value(capsys, monkeypatch):
 # battery runs it: all of them read arith.progression_counts
 _SWEEPS = [(name, {}) for name in FAMILIES
            if name not in ("cross-validate", "structural", "xia-conjecture")]
-_SWEEPS += [(name, options) for name, options in identities.selfcheck_battery(200, 40)
+_SWEEPS += [(name, options) for name, options in identities.selfcheck_battery(200)
             if name not in ("cross-validate", "structural", "xia-conjecture")]
 
 
@@ -194,7 +194,7 @@ def test_every_k_of_each_relation_residue_shares_one_primitive_form(monkeypatch)
         return progression_counts(kind, sides, count)
 
     monkeypatch.setattr(arith, "progression_counts", logged)
-    wide = [(name, options) for name, options in identities.wide_battery(4, 5, 40)
+    wide = [(name, options) for name, options in identities.wide_battery(4, 5)
             if name not in ("cross-validate", "structural", "xia-conjecture")]
     for name, options in _SWEEPS + wide:
         run_family(name, options)
@@ -366,9 +366,21 @@ def test_every_family_verifies(family, capsys):
     assert payload["reports"] and all(r["passed"] for r in payload["reports"])
 
 
+def test_the_registry_name_decides_the_relation_variant():
+    # the variant is fixed by the family's name, not an option a caller passes
+    with pytest.raises(routes.UsageError,
+                       match="^family 'relation-general' takes no --coprime_variant$"):
+        run_family("relation-general", {"coprime_variant": True})
+    assert [r.family for name in ("relation-general", "relation-coprime",
+                                  "B3-relation-general", "B3-relation-coprime")
+            for r in run_family(name, {"kmax": 1, "nmax": 3})] == [
+        "A3-relation-general-p5", "A3-relation-coprime-p5",
+        "B3-relation-general-p5", "B3-relation-coprime-p5"]
+
+
 def test_batteries_name_registered_families_and_options():
-    batteries = {"selfcheck": identities.selfcheck_battery(200, 40),
-                 "wide": identities.wide_battery(4, 200, 40)}
+    batteries = {"selfcheck": identities.selfcheck_battery(200),
+                 "wide": identities.wide_battery(4, 200)}
     for name, battery in batteries.items():
         for family, options in battery:
             assert family in FAMILIES, (name, family)
@@ -485,6 +497,15 @@ def test_structural_square_kernel_reads_the_series_engine(monkeypatch):
     monkeypatch.setattr(series, "div", _off_by_one_at_7(series.div))
     assert [(r.family, r.passed) for r in run_family("structural", {})] == [
         ("q-split", True), ("square-kernel", False), ("pair-fold-cross-term", True)]
+
+
+def test_a_failed_structural_check_reports_its_order_as_one_failure(monkeypatch):
+    # a check is one instance: failed, it reads 0 against 1 under its params
+    monkeypatch.setattr(series, "div", _off_by_one_at_7(series.div))
+    report = identities.structural_reports(200)[1]
+    assert report.as_dict() == {
+        "family": "square-kernel", "params": {"order": 100}, "checked": 1,
+        "failures": [{"inputs": {"order": 100}, "lhs": "0", "rhs": "1"}], "passed": False}
 
 
 @pytest.mark.parametrize("module, name, failing", [
