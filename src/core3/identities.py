@@ -543,7 +543,7 @@ def cross_validate(n_max: int, brute_cap: int = routes.DEFAULT_BRUTE_CAP) -> Ide
     if n_max > routes.MAX_SERIES_ORDER:
         raise ValueError(f"--nmax must be at most {routes.MAX_SERIES_ORDER}, the series "
                          f"route's ceiling, got {n_max}")
-    cfg = routes.Config(order=n_max, brute_cap=brute_cap)
+    cfg = routes.Config(brute_cap=brute_cap)
     sizes = {method: min(n_max, brute_cap + 1) if method == "brute" else n_max
              for method in routes.METHODS if method != "formula"}
 

@@ -2,7 +2,8 @@
 
 ``cli`` and ``identities`` read it.  It looks functions up when called,
 never at import, so rebinding a module attribute (as a tracer does) reaches
-every caller.
+every caller.  Each route has one bound of its own: MAX_TABLE_TERMS for the
+streamed formula and Lambert routes, MAX_SERIES_ORDER for series, the cap for brute.
 """
 
 from collections import namedtuple
@@ -14,16 +15,15 @@ KINDS = ("a3", "A3", "B3")
 METHODS = ("formula", "series", "lambert", "brute")
 TUPLE_SIZE = {"a3": 1, "A3": 2, "B3": 3}
 
-DEFAULT_ORDER = 2000
-DEFAULT_BRUTE_CAP = 40
+DEFAULT_BRUTE_CAP = 40  # below the cap of 60: perfbench pins cross-validate's 1323 at 40
 # the largest brute-force cap a front end accepts; the pruned walk to 60
 # takes about 0.3 ms
 MAX_BRUTE_CAP = partitions.DEFAULT_CAP
-# the most terms the series route computes, whatever --order allows: its time
+# the most terms the series route computes, and its default order: its time
 # grows as N^1.5.  On a 2-core Xeon, in process, the a3/A3/B3 series tables
 # take 1.0/2.0/2.7 s and peak at 18/24/23 MB of RSS at N = 10^5, and
-# 2.8/6.3/9.0 s and 22/34/34 MB at 2*10^5 (medians of 3; runs vary by 20%).  cross_validate(10^5) needs 10^5
-# terms; the Lambert route computes the same tables window by window.
+# 2.8/6.3/9.0 s and 22/34/34 MB at 2*10^5 (medians of 3; runs vary by 20%).
+# The Lambert route streams the same tables, window by window, to 10^10.
 MAX_SERIES_ORDER = 200_000
 # the most terms any table reads, a Lambert point query's too; a formula point
 # query has none.  Before its first row a formula table sieves by every prime
@@ -40,18 +40,17 @@ class UsageError(ValueError):
     pass
 
 
-_Budgets = namedtuple("_Budgets", ("order", "brute_cap"),
-                      defaults=(DEFAULT_ORDER, DEFAULT_BRUTE_CAP))
+_Budgets = namedtuple("_Budgets", ("order", "brute_cap"))
 
 
 class Config(_Budgets):
-    """Run-wide budgets: the series order and the brute-force cap.  Building
-    one is the only range check of either, for the CLI and every library
-    caller alike, so each is refused in the command line's words."""
+    """Run-wide budgets: the series order, which defaults to the series ceiling and can
+    only lower it, and the brute-force cap.  Building one is the only range check of
+    either, for the CLI and every library caller alike, in the command line's words."""
 
     __slots__ = ()
 
-    def __new__(cls, order: int = DEFAULT_ORDER, brute_cap: int = DEFAULT_BRUTE_CAP):
+    def __new__(cls, order: int = MAX_SERIES_ORDER, brute_cap: int = DEFAULT_BRUTE_CAP):
         if order < 1:
             raise UsageError("--order must be >= 1")
         if brute_cap < 0:
@@ -76,14 +75,14 @@ def _check_route(kind: str, method: str) -> None:
 
 def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
     """Refuse a request whose largest n, ``top``, is past MAX_TABLE_TERMS or
-    the method's budget."""
+    the method's own bound."""
     if top >= MAX_TABLE_TERMS:
         raise UsageError(f"{what} exceeds the table ceiling of {MAX_TABLE_TERMS} terms")
     if method == "series" and top >= MAX_SERIES_ORDER:
         raise UsageError(
             f"{what} exceeds the series route's ceiling of {MAX_SERIES_ORDER} terms; "
-            f"--method lambert --order {top + 1} streams the same table")
-    if method in ("series", "lambert") and top >= cfg.order:
+            "--method lambert streams the same table")
+    if method == "series" and top >= cfg.order:
         raise UsageError(
             f"{what} exceeds the series order budget {cfg.order}; raise --order")
     if method == "brute" and top > cfg.brute_cap:

@@ -62,8 +62,8 @@ def argvs() -> list[list[str]]:
         [["compute", kind, str(n)] for kind in KINDS for n in (0, 6, 10**6, 10**20)],
         [["compute", "A3", str((2000003 * 2000029 - 2) // 3)]],
         # every route and format across the formula table's windows of 2**13
-        # rows, at the default budgets: series and Lambert refuse past --order
-        # 2000, brute past --brute-cap 40
+        # rows, at the default budgets: each route answers, brute force to
+        # --brute-cap 40
         [["table", kind, "--nmax", str(n), "--method", method, "--format", fmt]
          for kind in KINDS for method in METHODS for fmt in ("csv", "jsonl")
          for n in ((0, 1, 41) if method == "brute" else (0, 1, 8191, 8192, 8193, 16384, 16385))],
@@ -80,6 +80,12 @@ def argvs() -> list[list[str]]:
          ["table", "B3", "--nmax", "4", "--format", "jsonl"],
          ["table", "A3", "--nmax", "20", "--method", "lambert"],
          ["table", "a3", "--nmax", "4097"],
+         # past the old series order budget of 2000, with no --order
+         ["compute", "a3", "2000", "--method", "lambert"],
+         ["table", "B3", "--nmax", "20000", "--method", "series"],
+         ["table", "A3", "--nmax", "100000", "--method", "lambert"],
+         # a count of about 4516 digits, past the int-to-str limit
+         ["compute", "B3", str(2**7500 - 1)],
          *(["table", "a3", "--method", method, "--nmax", "50", "--order", "50"]
            for method in ("series", "lambert")),
          # argvs that only the argparse parser reads

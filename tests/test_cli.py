@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import io
 import json
 import pstats
@@ -180,11 +181,11 @@ def test_series_route_past_its_ceiling_is_refused_before_it_starts(capsys, monke
     ["compute", "B3", str(MAX_SERIES_ORDER)],
 ], ids=["table", "compute"])
 def test_the_series_ceiling_hint_runs(capsys, argv):
-    # the hint names the --order that the Lambert route needs for the request
+    # the hint names the route that answers the request at its defaults
     order = str(MAX_SERIES_ORDER + 1)
     code, out, err = run_cli(capsys, *argv, "--method", "series", "--order", order)
     assert (code, out) == (2, "")
-    hint = re.search(r"; (--method lambert --order \d+) streams the same table\n$", err)
+    hint = re.search(r"; (--method lambert) streams the same table\n$", err)
     code, out, err = run_cli(capsys, *argv, *hint.group(1).split())
     assert (code, err) == (0, "")
     last = arith.triple_count(MAX_SERIES_ORDER)
@@ -193,6 +194,25 @@ def test_the_series_ceiling_hint_runs(capsys, argv):
         assert out.endswith(f"\nB3,{MAX_SERIES_ORDER},{last},lambert\n")
     else:
         assert json.loads(out)["value"] == str(last)
+
+
+def test_the_lambert_route_is_not_bounded_by_the_series_order(capsys):
+    code, out, err = run_cli(capsys, "compute", "a3", "2000", "--method", "lambert")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == str(arith.core_count(2000))
+
+
+def test_a_count_past_the_int_to_str_limit_is_written(capsys):
+    # n has 2258 digits, under the 4300-digit parse limit; its B3 has about 4516
+    n = 2**7500 - 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "compute", "B3", str(n))
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    value = json.loads(out)["value"]
+    assert len(value) > 4300
+    # Decimal reads the digits exactly, whatever the int-to-str limit
+    assert int(decimal.Decimal(value)) == arith.triple_count(n)
 
 
 @pytest.mark.parametrize("argv", [

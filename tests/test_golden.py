@@ -34,7 +34,7 @@ def test_a_changed_count_or_refusal_names_the_first_argv_that_differs(monkeypatc
     assert report.startswith("'compute A3 6' differs from the corpus:\n")
     assert '-{"kind": "A3", "n": 6, "value": "14", "method": "formula"}' in report
     assert '+{"kind": "A3", "n": 6, "value": "20", "method": "formula"}' in report
-    # one refusal reworded: the first budget refusal, series past --order 2000
+    # one refusal reworded: the first budget refusal, brute force past its cap
     check = routes._check_budget
 
     def reworded(*args):
@@ -45,7 +45,6 @@ def test_a_changed_count_or_refusal_names_the_first_argv_that_differs(monkeypatc
 
     monkeypatch.setattr(routes, "_check_budget", reworded)
     report = golden.first_mismatch(CORPUS)
-    key = "table a3 --nmax 8191 --method series --format csv"
+    key = "compute a3 100 --method brute"
     assert report.startswith(f"{key!r} differs from the corpus:\n")
-    assert ("+error: --nmax 8191 exceeds the series order budget 2000; raise --order.\n"
-            in report + "\n")
+    assert "+error: n=100 exceeds the brute-force cap 40; raise --brute-cap.\n" in report + "\n"

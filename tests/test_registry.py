@@ -401,10 +401,11 @@ def test_route_budgets():
     cfg = Config(order=10, brute_cap=10)
     assert point_value("a3", "series", 9, cfg) == table_values("a3", "series", 10, cfg)[9]
     assert point_value("a3", "brute", 10, cfg) == arith.core_count(10)
+    # the order bounds the series route only
+    assert point_value("a3", "lambert", 10, cfg) == arith.core_count(10)
+    assert table_values("a3", "lambert", 11, cfg) == table_values("a3", "formula", 11)
     # a table's windows are refused at the call, before the first window
-    for call in (lambda: point_value("a3", "lambert", 10, cfg),
-                 lambda: table_values("a3", "series", 11, cfg),
-                 lambda: routes.table_windows("a3", "lambert", 11, cfg),
+    for call in (lambda: table_values("a3", "series", 11, cfg),
                  lambda: point_value("a3", "brute", 11, cfg),
                  lambda: table_values("a3", "brute", 12, cfg),
                  lambda: routes.table_windows("a3", "brute", 12, cfg)):
@@ -413,6 +414,32 @@ def test_route_budgets():
     # the closed form has no budget, and an empty table asks nothing
     assert point_value("a3", "formula", 10**6, cfg) == arith.core_count(10**6)
     assert table_values("a3", "series", 0, cfg) == []
+
+
+# each route's own bound at the defaults, as the most rows of a table, and
+# the words of the refusal past it
+_BOUNDS = {"formula": (routes.MAX_TABLE_TERMS, f"table ceiling of {routes.MAX_TABLE_TERMS}"),
+           "series": (routes.MAX_SERIES_ORDER,
+                      f"series route's ceiling of {routes.MAX_SERIES_ORDER} terms"),
+           "lambert": (routes.MAX_TABLE_TERMS, f"table ceiling of {routes.MAX_TABLE_TERMS}"),
+           "brute": (routes.DEFAULT_BRUTE_CAP + 1, f"brute-force cap {routes.DEFAULT_BRUTE_CAP}")}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_route_reaches_its_own_bound_at_the_defaults(method):
+    # a table up to n = bound - 1 is answered (its first window read; a3's
+    # series table at its ceiling takes about 2 s), and n = bound is refused
+    bound, words = _BOUNDS[method]
+    first = next(routes.table_windows("a3", method, bound, Config()))
+    assert list(first[:20]) == table_values("a3", "formula", 20)
+    if len(first) == bound:
+        assert first[-1] == arith.core_count(bound - 1)
+    with pytest.raises(routes.UsageError, match=f"^--nmax {bound + 1} exceeds the {words}"):
+        routes.table_windows("a3", method, bound + 1, Config())
+    # a formula point query has no bound
+    if method != "formula":
+        with pytest.raises(routes.UsageError, match=f"^n={bound} exceeds the {words}"):
+            point_value("a3", method, bound, Config())
 
 
 def test_registries_look_functions_up_when_called(monkeypatch):
