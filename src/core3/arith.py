@@ -397,12 +397,19 @@ def divisible_terms(kind: str, step: int, offset: int, modulus: int, count: int)
     return _divisible_terms(alpha, beta, modulus // gcd(modulus, g), count)
 
 
-def progression_counts(kind: str, sides, count: int):
+def side_window(sides: int) -> int:
+    """The terms of each side that one window of a ``progression_counts`` call
+    over ``sides`` sides holds, the last window fewer."""
+    return _SIDE_WINDOW * max(1, 8 // sides)
+
+
+def progression_counts(kind: str, sides, count: int, share: int = 0, shares: int = 1):
     """The closed-form counts of ``kind`` at n = step*i + offset for
     0 <= i < count and each (step, offset) in ``sides`` (step >= 1,
     offset >= 0), yielded per window of consecutive i, as one list per side
-    in the order of ``sides``.  A window holds _SIDE_WINDOW * max(1, 8 //
-    len(sides)) terms of each side, the last one fewer.
+    in the order of ``sides``.  A window holds ``side_window(len(sides))``
+    terms of each side, the last one fewer.  Of the windows 0, 1, 2, ...
+    only share, share + shares, share + 2*shares, ... are sieved and yielded.
 
     ``_form`` puts each side at g*(alpha*i + beta).  Every side must share
     one primitive form alpha*i + beta, else ArithmeticError names the forms;
@@ -430,18 +437,19 @@ def progression_counts(kind: str, sides, count: int):
         raise ArithmeticError(
             f"{kind} sides {list(sides)} lie on the primitive forms "
             f"{' and '.join(map(str, forms))}, not one; implementation bug")
-    window = _SIDE_WINDOW * max(1, 8 // len(sides))
     bound = isqrt(alpha * (count - 1) + beta)
     if bound + _SIEVE_SETUP > _SIEVE_CROSSOVER * count:
         bound = 0
-    yield from _sieve_windows(kind, alpha, beta, cofactors, sides, count, window, bound)
+    yield from _sieve_windows(kind, alpha, beta, cofactors, sides, count,
+                              side_window(len(sides)), bound, share, shares)
 
 
 def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: int,
-                   window: int, bound: int):
+                   window: int, bound: int, share: int = 0, shares: int = 1):
     """progression_counts of the sides at m = g*(alpha*i + beta), g the
     side's entry in ``cofactors``, as one segmented sieve over the primitive
-    form alpha*i + beta by the primes up to ``bound``, sqrt(top) or 0."""
+    form alpha*i + beta by the primes up to ``bound``, sqrt(top) or 0: the
+    windows from share*window on, every shares-th one."""
     rule_name, divisor = _PROGRESSIONS[kind][2:]
     rule = globals()[rule_name]
     # each prime q of a cofactor -> its exponent in each cofactor
@@ -470,7 +478,7 @@ def _sieve_windows(kind: str, alpha: int, beta: int, cofactors, sides, count: in
         elif levels:
             primes.append((p, [(stride, first, rule(p, k)) for stride, first, k in levels],
                            None))
-    for lo in range(0, count, window):
+    for lo in range(share * window, count, shares * window):
         width = min(window, count - lo)
         rem = list(range(alpha * lo + beta, alpha * (lo + width) + beta, alpha))
         val = [1] * width
@@ -541,10 +549,11 @@ def _side(kind: str, divisor: int, val, factors, step: int, offset: int,
     return quotients
 
 
-def count_windows(kind: str, n_max: int):
+def count_windows(kind: str, n_max: int, share: int = 0, shares: int = 1):
     """The closed-form counts of ``kind`` for 0 <= n < n_max, as an iterator
-    of windows of 8 * _SIDE_WINDOW counts, the last one shorter:
+    of windows of ``side_window(1)`` counts, the last one shorter:
     ``progression_counts`` at the one side of step 1 and offset 0, each window
-    computed when it is asked for."""
-    return map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max))
+    computed when it is asked for.  Only the windows share, share + shares,
+    ... are computed, for a caller that shares the table out."""
+    return map(itemgetter(0), progression_counts(kind, [(1, 0)], n_max, share, shares))
 

@@ -15,6 +15,18 @@ exception exit normally.  Rows, in ascending n, fill one template per
 format, one %-format per block of rows; values are decimal strings, so JSON
 readers never hit the 53-bit limit; keys are kind, n, value, method.
 
+A formula or Lambert table of more than one window is shared out over one
+forked worker per usable CPU, P = min(CPUs, windows), each pinned to a CPU
+of its own: worker r computes windows r, r + P, ... and formats their rows
+into its own pipe, and the parent writes the windows in order, so stdout,
+stderr and the exit code are those of one process.  A worker's exception
+is pickled down its pipe and raised by the parent at that window.  A
+worker never writes to ``sys.stdout`` and ends by ``os._exit``, so nothing
+of the parent, buffered output included, runs or flushes in it; the
+parent kills and reaps every worker on every path.  Series and brute
+tables, a table of one window, one CPU, no ``os.fork``, or a trace or
+profile function or ``sys.monitoring`` tool keep the one-process path.
+
 Each subcommand's arguments are one table, ``_COMMANDS``.  A well-formed
 argv (exact flag names, each with its value, every value valid and every
 required argument present) is parsed from it directly; anything else, help
@@ -36,7 +48,7 @@ from types import SimpleNamespace
 
 from . import __version__, arith
 from .routes import (DEFAULT_BRUTE_CAP, KINDS, MAX_BRUTE_CAP, MAX_SERIES_ORDER, METHODS,
-                     Config, UsageError, point_value, table_windows)
+                     Config, UsageError, point_value, table_window, table_windows)
 
 # the verify flags, each an option of some family in identities.FAMILIES
 _VERIFY_FLAGS = ("p", "j", "kmax", "nmax", "alphamax")
@@ -76,30 +88,156 @@ def _cmd_compute(args, cfg: Config) -> int:
     return 0
 
 
+def _rows(row: str, n: int, values):
+    """The rows of a window whose first n is ``n``, as one string per block of
+    _BLOCK rows: one %-format per block on n and value interleaved, a full
+    block's template made once."""
+    full = (row * _BLOCK, [0] * (2 * _BLOCK))
+    for start in range(0, len(values), _BLOCK):
+        size = min(_BLOCK, len(values) - start)
+        template, fields = full if size == _BLOCK else (row * size, [0] * (2 * size))
+        fields[::2] = range(n + start, n + start + size)
+        fields[1::2] = values[start:start + size]
+        yield template % tuple(fields)
+
+
+def _cpus() -> list[int]:
+    """The CPUs this process may run on."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return sorted(getaffinity(0)) if getaffinity else list(range(os.cpu_count() or 1))
+
+
+def _hooked() -> bool:
+    """Whether a profiler, tracer, debugger or coverage tool is hooked in: by
+    a trace or profile function or, from Python 3.12, by a sys.monitoring
+    tool id (0-5)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return sys.gettrace() is not None or sys.getprofile() is not None or (
+        monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+
+
 def _cmd_table(args, cfg: Config) -> int:
+    # every refusal is made here, before any window is computed or worker forked
     windows = table_windows(args.kind, args.method, args.nmax, cfg)
+    rows = table_window(args.kind, args.method, args.nmax)
+    count = -(-args.nmax // rows) if rows else 0
+    cpus = _cpus()[:count]
     row = _row(args.format, args.kind, args.method)
     out = sys.stdout
     # written with the first window, so a table whose first window fails
     # leaves stdout empty; one that fails later ends after the windows before
     header = "kind,n,value,method\n" if args.format == "csv" else ""
-    # one %-format per block on n and value interleaved; a full block's made once
-    full = (row * _BLOCK, [0] * (2 * _BLOCK))
+    if len(cpus) > 1 and hasattr(os, "fork") and not _hooked():
+        _write_shared(args, cfg, rows, count, cpus, row, header)
+        return 0
     n = 0
     for values in windows:
         out.write(header)
         header = ""
-        for start in range(0, len(values), _BLOCK):
-            size = min(_BLOCK, len(values) - start)
-            template, fields = full if size == _BLOCK else (row * size, [0] * (2 * size))
-            fields[::2] = range(n + start, n + start + size)
-            fields[1::2] = values[start:start + size]
-            out.write(template % tuple(fields))
+        out.writelines(_rows(row, n, values))
         n += len(values)
         # let the window go before the next one is computed
         values = None
     out.write(header)
     return 0
+
+
+# a frame on a worker's pipe: its size, signed, in _FRAME bytes, then its
+# bytes.  Rows have a positive size, the end of a window 0, and a failure the
+# negative size of the exception, pickled
+_FRAME = 8
+_WINDOW_END = bytes(_FRAME)
+
+
+def _frame(data: bytes, sign: int = 1) -> bytes:
+    return (sign * len(data)).to_bytes(_FRAME, "little", signed=True) + data
+
+
+def _serve(pipe, args, cfg: Config, rows: int, count: int, share: int, shares: int,
+           row: str) -> None:
+    """A worker's part: windows share, share + shares, ... of the table, each
+    as frames of rows on ``pipe`` and its end, or the exception that ended them."""
+    try:
+        for index, values in zip(range(share, count, shares), table_windows(
+                args.kind, args.method, args.nmax, cfg, share, shares)):
+            for text in _rows(row, index * rows, values):
+                pipe.write(_frame(text.encode()))
+            pipe.write(_WINDOW_END)
+            # the parent waits for the window's end, which must not wait in
+            # the buffer for the next window
+            pipe.flush()
+            values = None
+    except Exception as exc:
+        import pickle
+        pipe.write(_frame(pickle.dumps(exc), -1))
+
+
+def _read_frame(pipe, index: int) -> bytes:
+    """The next frame of rows of window ``index`` on ``pipe``, b"" at the
+    window's end; a worker's exception is raised here."""
+    head = pipe.read(_FRAME)
+    size = int.from_bytes(head, "little", signed=True)
+    data = pipe.read(abs(size))
+    if len(head) < _FRAME or len(data) < abs(size):
+        raise ChildProcessError(f"the table worker of window {index} ended before it")
+    if size < 0:
+        import pickle
+        raise pickle.loads(data)
+    return data
+
+
+def _write_shared(args, cfg: Config, rows: int, count: int, cpus: list[int], row: str,
+                  header: str) -> None:
+    """The table by one forked worker per CPU of ``cpus``, worker r filling
+    windows r, r + shares, ... into its own pipe, shares the number of
+    workers; the windows are written here, in order."""
+    import signal
+
+    out = sys.stdout
+    shares = len(cpus)
+    pipes, pids = [], []
+    try:
+        for share, cpu in enumerate(cpus):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the worker: its own pipe's write end is all it keeps, and it
+                # never returns, so nothing of the parent runs in it again
+                code = 1
+                try:
+                    os.close(read)
+                    for pipe in pipes:
+                        pipe.close()
+                    # each worker on a CPU of its own: Linux wakes a pipe's
+                    # reader on its writer's CPU, so unpinned workers ran by
+                    # turns on the parent's
+                    try:
+                        os.sched_setaffinity(0, {cpu})
+                    except (AttributeError, OSError):
+                        pass
+                    with open(write, "wb") as pipe:
+                        _serve(pipe, args, cfg, rows, count, share, shares, row)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(write)
+            pipes.append(open(read, "rb"))
+        for index in range(count):
+            pipe = pipes[index % shares]
+            data = _read_frame(pipe, index)
+            out.write(header)
+            header = ""
+            while data:
+                out.write(data.decode())
+                data = _read_frame(pipe, index)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            # a worker may still be filling a window or waiting on its pipe
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _summary_line(report) -> str:
@@ -292,10 +430,7 @@ def entry_point() -> None:
     # both streams are out, so skip the interpreter's teardown, which frees
     # every module and object (about 10 ms a run); a profiler, tracer,
     # debugger or coverage tool writes its report at exit, so under one the
-    # exit is normal: it hooks in by a trace or profile function or, from
-    # Python 3.12, by a sys.monitoring tool id (0-5)
-    monitoring = getattr(sys, "monitoring", None)
-    if sys.gettrace() is None and sys.getprofile() is None and (
-            monitoring is None or all(monitoring.get_tool(i) is None for i in range(6))):
+    # exit is normal
+    if not _hooked():
         os._exit(code)
     sys.exit(code)

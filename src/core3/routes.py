@@ -91,12 +91,28 @@ def _check_budget(method: str, top: int, what: str, cfg: Config) -> None:
         raise UsageError(f"{what} exceeds the brute-force cap {cfg.brute_cap}; {hint}")
 
 
-def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
+def table_window(kind: str, method: str, n_max: int) -> int:
+    """The rows of each window of ``table_windows`` for a request it accepts,
+    the last window fewer: the whole table for series and brute, 0 for an
+    empty table."""
+    if method == "formula":
+        return arith.side_window(1)
+    if method == "lambert" and n_max:
+        from . import lambert
+        return lambert.tuple_window(TUPLE_SIZE[kind], n_max)
+    return n_max
+
+
+def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config(),
+                  share: int = 0, shares: int = 1):
     """The counts of ``kind`` for 0 <= n < n_max by ``method``, as an iterator
     of sequences whose concatenation is the table.  The formula and Lambert
     routes yield one window at a time, each computed when it is asked for;
     series and brute, whose arithmetic needs the whole table, yield it as
-    one sequence.  A request is refused here, before the first window."""
+    one sequence.  Of the formula and Lambert windows 0, 1, 2, ... only
+    share, share + shares, share + 2*shares, ... are computed and yielded;
+    the one window of series and brute is share 0's.  A request is refused
+    here, before the first window."""
     _check_route(kind, method)
     if n_max < 0:
         raise UsageError("--nmax must be >= 0")
@@ -105,14 +121,14 @@ def table_windows(kind: str, method: str, n_max: int, cfg: Config = Config()):
     _check_budget(method, n_max - 1, f"--nmax {n_max}", cfg)
     k = TUPLE_SIZE[kind]
     if method == "formula":
-        return arith.count_windows(kind, n_max)
+        return arith.count_windows(kind, n_max, share, shares)
     # imported here, so that a formula query does not load either engine
     if method == "series":
         from . import series
         return iter((series.core_tuple_series(3, k, n_max).coeffs,))
     if method == "lambert":
         from . import lambert
-        return lambert.tuple_windows(k, n_max)
+        return lambert.tuple_windows(k, n_max, share, shares)
     # brute, the one method left
     return iter((partitions.brute_tuple_table(n_max, 3, k, cap=cfg.brute_cap),))
 
@@ -132,7 +148,8 @@ def point_value(kind: str, method: str, n: int, cfg: Config = Config()) -> int:
     if method == "formula":
         return getattr(arith, arith.COUNTERS[kind])(n)
     _check_budget(method, n, f"n={n}", cfg)
-    # n is the last entry of the table, so only its last window is kept
-    for values in table_windows(kind, method, n + 1, cfg):
-        pass
+    # n is the last entry of the table: its window alone is computed, the
+    # windows before it passed over
+    last = n // table_window(kind, method, n + 1)
+    [values] = table_windows(kind, method, n + 1, cfg, last, last + 1)
     return values[-1]

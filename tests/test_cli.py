@@ -3,6 +3,7 @@ import csv
 import decimal
 import io
 import json
+import os
 import pstats
 import re
 import shlex
@@ -10,7 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import chain
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,125 @@ def test_table_bytes_do_not_depend_on_the_windows(capsys, monkeypatch, kind, met
     assert tables() == default
 
 
+def _on_cpus(monkeypatch, cpus: int) -> list:
+    """Let ``table`` see ``cpus`` CPUs; the list returned logs each fork."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(cli, "_cpus", lambda: list(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("method", ["formula", "lambert"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_table_shared_out_over_workers_writes_the_same_bytes(capsys, monkeypatch, kind,
+                                                               method, fmt):
+    # windows of 16 rows: the tables cross 0 to 3 window boundaries, and one
+    # of 2 to 4 windows is shared out over 2 or 3 workers, one per CPU
+    monkeypatch.setattr(arith, "_SIDE_WINDOW", 2)
+    monkeypatch.setattr(lambert, "_WINDOW", 16)
+    sizes = (0, 1, 15, 16, 17, 33, 50)
+
+    def tables(cpus):
+        forks = _on_cpus(monkeypatch, cpus)
+        written = [run_cli(capsys, "table", kind, "--nmax", str(n), "--method", method,
+                           "--format", fmt) for n in sizes]
+        workers = [min(cpus, -(-n // 16)) for n in sizes]
+        assert len(forks) == sum(p for p in workers if p > 1)
+        return written
+
+    one = tables(1)
+    assert [code for code, _, _ in one] == [0] * len(sizes)
+    assert tables(2) == one
+    assert tables(3) == one
+
+
+def test_a_rule_broken_in_a_workers_window_fails_as_in_one_process(capsys, monkeypatch):
+    # windows of 16 rows; sigma's rule at the prime 53 = 3*17 + 2, read at
+    # n = 17 alone below 50, is one too large: window 1, a worker's, fails
+    # its division by 3 in the fork as it does in one process
+    monkeypatch.setattr(arith, "_SIDE_WINDOW", 2)
+    rule = arith._sigma_prime_power
+    monkeypatch.setattr(arith, "_sigma_prime_power", lambda p, a: rule(p, a) + (p == 53))
+    runs = []
+    for cpus in (1, 2, 3):
+        forks = _on_cpus(monkeypatch, cpus)
+        runs.append(run_cli(capsys, "table", "A3", "--nmax", "50"))
+        assert len(forks) == (cpus if cpus > 1 else 0)
+    code, out, err = runs[0]
+    assert code == 1
+    assert err == ("internal error: A3 closed form at n=17 is 55, not divisible by 3; "
+                   "implementation bug\n")
+    assert out == "kind,n,value,method\n" + "".join(
+        f"A3,{n},{arith.pair_count(n)},formula\n" for n in range(16))
+    assert runs[1] == runs[2] == runs[0]
+
+
+# runs the CLI on two CPUs, whatever the host has: a table of several
+# windows is shared out over two workers
+_ON_TWO_CPUS = """
+from core3 import cli
+cli._cpus = lambda: [0, 1]
+cli.entry_point()
+"""
+
+
+def test_closing_the_pipe_of_a_shared_out_table_leaves_no_process():
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ON_TWO_CPUS, "table", "A3", "--nmax", "10000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == b"kind,n,value,method\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=5)
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 141
+    assert time.perf_counter() - start < 5
+    assert b"Traceback" not in err
+    # the workers were reaped with their parent: the session's group is empty
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_a_profiled_table_profiles_every_window(tmp_path):
+    # under a profile function the table is not shared out: the profile
+    # holds the sieve of each of its three windows of 2**13 rows
+    profile = tmp_path / "prof"
+    result = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile),
+                             "-m", "core3", "table", "A3", "--nmax", str(2 * 8192 + 1)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=60)
+    assert result.returncode == 0, result.stderr
+    calls = {name: nc for (path, _, name), (_, nc, *_) in pstats.Stats(str(profile)).stats.items()
+             if path.endswith("arith.py")}
+    assert calls["_side"] == 3
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_lambert_point_query_fills_only_its_last_window(monkeypatch, kind):
+    # a progression of step 1 and weight 0 reaches every window, so its
+    # weights are asked for once for each window filled, and at no other
+    k = routes.TUPLE_SIZE[kind]
+    filled = []
+
+    def weights(weight, j, terms):
+        filled.append((j, terms))
+        return repeat(weight, terms)
+
+    build = lambert._TUPLE_PROGRESSIONS[k]
+    monkeypatch.setitem(lambert._TUPLE_PROGRESSIONS, k,
+                        lambda order: chain(build(order), ([0, 1, 0, 0, weights],)))
+    for n in (16383, 16384, 16385, 999999):
+        filled.clear()
+        assert routes.point_value(kind, "lambert", n) == getattr(arith, arith.COUNTERS[kind])(n)
+        lo = n - n % lambert.tuple_window(k, n + 1)
+        assert filled == [(lo, n + 1 - lo)]
+
+
 class _NullStream(io.TextIOBase):
     def write(self, text):
         return len(text)
@@ -112,9 +232,12 @@ def test_a_table_holds_one_window_at_a_time(monkeypatch, argv, bound_kb):
     # before the next is computed.  Traced peaks on CPython 3.11: A3 461 KB,
     # B3 501 KB and Lambert 383 KB, against 753, 661 and 511 KB with the
     # previous window alive while the next was built.  A formula table, one
-    # side, reads 8 * arith._SIDE_WINDOW rows a window
+    # side, reads 8 * arith._SIDE_WINDOW rows a window.  On one CPU the
+    # windows are computed in this process, as each worker of a shared-out
+    # table computes its own
     monkeypatch.setattr(arith, "_SIDE_WINDOW", 1 << 9)
     monkeypatch.setattr(lambert, "_WINDOW", 1 << 12)
+    monkeypatch.setattr(cli, "_cpus", lambda: [0])
     monkeypatch.setattr(sys, "stdout", _NullStream())
     argv = ["table", *argv, "--nmax", str(6 << 12)]
     assert main(argv) == 0  # imports and caches, outside the traced run
@@ -235,9 +358,9 @@ def test_requests_past_the_table_ceiling_are_refused_before_any_window(capsys, m
 
 
 def test_the_table_ceiling_admits_a_table_of_its_size(monkeypatch):
-    # each stub window holds the size it was asked for
-    monkeypatch.setattr(arith, "count_windows", lambda kind, n_max: iter([[n_max]]))
-    monkeypatch.setattr(lambert, "tuple_windows", lambda k, order: iter([[order]]))
+    # each stub window holds the size it was asked for, whatever its share
+    monkeypatch.setattr(arith, "count_windows", lambda kind, n_max, *share: iter([[n_max]]))
+    monkeypatch.setattr(lambert, "tuple_windows", lambda k, order, *share: iter([[order]]))
     cfg = Config(order=MAX_TABLE_TERMS)
     for method in ("formula", "lambert"):
         assert routes.table_values("A3", method, MAX_TABLE_TERMS, cfg) == [MAX_TABLE_TERMS]
@@ -726,44 +849,47 @@ def test_a_profiled_run_writes_its_profile(tmp_path):
     assert any(name == "pair_count" for _, _, name in pstats.Stats(str(profile)).stats)
 
 
-# runs the CLI on its argv, then reports the process's peak RSS in kB on stderr
+# runs its argv as a command, its output discarded, then prints the peak RSS
+# in kB of that command or any process it waited for, a forked worker of a
+# table among them; ru_maxrss starts from the forking process's own, so the
+# launcher is a small process of its own
 _PEAK_RSS = """
-import sys
-from core3.cli import main
-code = main(sys.argv[1:])
-sys.stdout.flush()
-with open("/proc/self/status") as status:
-    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
-          file=sys.stderr)
-sys.exit(code)
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _reports_peak_rss() -> bool:
-    try:
-        with open("/proc/self/status") as status:
-            return any(line.startswith("VmHWM:") for line in status)
-    except OSError:
-        return False
+def _peak_rss_kb(*command: str) -> int:
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *command], check=True,
+                            capture_output=True, text=True)
+    return int(result.stdout)
 
 
-def _peak_rss_kb(*argv: str) -> int:
-    result = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], check=True,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    return int(result.stderr)
+_LINUX = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                            reason="ru_maxrss is in kB on Linux")
 
 
-@pytest.mark.skipif(not _reports_peak_rss(), reason="no VmHWM in /proc/self/status")
+@_LINUX
+def test_the_peak_rss_counts_a_forked_workers_peak():
+    # a worker that fills 32 MB and is reaped by its parent, which holds little
+    grandchild = ("import os\npid = os.fork()\nif pid == 0:\n"
+                  "    data = b'x' * (32 << 20)\n    os._exit(0)\nos.waitpid(pid, 0)\n")
+    assert _peak_rss_kb(sys.executable, "-c", grandchild) >= 32 << 10
+
+
+@_LINUX
 @pytest.mark.parametrize("argv", [
     ["table", "A3", "--nmax", "1000000", "--method", "formula", "--order", "1000000"],
     ["table", "A3", "--nmax", "1000000", "--method", "lambert", "--order", "1000000"],
     ["compute", "A3", "999999", "--method", "lambert", "--order", "1000000"],
 ], ids=["formula", "lambert", "lambert-point"])
 def test_a_million_row_table_peaks_near_a_point_query(argv):
-    # one window at a time: the rows written, or passed on the way to the
-    # last, leave no trace in memory
-    point = _peak_rss_kb("compute", "A3", "6")
-    assert _peak_rss_kb(*argv) - point <= 8 * 1024
+    # one window at a time in each process: the rows written, or passed on
+    # the way to the last, leave no trace in memory
+    core3 = (sys.executable, "-m", "core3")
+    point = _peak_rss_kb(*core3, "compute", "A3", "6")
+    assert _peak_rss_kb(*core3, *argv) - point <= 8 * 1024
 
 
 def _argparse_attrs(argv: list[str]):

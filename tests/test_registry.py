@@ -478,7 +478,8 @@ def test_registries_look_functions_up_when_called(monkeypatch):
     # the formula table route is one count_windows call, not one counter per row
     tables = []
     monkeypatch.setattr(arith, "count_windows",
-                        lambda kind, n_max: tables.append((kind, n_max)) or iter([[7] * n_max]))
+                        lambda kind, n_max, *share: tables.append((kind, n_max))
+                        or iter([[7] * n_max]))
     assert table_values("A3", "formula", 4) == [7] * 4
     assert tables == [("A3", 4)]
     stub = identities.IdentityReport("stub", {}, 1)
@@ -607,10 +608,11 @@ def test_selfcheck_refuses_before_any_family_runs(argv, message, capsys, monkeyp
 def test_selfcheck_prints_at_most_five_counterexamples(capsys, monkeypatch):
     original = arith.progression_counts
 
-    def wrong_at_6(kind, sides, count):
-        # A3(6) one too large, wherever a sweep side reads it
+    def wrong_at_6(kind, sides, count, *share):
+        # A3(6) one too large, wherever a sweep side reads it; selfcheck reads
+        # every window, so the first is at lo = 0
         lo = 0
-        for values in original(kind, sides, count):
+        for values in original(kind, sides, count, *share):
             yield [[v + (kind == "A3" and step * (lo + i) + offset == 6)
                     for i, v in enumerate(side)] for side, (step, offset) in zip(values, sides)]
             lo += len(values[0])
